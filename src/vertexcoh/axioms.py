@@ -32,6 +32,7 @@ from .spaces import (
     VAModule,
     VertexAlgebra,
     mode_apply,
+    mode_window,
     skew_mode,
     viadd,
 )
@@ -139,17 +140,18 @@ def intrinsic_T(V: VertexAlgebra) -> GradedMap:
 # instance generators (shared by the checker and the cocycle residual)
 # ---------------------------------------------------------------------------
 
-def _gen_identity(V: VertexAlgebra):
-    sp, Y, vac = V.space, V.Y, V.vacuum
-    vac_label = sp.label_of(vac)
-    for v in range(len(sp)):
-        wv = sp.weight_of(v)
-        lab = sp.label_of(v)
-        for n in range(wv - 1 - sp.cutoff, wv - 1 - sp.min_weight + 1):
-            residual = dict(Y.entry(vac, n, v) or {})
+def _gen_identity(Y: ModeFamily, vac: int, axiom: str = "identity"):
+    """vacuum_n w = w when n = -1 and 0 otherwise, for w in the acted-on space."""
+    sp = Y.right
+    vac_label = Y.left.label_of(vac)
+    for w in range(len(sp)):
+        ww = sp.weight_of(w)
+        lab = sp.label_of(w)
+        for n in mode_window(sp, ww):
+            residual = dict(Y.entry(vac, n, w) or {})
             if n == -1:
-                viadd(residual, -1, {v: Fraction(1)})
-            yield "identity", (vac_label, n, lab), residual
+                viadd(residual, -1, {w: Fraction(1)})
+            yield axiom, (vac_label, n, lab), residual
 
 
 def _gen_creation(V: VertexAlgebra):
@@ -158,46 +160,51 @@ def _gen_creation(V: VertexAlgebra):
     for v in range(len(sp)):
         wv = sp.weight_of(v)
         lab = sp.label_of(v)
-        for n in range(max(-1, wv - 1 - sp.cutoff), wv - 1 - sp.min_weight + 1):
+        window = mode_window(sp, wv)
+        for n in range(max(-1, window.start), window.stop):
             residual = dict(Y.entry(v, n, vac) or {})
             if n == -1:
                 viadd(residual, -1, {v: Fraction(1)})
             yield "creation", (lab, n, vac_label), residual
 
 
-def _gen_translation(V: VertexAlgebra, tmap: GradedMap):
+def _gen_translation(Y: ModeFamily, T: GradedMap, T_act: GradedMap,
+                     axiom: str = "translation"):
     """Both forms of the translation compatibility, same result-weight window:
 
-        (T u)_n v = -n u_{n-1} v
-        T(u_n v) - u_n T(v) = -n u_{n-1} v
+        (T u)_n w = -n u_{n-1} w
+        T_act(u_n w) - u_n T_act(w) = -n u_{n-1} w
+
+    with u in the algebra (translated by T) and w in the acted-on space
+    (translated by T_act).
     """
-    sp, Y = V.space, V.Y
-    for u in range(len(sp)):
-        wu = sp.weight_of(u)
-        lu = sp.label_of(u)
+    usp, sp = Y.left, Y.right
+    for u in range(len(usp)):
+        wu = usp.weight_of(u)
+        lu = usp.label_of(u)
         uvec = {u: Fraction(1)}
-        for v in range(len(sp)):
-            wv = sp.weight_of(v)
-            lv = sp.label_of(v)
-            vvec = {v: Fraction(1)}
-            for n in range(wu + wv - sp.cutoff, wu + wv - sp.min_weight + 1):
-                inst = (lu, n, lv)
-                shifted = Y.entry(u, n - 1, v)
+        for w in range(len(sp)):
+            ww = sp.weight_of(w)
+            lw = sp.label_of(w)
+            wvec = {w: Fraction(1)}
+            for n in mode_window(sp, wu + ww + 1):
+                inst = (lu, n, lw)
+                shifted = Y.entry(u, n - 1, w)
                 try:
-                    residual = mode_apply(Y, tmap.apply(uvec), n, vvec)
+                    residual = mode_apply(Y, T.apply(uvec), n, wvec)
                     if shifted:
                         viadd(residual, n, shifted)
-                    yield "translation-shift", inst, residual
+                    yield f"{axiom}-shift", inst, residual
                 except TruncationBreach as breach:
-                    yield "translation-shift", inst, breach
+                    yield f"{axiom}-shift", inst, breach
                 try:
-                    residual = tmap.apply(Y.entry(u, n, v) or {})
-                    viadd(residual, -1, mode_apply(Y, uvec, n, tmap.apply(vvec)))
+                    residual = T_act.apply(Y.entry(u, n, w) or {})
+                    viadd(residual, -1, mode_apply(Y, uvec, n, T_act.apply(wvec)))
                     if shifted:
                         viadd(residual, n, shifted)
-                    yield "translation-bracket", inst, residual
+                    yield f"{axiom}-bracket", inst, residual
                 except TruncationBreach as breach:
-                    yield "translation-bracket", inst, breach
+                    yield f"{axiom}-bracket", inst, breach
 
 
 def _gen_skew(V: VertexAlgebra, tmap: GradedMap):
@@ -212,8 +219,7 @@ def _gen_skew(V: VertexAlgebra, tmap: GradedMap):
             wv = sp.weight_of(v)
             lv = sp.label_of(v)
             vvec = {v: Fraction(1)}
-            for n in range(wu + wv - 1 - sp.cutoff - fringe,
-                           wu + wv - 1 - sp.min_weight + 1):
+            for n in mode_window(sp, wu + wv, fringe):
                 inst = (lu, n, lv)
                 try:
                     residual = dict(Y.entry(u, n, v) or {})
@@ -333,7 +339,7 @@ def _gen_grading(V: VertexAlgebra):
 def check_identity(V: VertexAlgebra, report: AxiomReport | None = None) -> AxiomReport:
     """vacuum_n v = v when n = -1 and 0 otherwise, across the window."""
     report = report if report is not None else AxiomReport()
-    _record(report, V.space, _gen_identity(V))
+    _record(report, V.space, _gen_identity(V.Y, V.vacuum))
     return report
 
 
@@ -353,7 +359,7 @@ def check_translation(V: VertexAlgebra, report: AxiomReport | None = None,
     """
     report = report if report is not None else AxiomReport()
     tmap = tmap if tmap is not None else translation_map(V)
-    _record(report, V.space, _gen_translation(V, tmap))
+    _record(report, V.space, _gen_translation(V.Y, tmap, tmap))
     return report
 
 
@@ -378,11 +384,8 @@ def check_all(V: VertexAlgebra) -> AxiomReport:
 
     Never raises: fragments that depend on the translation map use the
     mode-derived candidate, so a broken creation axiom shows up as failed
-    creation instances rather than an exception.  The report is cached on the
-    algebra object (same object, same table, same verdict).
+    creation instances rather than an exception.
     """
-    if V._check_report is not None:
-        return V._check_report
     report = AxiomReport()
     _record(report, V.space, _gen_grading(V))
     check_identity(V, report)
@@ -391,7 +394,6 @@ def check_all(V: VertexAlgebra) -> AxiomReport:
     check_translation(V, report, tmap)
     check_skew_symmetry(V, report, tmap)
     check_jacobi(V, report)
-    V._check_report = report
     return report
 
 
@@ -404,51 +406,9 @@ def check_module(V: VertexAlgebra, W: VAModule,
     result weights, the algebra's cutoff for algebra-side intermediates.
     """
     report = report if report is not None else AxiomReport()
-    vsp, wsp = V.space, W.space
-    Y_W, T_W = W.Y_W, W.T_W
-    tmap = translation_map(V)
-    vac = V.vacuum
-    vac_label = vsp.label_of(vac)
-
-    def gen_mod_identity():
-        for w in range(len(wsp)):
-            ww = wsp.weight_of(w)
-            lw = wsp.label_of(w)
-            for n in range(ww - 1 - wsp.cutoff, ww - 1 - wsp.min_weight + 1):
-                residual = dict(Y_W.entry(vac, n, w) or {})
-                if n == -1:
-                    viadd(residual, -1, {w: Fraction(1)})
-                yield "module-identity", (vac_label, n, lw), residual
-
-    def gen_mod_translation():
-        for u in range(len(vsp)):
-            wu = vsp.weight_of(u)
-            lu = vsp.label_of(u)
-            uvec = {u: Fraction(1)}
-            for w in range(len(wsp)):
-                ww = wsp.weight_of(w)
-                lw = wsp.label_of(w)
-                wvec = {w: Fraction(1)}
-                for n in range(wu + ww - wsp.cutoff, wu + ww - wsp.min_weight + 1):
-                    inst = (lu, n, lw)
-                    shifted = Y_W.entry(u, n - 1, w)
-                    try:
-                        residual = mode_apply(Y_W, tmap.apply(uvec), n, wvec)
-                        if shifted:
-                            viadd(residual, n, shifted)
-                        yield "module-translation-shift", inst, residual
-                    except TruncationBreach as breach:
-                        yield "module-translation-shift", inst, breach
-                    try:
-                        residual = T_W.apply(Y_W.entry(u, n, w) or {})
-                        viadd(residual, -1, mode_apply(Y_W, uvec, n, T_W.apply(wvec)))
-                        if shifted:
-                            viadd(residual, n, shifted)
-                        yield "module-translation-bracket", inst, residual
-                    except TruncationBreach as breach:
-                        yield "module-translation-bracket", inst, breach
-
-    _record(report, wsp, gen_mod_identity())
-    _record(report, wsp, gen_mod_translation())
-    _record(report, wsp, _gen_jacobi(V.Y, Y_W, wsp.tier, axiom="module-jacobi"))
+    wsp = W.space
+    _record(report, wsp, _gen_identity(W.Y_W, V.vacuum, "module-identity"))
+    _record(report, wsp, _gen_translation(W.Y_W, translation_map(V), W.T_W,
+                                          "module-translation"))
+    _record(report, wsp, _gen_jacobi(V.Y, W.Y_W, wsp.tier, axiom="module-jacobi"))
     return report

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import LinearSystem, kernel_basis, quotient_dim, solve_affine
+from .linalg import Echelon, LinearSystem, kernel_basis, quotient_dim, solve_affine
 from .spaces import (
     GradedMap,
     ModeFamily,
@@ -175,26 +175,6 @@ def _window_label(V: VertexAlgebra) -> str | None:
 # cochain slot enumeration (the probe order everything shares)
 # ---------------------------------------------------------------------------
 
-def cochain_slots(V: VertexAlgebra, W: VAModule) -> list[tuple[int, int, int, int]]:
-    """All (u, n, v, target) a degree-zero 2-cochain may populate, probe order."""
-    vsp, wsp = V.space, W.space
-    slots: list[tuple[int, int, int, int]] = []
-    target_weights = sorted(wsp.by_weight)
-    for u in range(len(vsp)):
-        wu = vsp.weight_of(u)
-        ns = sorted({
-            wu + vsp.weight_of(v) - 1 - tau
-            for v in range(len(vsp))
-            for tau in target_weights
-        })
-        for n in ns:
-            for v in range(len(vsp)):
-                tau = wu + vsp.weight_of(v) - n - 1
-                for t in wsp.by_weight.get(tau, ()):
-                    slots.append((u, n, v, t))
-    return slots
-
-
 def _mode_index_triples(V: VertexAlgebra, W: VAModule):
     """(u, n, v) windows where a degree-zero cochain may be nonzero."""
     vsp, wsp = V.space, W.space
@@ -210,6 +190,16 @@ def _mode_index_triples(V: VertexAlgebra, W: VAModule):
             for v in range(len(vsp)):
                 if (wu + vsp.weight_of(v) - n - 1) in wsp.by_weight:
                     yield u, n, v
+
+
+def cochain_slots(V: VertexAlgebra, W: VAModule) -> list[tuple[int, int, int, int]]:
+    """All (u, n, v, target) a degree-zero 2-cochain may populate, probe order."""
+    wt, by_weight = V.space.weight_of, W.space.by_weight
+    return [
+        (u, n, v, t)
+        for u, n, v in _mode_index_triples(V, W)
+        for t in by_weight[wt(u) + wt(v) - n - 1]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +337,9 @@ def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
     wlab = W.space.label_of
     out: dict = {}
     generators = (
-        _gen_identity(total),
+        _gen_identity(total.Y, total.vacuum),
         _gen_creation(total),
-        _gen_translation(total, tmap),
+        _gen_translation(total.Y, tmap, tmap),
         _gen_skew(total, tmap),
         _gen_jacobi(total.Y, total.Y, total.space.tier),
     )
@@ -383,40 +373,16 @@ def compute_z2(V: VertexAlgebra, W: VAModule) -> list[TwoCochain]:
     return [TwoCochain.from_slots(V, W, vec) for vec in kernel_basis(system)]
 
 
-def _echelon_insert(pivots: dict, vec: Mapping) -> bool:
-    """Insert a slot-vector into an echelon set; False if dependent."""
-    work = {k: Fraction(c) for k, c in vec.items() if c}
-    while work:
-        lead = min(work)
-        prow = pivots.get(lead)
-        if prow is None:
-            inv = 1 / work[lead]
-            pivots[lead] = {k: c * inv for k, c in work.items()}
-            return True
-        factor = work[lead]
-        for k, c in prow.items():
-            new = work.get(k, Fraction(0)) - factor * c
-            if new:
-                work[k] = new
-            else:
-                work.pop(k, None)
-    return False
-
-
 def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     """Cocycles, coboundaries, the quotient dimension, and representatives."""
     z_basis = compute_z2(V, W)
     b_candidates = [coboundary(V, W, g) for g in vacuum_killing_basis(V, W)]
-    pivots: dict = {}
-    b_basis = [b for b in b_candidates if b and _echelon_insert(pivots, b.slots())]
+    picked = Echelon(cochain_slots(V, W))
+    b_basis = [b for b in b_candidates if b and picked.insert(b.slots()) is not None]
     h_dim = quotient_dim(
         [z.slots() for z in z_basis], [b.slots() for b in b_basis]
     )
-    reps = []
-    rep_pivots = dict(pivots)
-    for z in z_basis:
-        if _echelon_insert(rep_pivots, z.slots()):
-            reps.append(z)
+    reps = [z for z in z_basis if picked.insert(z.slots()) is not None]
     return CohomologyResult(
         degree=2,
         h_dim=h_dim,

@@ -34,6 +34,7 @@ from .spaces import (
     VAModule,
     VertexAlgebra,
     mode_apply,
+    mode_window,
     skew_mode,
     viadd,
     vsub,
@@ -132,6 +133,22 @@ def build_extension(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> SquareZer
     )
 
 
+def _homomorphism_residuals(f, src: ModeFamily, dst: ModeFamily):
+    """Yields (a, n, b, f(a_n b) - f(a)_n f(b)) for basis a, b of the source.
+
+    ``f`` maps sparse vectors of the source space to the target space; n runs
+    over the target's mode window.
+    """
+    sp, tsp = src.left, dst.target
+    for a in range(len(sp)):
+        fa = f({a: Fraction(1)})
+        for b in range(len(sp)):
+            fb = f({b: Fraction(1)})
+            for n in mode_window(tsp, sp.weight_of(a) + sp.weight_of(b)):
+                lhs = f(src.entry(a, n, b) or {})
+                yield a, n, b, vsub(lhs, mode_apply(dst, fa, n, fb))
+
+
 def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
     """check_all on the total algebra plus the structural extension checks.
 
@@ -149,8 +166,7 @@ def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
         lw1 = tsp.label_of(w1)
         for wj, w2 in enumerate(ext.fiber_to_total):
             lw2 = tsp.label_of(w2)
-            ww = wsp.weight_of(wi) + wsp.weight_of(wj)
-            for n in range(ww - 1 - tsp.cutoff, ww - 1 - tsp.min_weight + 1):
+            for n in mode_window(tsp, wsp.weight_of(wi) + wsp.weight_of(wj)):
                 inst = (lw1, n, lw2)
                 vec = total.Y.entry(w1, n, w2)
                 if vec:
@@ -158,22 +174,13 @@ def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
                 else:
                     report.passed.append(("square-zero", inst))
 
-    for a in range(len(tsp)):                        # projection homomorphism
-        la = tsp.label_of(a)
-        pa = ext.proj.apply({a: Fraction(1)})
-        for b in range(len(tsp)):
-            lb = tsp.label_of(b)
-            pb = ext.proj.apply({b: Fraction(1)})
-            wab = tsp.weight_of(a) + tsp.weight_of(b)
-            for n in range(wab - 1 - vsp.cutoff, wab - 1 - vsp.min_weight + 1):
-                inst = (la, n, lb)
-                lhs = ext.proj.apply(total.Y.entry(a, n, b) or {})
-                rhs = mode_apply(V.Y, pa, n, pb)
-                residual = vsub(lhs, rhs)
-                if residual:
-                    report.failed.append(("projection", inst, vsp.describe(residual)))
-                else:
-                    report.passed.append(("projection", inst))
+    # projection homomorphism
+    for a, n, b, residual in _homomorphism_residuals(ext.proj.apply, total.Y, V.Y):
+        inst = (tsp.label_of(a), n, tsp.label_of(b))
+        if residual:
+            report.failed.append(("projection", inst, vsp.describe(residual)))
+        else:
+            report.passed.append(("projection", inst))
 
     for v in range(len(vsp)):                        # inclusion intertwines Y_W
         lv = vsp.label_of(v)
@@ -181,8 +188,7 @@ def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
         for w in range(len(wsp)):
             lw = wsp.label_of(w)
             wt = ext.fiber_to_total[w]
-            wvw = vsp.weight_of(v) + wsp.weight_of(w)
-            for n in range(wvw - 1 - wsp.cutoff, wvw - 1 - wsp.min_weight + 1):
+            for n in mode_window(wsp, vsp.weight_of(v) + wsp.weight_of(w)):
                 inst = (lv, n, lw)
                 lhs = total.Y.entry(vt, n, wt) or {}
                 rhs = ext.lift_fiber(W.Y_W.entry(v, n, w) or {})
@@ -311,19 +317,12 @@ def check_equivalence_extensions(
         viadd(out, 1, ext2.lift_fiber(g.apply(base_part)))
         return out
 
-    for a in range(len(tsp)):
-        for b in range(len(tsp)):
-            wab = tsp.weight_of(a) + tsp.weight_of(b)
-            for n in range(wab - 1 - tsp.cutoff, wab - 1 - tsp.min_weight + 1):
-                lhs = h(total1.Y.entry(a, n, b) or {})
-                rhs = mode_apply(
-                    total2.Y, h({a: Fraction(1)}), n, h({b: Fraction(1)})
-                )
-                if vsub(lhs, rhs):
-                    raise RuntimeError(
-                        "equivalence certificate failed exact verification "
-                        f"at ({tsp.label_of(a)}, {n}, {tsp.label_of(b)})"
-                    )
+    for a, n, b, residual in _homomorphism_residuals(h, total1.Y, total2.Y):
+        if residual:
+            raise RuntimeError(
+                "equivalence certificate failed exact verification "
+                f"at ({tsp.label_of(a)}, {n}, {tsp.label_of(b)})"
+            )
     for a in range(len(tsp)):                  # commuting diagram, both legs
         avec = {a: Fraction(1)}
         if ext2.proj.apply(h(avec)) != ext1.proj.apply(avec):
@@ -363,18 +362,13 @@ def check_equivalence_deformations(
         viadd(out, DualScalar(0, 1), g.apply(vec))
         return out
 
-    Y1, Y2 = defm1.deformed.Y, defm2.deformed.Y
-    for u in range(len(sp)):
-        for v in range(len(sp)):
-            wuv = sp.weight_of(u) + sp.weight_of(v)
-            for n in range(wuv - 1 - sp.cutoff, wuv - 1 - sp.min_weight + 1):
-                lhs = f_t(mode_apply(Y1, {u: Fraction(1)}, n, {v: Fraction(1)}))
-                rhs = mode_apply(Y2, f_t({u: Fraction(1)}), n, f_t({v: Fraction(1)}))
-                if vsub(lhs, rhs):
-                    raise RuntimeError(
-                        "deformation equivalence failed exact verification "
-                        f"at ({sp.label_of(u)}, {n}, {sp.label_of(v)})"
-                    )
+    residuals = _homomorphism_residuals(f_t, defm1.deformed.Y, defm2.deformed.Y)
+    for u, n, v, residual in residuals:
+        if residual:
+            raise RuntimeError(
+                "deformation equivalence failed exact verification "
+                f"at ({sp.label_of(u)}, {n}, {sp.label_of(v)})"
+            )
     return Equivalence(
         g=g, kind="deformation",
         note="f_t = 1 + t g carries deformation 1 to deformation 2",

@@ -15,7 +15,7 @@ runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 Row = dict[Hashable, Fraction]
 
@@ -72,6 +72,49 @@ def _scaled_sub(target: dict[int, Fraction], factor: Fraction,
             target.pop(pos, None)
 
 
+class Echelon:
+    """Incremental reduced row echelon form over ids registered up front.
+
+    ``pos`` gives each id its position; the pivot of a row is its first
+    nonzero position.  ``pivots`` maps each pivot position to the unit-pivot
+    row (keyed by position) and the tag of the row that contributed it.  Every
+    insert back-substitutes into the existing rows, so they stay fully
+    reduced and the row set is canonical for the registration order.
+    """
+
+    def __init__(self, ids: Iterable[Hashable]) -> None:
+        self.pos: dict[Hashable, int] = {}
+        for uid in ids:
+            self.pos.setdefault(uid, len(self.pos))
+        self.pivots: dict[int, tuple[dict[int, Fraction], str]] = {}
+
+    def reduce(self, vec: Mapping[Hashable, Fraction]) -> dict[int, Fraction]:
+        """The remainder of ``vec`` modulo the rows, keyed by position."""
+        work = {self.pos[u]: c for u, c in vec.items() if c}
+        pivots = self.pivots
+        while work:
+            hits = work.keys() & pivots.keys()
+            if not hits:
+                break
+            p = min(hits)
+            _scaled_sub(work, work[p], pivots[p][0])
+        return work
+
+    def insert(self, vec: Mapping[Hashable, Fraction], tag: str = "") -> Optional[int]:
+        """Add ``vec`` as a row; returns its pivot position, or None if dependent."""
+        work = self.reduce(vec)
+        if not work:
+            return None
+        lead = min(work)
+        inv = Fraction(1) / work[lead]
+        work = {p: c * inv for p, c in work.items()}
+        for orow, _otag in self.pivots.values():
+            if lead in orow:
+                _scaled_sub(orow, orow[lead], work)
+        self.pivots[lead] = (work, tag)
+        return lead
+
+
 def rref(system: LinearSystem) -> LinearSystem:
     """Reduced row echelon form: unit pivots, pivot-sorted rows, tags preserved.
 
@@ -79,29 +122,14 @@ def rref(system: LinearSystem) -> LinearSystem:
     its pivot.  rref is idempotent and canonical for the registered unknown
     order.
     """
-    pivots: dict[int, tuple[dict[int, Fraction], str]] = {}
+    ech = Echelon(system.unknowns)
     for row, tag in zip(system.rows, system.tags):
-        work = {system._pos[u]: c for u, c in row.items()}
-        while work:
-            hits = work.keys() & pivots.keys()
-            if not hits:
-                break
-            p = min(hits)
-            _scaled_sub(work, work[p], pivots[p][0])
-        if not work:
-            continue
-        lead = min(work)
-        inv = 1 / work[lead]
-        work = {p: c * inv for p, c in work.items()}
-        for orow, _otag in pivots.values():
-            if lead in orow:
-                _scaled_sub(orow, orow[lead], work)
-        pivots[lead] = (work, tag)
+        ech.insert(row, tag)
 
     out = LinearSystem()
     out.add_unknowns(system.unknowns)
-    for lead in sorted(pivots):
-        prow, tag = pivots[lead]
+    for lead in sorted(ech.pivots):
+        prow, tag = ech.pivots[lead]
         out.add_row({system.unknowns[p]: c for p, c in prow.items()}, tag)
     return out
 
@@ -143,38 +171,18 @@ def solve_affine(system: LinearSystem, rhs: list[Fraction]) -> Optional[Row]:
     if len(rhs) != len(system.rows):
         raise ValueError("right-hand side length does not match row count")
 
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+    # the right-hand side is the last column: a pivot there reads 0 = b != 0
+    b_id = object()
+    ech = Echelon([*system.unknowns, b_id])
+    b_pos = ech.pos[b_id]
     for row, b in zip(system.rows, rhs):
-        work = {system._pos[u]: c for u, c in row.items()}
-        b = Fraction(b)
-        while work:
-            hits = work.keys() & pivots.keys()
-            if not hits:
-                break
-            p = min(hits)
-            prow, pb = pivots[p]
-            factor = work[p]
-            _scaled_sub(work, factor, prow)
-            b -= factor * pb
-        if not work:
-            if b:
-                return None
-            continue
-        lead = min(work)
-        inv = 1 / work[lead]
-        work = {p: c * inv for p, c in work.items()}
-        b *= inv
-        for opos, (orow, ob) in list(pivots.items()):
-            if lead in orow:
-                factor = orow[lead]
-                _scaled_sub(orow, factor, work)
-                pivots[opos] = (orow, ob - factor * b)
-        pivots[lead] = (work, b)
+        if ech.insert({**row, b_id: b}) == b_pos:
+            return None
 
     solution: Row = {}
-    for lead, (_prow, b) in pivots.items():
-        if b:
-            solution[system.unknowns[lead]] = b
+    for lead, (prow, _tag) in ech.pivots.items():
+        if b_pos in prow:
+            solution[system.unknowns[lead]] = prow[b_pos]
     return solution
 
 
@@ -185,43 +193,14 @@ def quotient_dim(space: list[Row], subspace: list[Row]) -> int:
     first-appearance order over ``space`` then ``subspace``, which is
     deterministic for deterministically-built inputs.
     """
-    order: dict[Hashable, int] = {}
-    for vec in list(space) + list(subspace):
-        for uid in vec:
-            if uid not in order:
-                order[uid] = len(order)
-
-    def to_pos(vec: Row) -> dict[int, Fraction]:
-        return {order[u]: Fraction(c) for u, c in vec.items() if c}
-
-    def reduce_against(row: dict[int, Fraction],
-                       pivots: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
-        while row:
-            hits = row.keys() & pivots.keys()
-            if not hits:
-                break
-            p = min(hits)
-            _scaled_sub(row, row[p], pivots[p])
-        return row
-
-    def insert(row: dict[int, Fraction], pivots: dict[int, dict[int, Fraction]]) -> bool:
-        row = reduce_against(row, pivots)
-        if not row:
-            return False
-        lead = min(row)
-        inv = 1 / row[lead]
-        pivots[lead] = {p: c * inv for p, c in row.items()}
-        return True
-
-    space_pivots: dict[int, dict[int, Fraction]] = {}
-    space_rank = sum(insert(to_pos(v), space_pivots) for v in space)
-
-    sub_pivots: dict[int, dict[int, Fraction]] = {}
+    order = [uid for vec in (*space, *subspace) for uid in vec]
+    space_ech, sub_ech = Echelon(order), Echelon(order)
+    space_rank = sum(space_ech.insert(v) is not None for v in space)
     sub_rank = 0
     for vec in subspace:
-        if reduce_against(to_pos(vec), dict(space_pivots)):
+        if space_ech.reduce(vec):
             raise SubspaceNotContained(
                 "subspace vector does not lie in the ambient span"
             )
-        sub_rank += insert(to_pos(vec), sub_pivots)
+        sub_rank += sub_ech.insert(vec) is not None
     return space_rank - sub_rank

@@ -152,6 +152,16 @@ class GradedSpace:
         )
 
 
+def mode_window(space: GradedSpace, weight: int, fringe: int = 0) -> range:
+    """Mode indices n for which u_n v, with wt u + wt v = weight, lands in space.
+
+    By the weight rule the result has weight ``weight - n - 1``; the window
+    keeps it between the bottom weight and the cutoff, extended ``fringe``
+    weights above the cutoff.
+    """
+    return range(weight - 1 - space.cutoff - fringe, weight - 1 - space.min_weight + 1)
+
+
 # ---------------------------------------------------------------------------
 # graded maps
 # ---------------------------------------------------------------------------
@@ -349,7 +359,6 @@ class VertexAlgebra:
         self.vacuum = vacuum
         self.Y = Y
         self.ring = ring
-        self._check_report = None      # cache filled by the axiom checker
 
     @property
     def tier(self) -> str:

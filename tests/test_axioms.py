@@ -44,9 +44,16 @@ def test_exact_presets_pass_with_no_skips(name):
         assert counts.get(axiom, 0) > 0, f"no {axiom} instances ran"
 
 
-def test_check_all_result_is_cached():
-    V = build_preset("trivial")
-    assert check_all(V) is check_all(V)
+def test_check_all_sees_a_changed_table():
+    V = build_preset("dual-numbers")
+    assert check_all(V).verdict == "pass"
+    sp = V.space
+    V.Y.set_entry(sp.index["one"], -1, sp.index["eps"], {sp.index["eps"]: F(2)})
+    rebuilt = build_vertex_algebra(sp, "one", V.entries_by_labels())
+    fresh = check_all(rebuilt)
+    assert fresh.verdict == "fail" and len(fresh.failed) == 9
+    again = check_all(V)
+    assert (again.verdict, again.failed) == (fresh.verdict, fresh.failed)
 
 
 def test_individual_checkers_agree_with_check_all():
@@ -203,6 +210,28 @@ def test_check_module_on_adjoint_passes():
         for axiom in ("module-identity", "module-translation-shift",
                       "module-translation-bracket", "module-jacobi"):
             assert counts.get(axiom, 0) > 0
+
+
+def _tally(report):
+    counts = {}
+    for kind, entries in (("passed", report.passed), ("skipped", report.skipped),
+                          ("failed", report.failed)):
+        for axiom, *_rest in entries:
+            counts[axiom, kind] = counts.get((axiom, kind), 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, None) for p in EXACT_PRESETS] + [("free-boson", 3)])
+def test_check_module_on_adjoint_counts_match_check_all(name, cutoff):
+    V = build_preset(name, cutoff)
+    # the adjoint module is the algebra acting on itself, so each module axiom
+    # enumerates exactly the instances of its algebra counterpart
+    mod = _tally(check_module(V, adjoint_module(V)))
+    alg = _tally(check_all(V))
+    for axiom in ("identity", "translation-shift", "translation-bracket", "jacobi"):
+        for kind in ("passed", "skipped", "failed"):
+            assert mod.get((f"module-{axiom}", kind), 0) == alg.get((axiom, kind), 0)
 
 
 def test_check_module_catches_broken_action():

@@ -215,6 +215,31 @@ def test_h2_dimensions_match_brute_force(name):
     assert len(res.representative_classes) == res.h_dim
 
 
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, None) for p in EXACT_PRESETS] + [("free-boson", 1)])
+def test_h2_picks_are_the_greedily_independent_ones(name, cutoff):
+    V = build_preset(name, cutoff)
+    # coboundaries: each nonzero delta g independent of those picked before;
+    # representatives: each cocycle independent of everything picked before
+    W = adjoint_module(V)
+    res = compute_h2(V, W)
+    slots = cochain_slots(V, W)
+    picked: list = []
+
+    def greedy(candidates):
+        out = []
+        for c in candidates:
+            vec = [c.slots().get(s, F(0)) for s in slots]
+            if orc.rank_dense(picked + [vec]) > len(picked):
+                picked.append(vec)
+                out.append(c)
+        return out
+
+    deltas = [coboundary(V, W, g) for g in vacuum_killing_basis(V, W)]
+    assert res.coboundary_basis == greedy(deltas)
+    assert res.representative_classes == greedy(res.cocycle_basis)
+
+
 def test_representatives_are_cocycles_and_not_coboundaries():
     V, W = _setting("dual-numbers")
     res = compute_h2(V, W)

@@ -173,6 +173,15 @@ def test_rref_is_canonical_and_idempotent():
             piv = min(row, key=sys_.position)
             for other in pivot_ids - {piv}:
                 assert other not in row
+        # each output row carries the tag of the input row that added its pivot
+        # column to the row space
+        contributor = {}
+        for i in range(len(dense)):
+            before = set(orc.rref_dense(dense[:i])[1])
+            for col in set(orc.rref_dense(dense[: i + 1])[1]) - before:
+                contributor[col] = sys_.tags[i]
+        assert {sys_.position(min(row, key=sys_.position)): tag
+                for row, tag in zip(red.rows, red.tags)} == contributor
 
 
 def test_rank_and_kernel_against_dense_oracle():
@@ -211,6 +220,10 @@ def test_solve_affine_consistent_and_inconsistent():
         assert sol is not None
         for row, b in zip(sys_.rows, rhs):
             assert sum(row.get(u, F(0)) * sol.get(u, F(0)) for u in names) == b
+        # the canonical solution: zero on free unknowns, and on each pivot
+        # unknown the last column of the augmented matrix's rref
+        red, pivots = orc.rref_dense([r + [b] for r, b in zip(dense, rhs)])
+        assert sol == {names[pc]: r[-1] for r, pc in zip(red, pivots) if r[-1]}
     # inconsistent: x + y = 0 and x + y = 1
     sys_ = LinearSystem()
     sys_.add_unknowns(["x", "y"])
