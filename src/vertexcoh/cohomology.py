@@ -1,12 +1,15 @@
 """Low-degree cohomology: derivations and square-zero classes.
 
-Degree one is classical: a derivation is a degree-zero map f with
+Degree one and the coboundaries of degree two read one linear map, the
+coboundary on degree-zero maps f: V -> W,
 
-    f(u_n v) = f(u)_n v + u_n f(v)
+    (delta f)(u, n, v) = -f(u_n v) + f(u)_n v + u_n f(v),
 
-where the first term is a module element acting back on the algebra through
-skew-symmetry.  The solver assembles one linear row per (u, n, v, target
-coordinate) inside the verification window and reads the kernel.
+where f(u)_n v is a module element acting back on the algebra through
+skew-symmetry (``right_action``).  ``derivation_system`` is its matrix, one
+row per cochain slot, and it has three readers: its kernel is H1, the
+derivations (``compute_der``); ``coboundary`` applies it to a vacuum-killing
+map; and ``is_coboundary`` solves psi = delta g against it.
 
 Degree two is deliberately operational.  A candidate 2-cochain psi is a
 degree-zero mode family (V, V) -> W obeying the weight rule; its *residual*
@@ -35,7 +38,6 @@ from .spaces import (
     TruncationBreach,
     VAModule,
     VertexAlgebra,
-    mode_apply,
     skew_mode,
     viadd,
 )
@@ -206,48 +208,67 @@ def cochain_slots(V: VertexAlgebra, W: VAModule) -> list[tuple[int, int, int, in
 # degree one
 # ---------------------------------------------------------------------------
 
-def derivation_system(V: VertexAlgebra, W: VAModule) -> LinearSystem:
-    """Linear system whose kernel is the space of derivations V -> W.
+def right_action(W: VAModule) -> dict[tuple[int, int, int], dict]:
+    """{(w, n, v): w_n v} by skew-symmetry, nonzero values only.
 
-    Unknowns ("f", source, target) in flat order; one row per (u, n, v,
-    target coordinate) inside the window, tagged with the instance it came
-    from.
+    Covers every module basis w, algebra basis v and mode n whose result
+    weight is a weight of W, so it is all the right action any window needs.
+    """
+    wsp, vsp = W.space, W.algebra_space
+    table = {}
+    for w in range(len(wsp)):
+        wvec = {w: Fraction(1)}
+        for v in range(len(vsp)):
+            for tau in wsp.by_weight:
+                n = wsp.weight_of(w) + vsp.weight_of(v) - 1 - tau
+                vec = skew_mode(W, wvec, n, {v: Fraction(1)})
+                if vec:
+                    table[(w, n, v)] = vec
+    return table
+
+
+def derivation_system(V: VertexAlgebra, W: VAModule) -> LinearSystem:
+    """The matrix of the coboundary delta on degree-zero maps f: V -> W.
+
+    Unknowns ("f", source, target) in flat order, vacuum included; one row per
+    cochain slot in cochain_slots order, holding the coefficients of
+
+        (delta f)(u, n, v)_t = -f(u_n v) + f(u)_n v + u_n f(v)
+
+    and tagged with the instance it came from.  Its kernel is the space of
+    derivations, coboundary applies it, and is_coboundary solves against it.
     """
     vsp, wsp = V.space, W.space
+    wt = vsp.weight_of
     system = LinearSystem()
     for v in range(len(vsp)):
-        for t in wsp.by_weight.get(vsp.weight_of(v), ()):
+        for t in wsp.by_weight.get(wt(v), ()):
             system.add_unknown(("f", v, t))
+    right = right_action(W)
 
     for u, n, v in _mode_index_triples(V, W):
-        tau = vsp.weight_of(u) + vsp.weight_of(v) - n - 1
-        uvec, vvec = {u: Fraction(1)}, {v: Fraction(1)}
         # coefficient dicts per target coordinate, built from the three terms
-        per_target: dict[int, dict] = {tt: {} for tt in wsp.by_weight[tau]}
+        per_target: dict[int, dict] = {
+            tt: {} for tt in wsp.by_weight[wt(u) + wt(v) - n - 1]
+        }
 
-        def put(tt: int, uid, value) -> None:
-            if value and uid in system._pos:
+        def put(uid, vec: dict) -> None:
+            for tt, c in vec.items():
                 row = per_target[tt]
-                row[uid] = row.get(uid, Fraction(0)) + value
+                row[uid] = row.get(uid, 0) + c
 
-        prod = V.Y.entry(u, n, v) or {}
-        for x, cx in prod.items():              # + f(u_n v)
+        for x, cx in (V.Y.entry(u, n, v) or {}).items():     # - f(u_n v)
             for tt in per_target:
-                put(tt, ("f", x, tt), cx)
-        for t in wsp.by_weight.get(vsp.weight_of(u), ()):   # - f(u)_n v
-            svec = skew_mode(W, {t: Fraction(1)}, n, vvec)
-            for tt, c in svec.items():
-                put(tt, ("f", u, t), -c)
-        for t in wsp.by_weight.get(vsp.weight_of(v), ()):   # - u_n f(v)
-            mvec = mode_apply(W.Y_W, uvec, n, {t: Fraction(1)})
-            for tt, c in mvec.items():
-                put(tt, ("f", v, t), -c)
+                put(("f", x, tt), {tt: -cx})
+        for t in wsp.by_weight.get(wt(u), ()):               # + f(u)_n v
+            put(("f", u, t), right.get((t, n, v), {}))
+        for t in wsp.by_weight.get(wt(v), ()):               # + u_n f(v)
+            put(("f", v, t), W.Y_W.entry(u, n, t) or {})
 
         lab = vsp.label_of
-        for tt in wsp.by_weight[tau]:
+        for tt, row in per_target.items():
             system.add_row(
-                per_target[tt],
-                tag=f"derivation {lab(u)}[{n}]{lab(v)} @ {wsp.label_of(tt)}",
+                row, tag=f"derivation {lab(u)}[{n}]{lab(v)} @ {wsp.label_of(tt)}"
             )
     return system
 
@@ -287,13 +308,12 @@ def coboundary(V: VertexAlgebra, W: VAModule, g: GradedMap) -> TwoCochain:
         raise VacuumNotKilled(
             f"g({V.space.label_of(V.vacuum)}) must be zero, got a nonzero image"
         )
-    out = TwoCochain(V, W)
-    for u, n, v in _mode_index_triples(V, W):
-        vec = viadd({}, -1, g.apply(V.Y.entry(u, n, v) or {}))
-        viadd(vec, 1, skew_mode(W, g.apply({u: Fraction(1)}), n, {v: Fraction(1)}))
-        viadd(vec, 1, mode_apply(W.Y_W, {u: Fraction(1)}, n, g.apply({v: Fraction(1)})))
-        out.psi.set_entry(u, n, v, vec)
-    return out
+    gvec = {("f", v, t): c for v, col in g.columns.items() for t, c in col.items()}
+    rows = derivation_system(V, W).rows
+    return TwoCochain.from_slots(V, W, {
+        slot: sum(c * gvec.get(uid, 0) for uid, c in row.items())
+        for slot, row in zip(cochain_slots(V, W), rows)
+    })
 
 
 def vacuum_killing_basis(V: VertexAlgebra, W: VAModule) -> list[GradedMap]:
@@ -404,32 +424,14 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
     if any(residual.values()):
         raise NotACocycle(sorted(residual))
 
-    slots = cochain_slots(V, W)
-    g_basis = vacuum_killing_basis(V, W)
-    g_ids = []
-    columns = []
-    for k, g in enumerate(g_basis):
-        src = next(iter(g.columns))
-        tgt = next(iter(g.columns[src]))
-        g_ids.append(("g", src, tgt))
-        columns.append(coboundary(V, W, g).slots())
-
-    system = LinearSystem()
-    system.add_unknowns(g_ids)
-    rhs = []
+    # the residual check leaves psi(1, -1, 1) = 0 and W's identity axiom, so
+    # the vacuum rows read f(1) = 0 and the canonical solution kills the vacuum
     psi_slots = psi.slots()
-    for slot in slots:
-        row = {}
-        for gid, col in zip(g_ids, columns):
-            c = col.get(slot)
-            if c:
-                row[gid] = c
-        system.add_row(row, tag=f"slot {slot}")
-        rhs.append(psi_slots.get(slot, Fraction(0)))
-    solution = solve_affine(system, rhs)
+    rhs = [psi_slots.get(slot, Fraction(0)) for slot in cochain_slots(V, W)]
+    solution = solve_affine(derivation_system(V, W), rhs)
     if solution is None:
         return None
     gmap = GradedMap(V.space, W.space, 0)
-    for (_g, src, tgt), c in solution.items():
+    for (_f, src, tgt), c in solution.items():
         gmap.set_entry(tgt, src, c)
     return gmap

@@ -29,6 +29,8 @@ from .spaces import (
     VAModule,
     VertexAlgebra,
     build_vertex_algebra,
+    mode_window,
+    viadd,
 )
 
 
@@ -80,12 +82,7 @@ class CommDiffAlgebraSpec:
     def product_vec(self, vec: dict[str, Fraction], b: str) -> dict[str, Fraction]:
         out: dict[str, Fraction] = {}
         for a, ca in vec.items():
-            for k, ck in self.product(a, b).items():
-                new = out.get(k, Fraction(0)) + ca * ck
-                if new:
-                    out[k] = new
-                else:
-                    del out[k]
+            viadd(out, ca, self.product(a, b))
         return out
 
     def d_of(self, a: str) -> dict[str, Fraction]:
@@ -94,12 +91,7 @@ class CommDiffAlgebraSpec:
     def d_of_vec(self, vec: dict[str, Fraction]) -> dict[str, Fraction]:
         out: dict[str, Fraction] = {}
         for a, ca in vec.items():
-            for k, ck in self.d_of(a).items():
-                new = out.get(k, Fraction(0)) + ca * ck
-                if new:
-                    out[k] = new
-                else:
-                    del out[k]
+            viadd(out, ca, self.d_of(a))
         return out
 
     def validate(self) -> None:
@@ -131,12 +123,7 @@ class CommDiffAlgebraSpec:
                     left = self.product_vec(self.product(a, b), c)
                     right: dict[str, Fraction] = {}
                     for m, cm in self.product(b, c).items():
-                        for k, ck in self.product(a, m).items():
-                            new = right.get(k, Fraction(0)) + cm * ck
-                            if new:
-                                right[k] = new
-                            else:
-                                del right[k]
+                        viadd(right, cm, self.product(a, m))
                     if left != right:
                         raise NotAssociative((a, b, c))
         for a in self.labels:
@@ -152,12 +139,9 @@ class CommDiffAlgebraSpec:
                 lhs = self.d_of_vec(self.product(a, b))
                 rhs: dict[str, Fraction] = {}
                 for k, c in self.d_of(a).items():
-                    for m, cm in self.product(k, b).items():
-                        rhs[m] = rhs.get(m, Fraction(0)) + c * cm
+                    viadd(rhs, c, self.product(k, b))
                 for k, c in self.d_of(b).items():
-                    for m, cm in self.product(a, k).items():
-                        rhs[m] = rhs.get(m, Fraction(0)) + c * cm
-                rhs = {k: v for k, v in rhs.items() if v}
+                    viadd(rhs, c, self.product(a, k))
                 if lhs != rhs:
                     raise NotLeibniz((a, b))
 
@@ -322,8 +306,7 @@ def truncated_free_boson(cutoff: int = 4) -> VertexAlgebra:
     entries: dict[tuple[str, int, str], dict[str, Fraction]] = {}
     for u in parts:
         for w in parts:
-            top = sum(u) + sum(w) - 1           # n = top puts the result at weight 0
-            for n in range(sum(u) + sum(w) - 1 - cutoff, top + 1):
+            for n in mode_window(space, sum(u) + sum(w)):
                 vec = _boson_mode(u, n, w)
                 if vec:
                     entries[(boson_label(u), n, boson_label(w))] = {

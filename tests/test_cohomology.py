@@ -12,6 +12,7 @@ from vertexcoh.cohomology import (
     NotACocycle,
     TwoCochain,
     VacuumNotKilled,
+    _mode_index_triples,
     coboundary,
     cochain_slots,
     compute_der,
@@ -20,6 +21,7 @@ from vertexcoh.cohomology import (
     cocycle_residual,
     derivation_system,
     is_coboundary,
+    right_action,
     vacuum_killing_basis,
 )
 from vertexcoh.linalg import quotient_dim
@@ -31,9 +33,19 @@ F = Fraction
 EXACT_PRESETS = ("trivial", "dual-numbers", "split-pair", "graded-nilpotent")
 
 
-def _setting(name):
-    V = build_preset(name)
+def _setting(name, cutoff=None):
+    V = build_preset(name, cutoff)
     return V, adjoint_module(V)
+
+
+def _random_vacuum_killing(V, W, rng):
+    """A degree-zero map V -> W, nonzero on every vacuum-killing slot."""
+    g = GradedMap(V.space, W.space, 0)
+    for b in vacuum_killing_basis(V, W):
+        (src, col), = b.columns.items()
+        (tgt, _one), = col.items()
+        g.set_entry(tgt, src, F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)))
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +98,25 @@ def test_derivation_system_covers_every_checked_slot():
         if V.space.weight_of(v) == V.space.weight_of(t)
     }
     assert len(system) > 0 and all(system.tags)
+    assert len(system) == len(cochain_slots(V, W))    # one row per slot
+
+
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, None) for p in EXACT_PRESETS] + [("free-boson", 3)])
+def test_right_action_of_the_adjoint_module_is_the_mode_table(name, cutoff):
+    # skew-symmetry: w_n v computed from the module action is the algebra's own
+    V, W = _setting(name, cutoff)
+    sp = V.space
+    table = right_action(W)
+    window = set()
+    for w in range(len(sp)):
+        for v in range(len(sp)):
+            for tau in sp.by_weight:
+                n = sp.weight_of(w) + sp.weight_of(v) - 1 - tau
+                window.add((w, n, v))
+                assert table.get((w, n, v), {}) == (V.Y.entry(w, n, v) or {}), \
+                    (name, w, n, v)
+    assert set(table) <= window
 
 
 def test_derivations_on_truncated_boson_are_window_consistent():
@@ -164,6 +195,28 @@ def test_coboundary_hand_value_and_vacuum_guard():
         coboundary(V, W, bad)
     with pytest.raises(ValueError):
         coboundary(V, W, GradedMap(sp, sp, 1))        # wrong degree
+
+
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, None) for p in EXACT_PRESETS]
+                         + [("free-boson", c) for c in (1, 2, 3)])
+def test_coboundary_is_the_defining_formula(name, cutoff):
+    # delta g (u, n, v) = -g(u_n v) + g(u)_n v + u_n g(v), term by term
+    V, W = _setting(name, cutoff)
+    rng = random.Random(20261018)
+    for _ in range(3):
+        g = _random_vacuum_killing(V, W, rng)
+        want = {}
+        for u, n, v in _mode_index_triples(V, W):
+            uvec, vvec = {u: F(1)}, {v: F(1)}
+            vec = vadd(
+                skew_mode(W, g.apply(uvec), n, vvec),
+                mode_apply(W.Y_W, uvec, n, g.apply(vvec)),
+            )
+            vec = vsub(vec, g.apply(V.Y.entry(u, n, v) or {}))
+            if vec:
+                want[(u, n, v)] = vec
+        assert coboundary(V, W, g).psi.entries == want
 
 
 def test_coboundary_of_a_derivation_vanishes():
@@ -254,12 +307,23 @@ def test_representatives_are_cocycles_and_not_coboundaries():
 
 
 def test_is_coboundary_round_trip_and_rejection():
+    rng = random.Random(20261019)
+    cases = [(p, None) for p in EXACT_PRESETS] + [("free-boson", 2), ("free-boson", 3)]
+    for name, cutoff in cases:
+        V, W = _setting(name, cutoff)
+        gs = vacuum_killing_basis(V, W) if cutoff is None else []
+        gs += [_random_vacuum_killing(V, W, rng) for _ in range(2)]
+        for g in gs:
+            psi = coboundary(V, W, g)
+            g2 = is_coboundary(V, W, psi)
+            assert g2 is not None
+            assert g2.column(V.vacuum) == {}
+            assert coboundary(V, W, g2) == psi
+            if name == "free-boson":              # H1 = 0: the shear is unique
+                assert g2 == g
+        if name == "free-boson":
+            assert compute_der(V, W).h_dim == 0
     V, W = _setting("split-pair")
-    for g in vacuum_killing_basis(V, W):
-        psi = coboundary(V, W, g)
-        g2 = is_coboundary(V, W, psi)
-        assert g2 is not None
-        assert coboundary(V, W, g2).psi.entries == psi.psi.entries
     bad = TwoCochain.from_entries(V, W, {("one", -1, "u"): {"u": F(1)}})
     with pytest.raises(NotACocycle):
         is_coboundary(V, W, bad)

@@ -348,6 +348,25 @@ def test_cli_deform_pass_and_fail(tmp_path, capsys):
     assert any(f["axiom"] == "identity" for f in report["data"]["failed"])
 
 
+def test_cli_deform_reports_a_failing_algebra(tmp_path, capsys):
+    # the deformed table's own check reports the algebra's failures
+    bad = tmp_path / "bad.txt"
+    bad.write_text(_dump("dual-numbers").replace("eps -1 one -> 1*eps",
+                                                 "eps -1 one -> 2*eps"))
+    zero = tmp_path / "zero.txt"
+    zero.write_text("[PSI]\n")
+
+    def fail_instances(out):
+        return [line.split(": residual")[0] for line in out.splitlines()
+                if line.startswith("FAIL ")]
+
+    assert main(["check", str(bad)]) == 1
+    want = fail_instances(capsys.readouterr().out)
+    assert len(want) == 5
+    assert main(["deform", str(bad), "--psi", str(zero)]) == 1
+    assert fail_instances(capsys.readouterr().out) == want
+
+
 def test_cli_equiv_both_kinds(tmp_path, capsys):
     rep = tmp_path / "rep.txt"
     rep.write_text("[PSI]\neps -1 eps -> 1*one\n")
