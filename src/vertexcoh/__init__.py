@@ -1,7 +1,8 @@
 """Exact low-degree cohomology for grading-restricted vertex algebras.
 
-Everything is computed over exact scalars — arbitrary-precision rationals, and
-dual numbers for first-order families — at desk scale: small labeled bases,
+Everything is computed over exact scalars — arbitrary-precision rationals,
+dual numbers for first-order families, and first-order jets in many directions
+for one-pass cocycle solves — at desk scale: small labeled bases,
 sparse tables, deterministic reports.  The pieces:
 
 * ``scalars`` / ``linalg``: the scalar rings and a sparse exact solver with
@@ -11,7 +12,7 @@ sparse tables, deterministic reports.  The pieces:
 * ``axioms``: the instance-by-instance checker with explicit windows and
   pass/fail/skip accounting;
 * ``cohomology``: derivations (degree one) and square-zero classes (degree
-  two) by probing the checker's residual;
+  two) from one run of the checker's residual over jet scalars;
 * ``extensions``: square-zero extensions, first-order deformations over dual
   numbers, and equivalence certificates, kept in exact bijection;
 * ``presets``: worked examples, from one-dimensional to a truncated free boson;
@@ -19,7 +20,15 @@ sparse tables, deterministic reports.  The pieces:
   front end with machine-readable reports.
 """
 
-from .scalars import DualScalar, DUAL_T, Rational, binom, format_rational, parse_rational
+from .scalars import (
+    DUAL_T,
+    DualScalar,
+    JetScalar,
+    Rational,
+    binom,
+    format_rational,
+    parse_rational,
+)
 from .linalg import (
     LinearSystem,
     SubspaceNotContained,
@@ -59,6 +68,7 @@ from .axioms import (
 )
 from .cohomology import (
     CohomologyResult,
+    ModuleAxiomsFail,
     NotACocycle,
     TwoCochain,
     VacuumNotKilled,

@@ -14,8 +14,8 @@ Inputs are an algebra file or ``--preset NAME`` (one of trivial,
 dual-numbers, split-pair, graded-nilpotent, free-boson).  Exit codes: 0 for
 mathematical success (pass, pass-within-window, equivalent, computed,
 artifact written), 1 for mathematical failure (axiom failures, inequivalent,
-not a cocycle), 2 for unusable input (parse errors, unknown preset, bad
-flags, impossible cutoffs).
+not a cocycle, a module that fails its axioms), 2 for unusable input (parse
+errors, unknown preset, bad flags, impossible cutoffs).
 """
 
 from __future__ import annotations
@@ -35,7 +35,13 @@ from .axioms import (
     check_module,
     translation_map,
 )
-from .cohomology import NotACocycle, TwoCochain, compute_der, compute_h2
+from .cohomology import (
+    ModuleAxiomsFail,
+    NotACocycle,
+    TwoCochain,
+    compute_der,
+    compute_h2,
+)
 from .extensions import (
     NotVerified,
     build_deformation,
@@ -462,7 +468,8 @@ def main(argv=None) -> int:
     except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MathError, NotACocycle, NotVerified, CreationFailed) as exc:
+    except (MathError, ModuleAxiomsFail, NotACocycle, NotVerified,
+            CreationFailed) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -7,22 +7,26 @@ coboundary on degree-zero maps f: V -> W,
 
 where f(u)_n v is a module element acting back on the algebra through
 skew-symmetry (``right_action``).  ``derivation_system`` is its matrix, one
-row per cochain slot, and it has three readers: its kernel is H1, the
-derivations (``compute_der``); ``coboundary`` applies it to a vacuum-killing
-map; and ``is_coboundary`` solves psi = delta g against it.
+row per cochain slot, and it has four readers: its kernel is H1, the
+derivations (``compute_der``); its columns at vacuum-killing unknowns span
+B2 (``compute_h2``); ``coboundary`` applies it to one vacuum-killing map;
+and ``is_coboundary`` solves psi = delta g against it.
 
 Degree two is deliberately operational.  A candidate 2-cochain psi is a
 degree-zero mode family (V, V) -> W obeying the weight rule; its *residual*
 is the full list of axiom-instance residuals of the square-zero extension
 built along psi, projected to the fiber.  Because the fiber multiplies to
-zero, that residual is linear in psi and vanishes exactly when the extension
-passes the checker — so cocycles are computed by probing the residual on
-elementary cochains and taking a kernel, coboundaries come from vacuum-killing
-degree-zero maps, and the quotient is the cohomology.  No cocycle equation is
-ever written down separately from the checker that justifies it.
+zero, that residual is affine in psi (zero at psi = 0 when W is a lawful
+module) and vanishes exactly when the extension passes the checker.  So the
+cocycles come from one run of the checker over the jet ring
+Q[t_1..t_k]/(t_i t_j), with every cochain slot set to its own unknown t_i:
+the slopes of each fiber coordinate are one row of the cocycle matrix, and
+Z2 is its kernel (``compute_z2``).  The quotient by B2 is the cohomology.
+No cocycle equation is ever written down separately from the checker that
+justifies it.
 
-Slot and probe order is (wt u, u, n, v, target), flat indices weight-major,
-so every result is deterministic.
+Slot order is (wt u, u, n, v, target), flat indices weight-major, so every
+result is deterministic.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .linalg import Echelon, LinearSystem, kernel_basis, quotient_dim, solve_affine
+from .scalars import JetScalar, value_part
 from .spaces import (
     GradedMap,
     ModeFamily,
@@ -47,13 +52,32 @@ class VacuumNotKilled(Exception):
     """A coboundary source map must vanish on the vacuum."""
 
 
+def _sample(coords) -> str:
+    """The first three residual coordinates, and how many more there are."""
+    sample = ", ".join(str(c) for c in coords[:3])
+    more = "" if len(coords) <= 3 else f" (+{len(coords) - 3} more)"
+    return sample + more
+
+
 class NotACocycle(Exception):
     """is_coboundary was handed a cochain whose extension fails the checker."""
 
     def __init__(self, coords):
-        sample = ", ".join(str(c) for c in coords[:3])
-        more = "" if len(coords) <= 3 else f" (+{len(coords) - 3} more)"
-        super().__init__(f"nonzero residual at {sample}{more}")
+        super().__init__(f"nonzero residual at {_sample(coords)}")
+        self.coords = coords
+
+
+class ModuleAxiomsFail(Exception):
+    """The split extension (psi = 0) fails the checker: W is not a lawful module.
+
+    Then no cochain is a cocycle, and Z2 and H2 are not defined.
+    """
+
+    def __init__(self, coords):
+        super().__init__(
+            f"the module fails its axioms: the split extension has nonzero "
+            f"residual at {_sample(coords)}"
+        )
         self.coords = coords
 
 
@@ -174,7 +198,7 @@ def _window_label(V: VertexAlgebra) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# cochain slot enumeration (the probe order everything shares)
+# cochain slot enumeration (the slot order everything shares)
 # ---------------------------------------------------------------------------
 
 def _mode_index_triples(V: VertexAlgebra, W: VAModule):
@@ -195,7 +219,7 @@ def _mode_index_triples(V: VertexAlgebra, W: VAModule):
 
 
 def cochain_slots(V: VertexAlgebra, W: VAModule) -> list[tuple[int, int, int, int]]:
-    """All (u, n, v, target) a degree-zero 2-cochain may populate, probe order."""
+    """All (u, n, v, target) a degree-zero 2-cochain may populate, slot order."""
     wt, by_weight = V.space.weight_of, W.space.by_weight
     return [
         (u, n, v, t)
@@ -375,29 +399,66 @@ def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
 
 
 def compute_z2(V: VertexAlgebra, W: VAModule) -> list[TwoCochain]:
-    """Kernel of the cocycle residual, probed one elementary cochain at a time."""
+    """Z2, the kernel of the cocycle residual, from one run of the checker.
+
+    Slot i of one symbolic cochain holds the jet unknown t_i (a JetScalar),
+    and cocycle_residual runs once over it.  Each fiber coordinate it returns
+    is a + sum_i b_i t_i: the slopes b_i are that coordinate's row of the
+    cocycle matrix over the slots, and the value a is the residual of the
+    split extension, psi = 0.
+
+    This is exact, not a first-order approximation:
+
+    - the fiber squares to zero, so the residual is affine in psi; the jet
+      ring drops only products t_i t_j, which the residual does not contain;
+    - every instance the residual skips (a TruncationBreach) is skipped for
+      its weights alone, never because of psi.  Jacobi and skew-symmetry test
+      weights before they evaluate, and skew_mode's exp_T only translates
+      states below the result weight.  In the translation identities u_n w
+      has weight at most cutoff - 1 across the window, so T_act never meets
+      psi on the top weight, and T.apply(u) and T_act.apply(w) break on the
+      weights of u and w.  So the skipped set is the same for every psi,
+      symbolic or rational, and each row holds for all of them.
+
+    Raises ModuleAxiomsFail when a value part is nonzero: then W breaks its
+    own module axioms and no cochain is a cocycle.
+    """
     slots = cochain_slots(V, W)
+    psi = TwoCochain.from_slots(
+        V, W, {slot: JetScalar(0, {i: 1}) for i, slot in enumerate(slots)}
+    )
+    residual = cocycle_residual(V, W, psi)
+    broken = [coord for coord, c in residual.items() if value_part(c)]
+    if broken:
+        raise ModuleAxiomsFail(broken)
     system = LinearSystem()
     system.add_unknowns(slots)
-    rows: dict = {}
-    coord_order: list = []
-    for slot in slots:
-        probe = TwoCochain.from_slots(V, W, {slot: Fraction(1)})
-        for coord, value in cocycle_residual(V, W, probe).items():
-            if coord not in rows:
-                rows[coord] = {}
-                coord_order.append(coord)
-            rows[coord][slot] = value
-    for coord in coord_order:
-        system.add_row(rows[coord], tag=f"{coord[0]} {coord[1]} @ {coord[2]}")
+    for (axiom, inst, fiber), c in residual.items():
+        system.add_row(
+            {slots[i]: b for i, b in c.slopes.items()}, tag=f"{axiom} {inst} @ {fiber}"
+        )
     return [TwoCochain.from_slots(V, W, vec) for vec in kernel_basis(system)]
 
 
 def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
-    """Cocycles, coboundaries, the quotient dimension, and representatives."""
+    """Cocycles, coboundaries, the quotient dimension, and representatives.
+
+    The coboundary candidates are delta of the elementary vacuum-killing maps
+    (vacuum_killing_basis order): the columns of delta's matrix at the
+    unknowns ("f", v, t) with v not the vacuum.
+    """
     z_basis = compute_z2(V, W)
-    b_candidates = [coboundary(V, W, g) for g in vacuum_killing_basis(V, W)]
-    picked = Echelon(cochain_slots(V, W))
+    slots = cochain_slots(V, W)
+    system = derivation_system(V, W)
+    columns: dict = {uid: {} for uid in system.unknowns}
+    for slot, row in zip(slots, system.rows):
+        for uid, c in row.items():
+            columns[uid][slot] = c
+    b_candidates = [
+        TwoCochain.from_slots(V, W, columns[uid])
+        for uid in system.unknowns if uid[1] != V.vacuum
+    ]
+    picked = Echelon(slots)
     b_basis = [b for b in b_candidates if b and picked.insert(b.slots()) is not None]
     h_dim = quotient_dim(
         [z.slots() for z in z_basis], [b.slots() for b in b_basis]

@@ -1,10 +1,14 @@
-"""Exact scalar arithmetic: rationals and dual numbers.
+"""Exact scalar arithmetic: rationals, dual numbers and first-order jets.
 
 Rational scalars are stdlib ``fractions.Fraction`` (arbitrary precision,
 always reduced); the package re-exports it as ``Rational``.  ``DualScalar``
 implements the ring Q[t]/(t^2): elements a + b t with exact rational value
 part a and slope part b, so first-order computations are ring identities
-rather than limits.
+rather than limits.  ``JetScalar`` is the same ring in k directions at once,
+Q[t_1..t_k]/(t_i t_j): a rational value part plus a sparse dict of slopes,
+one per direction, where every product of two slopes vanishes.  Running a
+computation with each unknown set to its own t_i reads off, in the slopes of
+the result, the coefficients of every unknown in one pass.
 
 Also here: parsing/formatting of rational literals ("p/q" or "p") and the
 generalized binomial coefficient C(m, i) for arbitrary integer m, which the
@@ -160,9 +164,111 @@ class DualScalar:
 DUAL_T = DualScalar(0, 1)
 
 
+class JetScalar:
+    """An element a + sum_i b_i t_i of Q[t_1..t_k]/(t_i t_j for all i, j).
+
+    ``value`` is the Fraction a; ``slopes`` is the sparse dict {i: b_i} and
+    never stores a zero, so an element is falsy exactly when it is zero.
+    Products of two slope parts vanish, t_i t_i included.  Mixes freely with
+    int and Fraction (they embed with no slopes).  It has no division: no
+    checker path divides a coefficient.  Instances are never mutated, so they
+    share slope dicts.
+    """
+
+    __slots__ = ("value", "slopes")
+
+    def __init__(self, value=0, slopes=None):
+        self.value = Fraction(value)
+        self.slopes = {i: Fraction(c) for i, c in (slopes or {}).items() if c}
+
+    @classmethod
+    def _make(cls, value: Fraction, slopes: dict) -> "JetScalar":
+        """Trusted constructor: ``slopes`` already holds nonzero Fractions."""
+        out = object.__new__(cls)
+        out.value = value
+        out.slopes = slopes
+        return out
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, JetScalar):
+            slopes = dict(self.slopes)
+            for i, c in other.slopes.items():
+                s = slopes.get(i, 0) + c
+                if s:
+                    slopes[i] = s
+                else:
+                    del slopes[i]
+            return JetScalar._make(self.value + other.value, slopes)
+        if isinstance(other, (int, Fraction)):
+            return JetScalar._make(self.value + other, self.slopes)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (JetScalar, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return (-self) + other
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, JetScalar):
+            a, b = self.value, other.value
+            slopes = _scale_slopes(other.slopes, a)
+            if b:
+                for i, c in self.slopes.items():
+                    s = slopes.get(i, 0) + b * c
+                    if s:
+                        slopes[i] = s
+                    else:
+                        del slopes[i]
+            return JetScalar._make(a * b, slopes)
+        if isinstance(other, (int, Fraction)):
+            return JetScalar._make(self.value * other, _scale_slopes(self.slopes, other))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return JetScalar._make(-self.value, {i: -c for i, c in self.slopes.items()})
+
+    # -- comparisons / hashing ----------------------------------------------
+
+    def __bool__(self):
+        return bool(self.value) or bool(self.slopes)
+
+    def __eq__(self, other):
+        if isinstance(other, JetScalar):
+            return self.value == other.value and self.slopes == other.slopes
+        if isinstance(other, (int, Fraction)):
+            return not self.slopes and self.value == other
+        return NotImplemented
+
+    def __hash__(self):
+        if not self.slopes:
+            return hash(self.value)
+        return hash((self.value, frozenset(self.slopes.items())))
+
+    def __repr__(self):
+        return f"JetScalar({self.value!r}, {self.slopes!r})"
+
+
+def _scale_slopes(slopes: dict, factor) -> dict:
+    """factor * slopes as a new dict; empty when the factor is zero."""
+    if not factor:
+        return {}
+    return {i: factor * c for i, c in slopes.items()}
+
+
 def value_part(scalar) -> Fraction:
-    """Rational value part of a scalar from either ring."""
-    if isinstance(scalar, DualScalar):
+    """Rational value part of a scalar from any of the three rings."""
+    if isinstance(scalar, (DualScalar, JetScalar)):
         return scalar.value
     return Fraction(scalar)
 

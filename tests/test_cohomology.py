@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
+from vertexcoh.axioms import check_all
 from vertexcoh.cohomology import (
     NotACocycle,
     TwoCochain,
@@ -24,8 +25,16 @@ from vertexcoh.cohomology import (
     right_action,
     vacuum_killing_basis,
 )
-from vertexcoh.linalg import quotient_dim
-from vertexcoh.presets import adjoint_module, build_preset, truncated_free_boson
+from vertexcoh.extensions import build_extension
+from vertexcoh.linalg import LinearSystem, kernel_basis, quotient_dim
+from vertexcoh.presets import (
+    CommDiffAlgebraSpec,
+    adjoint_module,
+    build_preset,
+    from_commutative_algebra,
+    truncated_free_boson,
+)
+from vertexcoh.scalars import JetScalar
 from vertexcoh.spaces import GradedMap, mode_apply, skew_mode, vadd, vsub
 
 F = Fraction
@@ -269,7 +278,8 @@ def test_h2_dimensions_match_brute_force(name):
 
 
 @pytest.mark.parametrize("name, cutoff",
-                         [(p, None) for p in EXACT_PRESETS] + [("free-boson", 1)])
+                         [(p, None) for p in EXACT_PRESETS]
+                         + [("free-boson", 1), ("free-boson", 2)])
 def test_h2_picks_are_the_greedily_independent_ones(name, cutoff):
     V = build_preset(name, cutoff)
     # coboundaries: each nonzero delta g independent of those picked before;
@@ -327,6 +337,105 @@ def test_is_coboundary_round_trip_and_rejection():
     bad = TwoCochain.from_entries(V, W, {("one", -1, "u"): {"u": F(1)}})
     with pytest.raises(NotACocycle):
         is_coboundary(V, W, bad)
+
+
+def _probe_z2(V, W):
+    """Z2 the slow way: one residual per elementary cochain, one column each."""
+    slots = cochain_slots(V, W)
+    system = LinearSystem()
+    system.add_unknowns(slots)
+    rows: dict = {}
+    for slot in slots:
+        probe = TwoCochain.from_slots(V, W, {slot: F(1)})
+        for coord, value in cocycle_residual(V, W, probe).items():
+            rows.setdefault(coord, {})[slot] = value
+    for (axiom, inst, fiber), row in rows.items():
+        system.add_row(row, tag=f"{axiom} {inst} @ {fiber}")
+    return [TwoCochain.from_slots(V, W, vec) for vec in kernel_basis(system)]
+
+
+def _random_lawful_algebra(rng, w):
+    """A seeded commutative graded algebra with a derivation, in a rescaled basis.
+
+    For w = 0 or 1: Q[x]/(x^k) with x in weight w, and D x = c x^2 when
+    w = 1.  For w = None: the square-zero ideal span(x, y), x in weight 0 and
+    y in weight 1, with D x = c y.  Random rescalings make the structure
+    constants generic.
+    """
+    def q():
+        return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    c = q()
+    if w is not None:
+        k = rng.randint(2, 4)
+        lam = [F(1)] + [q() for _ in range(1, k)]
+        labels = ("one",) + tuple(f"x{i}" for i in range(1, k))
+        products = {
+            (labels[i], labels[j]):
+                {labels[i + j]: lam[i] * lam[j] / lam[i + j]} if i + j < k else {}
+            for i in range(k) for j in range(i, k)
+        }
+        derivation = {
+            labels[i]: {labels[i + 1]: lam[i] * i * c / lam[i + 1]}
+            for i in range(1, k - 1) if w == 1
+        }
+        spec = CommDiffAlgebraSpec(labels, tuple(i * w for i in range(k)), "one",
+                                   products, derivation)
+    else:
+        products = {("one", a): {a: F(1)} for a in ("one", "x", "y")}
+        products.update({(a, b): {} for a, b in (("x", "x"), ("x", "y"), ("y", "y"))})
+        spec = CommDiffAlgebraSpec(("one", "x", "y"), (0, 0, 1), "one", products,
+                                   {"x": {"y": c}})
+    return from_commutative_algebra(spec)
+
+
+def _random_lawful_algebras():
+    rng = random.Random(20261018)
+    return [_random_lawful_algebra(rng, w) for w in (0, 1, None, 0, 1, None)]
+
+
+@pytest.mark.parametrize(
+    "name, cutoff",
+    [(p, c) for p in EXACT_PRESETS for c in (None, 3)]
+    + [("free-boson", 1), ("free-boson", 2), ("random", None)],
+)
+def test_z2_equals_the_probe_oracle(name, cutoff):
+    algebras = (_random_lawful_algebras() if name == "random"
+                else [build_preset(name, cutoff)])
+    for V in algebras:
+        W = adjoint_module(V)
+        assert [z.slots() for z in compute_z2(V, W)] == \
+            [z.slots() for z in _probe_z2(V, W)]
+
+
+def _skipped(V, W, psi):
+    """(axiom, instance) of every skipped check of the extension along psi."""
+    report = check_all(build_extension(V, W, psi).total)
+    return {(axiom, inst) for axiom, inst, _why in report.skipped}
+
+
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, 3) for p in EXACT_PRESETS] + [("free-boson", 1)])
+def test_skipped_instances_do_not_depend_on_psi(name, cutoff):
+    # Z2 from one symbolic run is exact only if psi never decides a skip
+    rng = random.Random(20261020)
+    V, W = _setting(name, cutoff)
+    slots = cochain_slots(V, W)
+    base = _skipped(V, W, TwoCochain.zero(V, W))
+    assert bool(base) == (name == "free-boson")
+    symbolic = {s: JetScalar(0, {i: 1}) for i, s in enumerate(slots)}
+    dense = {s: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) for s in slots}
+    cochains = [symbolic, dense] + [{s: F(1)} for s in slots]
+    for vec in cochains:
+        assert _skipped(V, W, TwoCochain.from_slots(V, W, vec)) == base
+
+
+def test_h2_on_the_boson_at_cutoff_3():
+    V, W = _setting("free-boson", 3)
+    res = compute_h2(V, W)
+    assert (len(res.cocycle_basis), len(res.coboundary_basis), res.h_dim) == (14, 14, 0)
+    # H1 = 0, so delta is injective on vacuum-killing maps: every one is picked
+    assert res.coboundary_basis == [coboundary(V, W, g) for g in vacuum_killing_basis(V, W)]
 
 
 def test_h2_on_graded_nilpotent_is_rigid():

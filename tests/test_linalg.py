@@ -26,6 +26,7 @@ from vertexcoh.linalg import (
 from vertexcoh.scalars import (
     DUAL_T,
     DualScalar,
+    JetScalar,
     binom,
     format_rational,
     inv_factorial,
@@ -33,6 +34,7 @@ from vertexcoh.scalars import (
     slope_part,
     value_part,
 )
+from vertexcoh.spaces import GradedSpace, ModeFamily, viadd
 
 F = Fraction
 
@@ -127,6 +129,101 @@ def test_dual_scalar_mixes_with_rationals_and_ints():
     assert DualScalar(F(5), 0) == F(5)
     assert value_part(a) == F(1, 2) and slope_part(a) == F(3)
     assert value_part(F(7)) == F(7) and slope_part(F(7)) == 0
+
+
+# ---------------------------------------------------------------------------
+# first-order jets in k directions
+# ---------------------------------------------------------------------------
+
+def _random_jet(rng: random.Random, k: int = 4) -> JetScalar:
+    def q():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+    return JetScalar(q(), {i: q() for i in range(k) if rng.random() < 0.6})
+
+
+def test_jet_directions_multiply_to_zero():
+    k = 5
+    ts = [JetScalar(0, {i: 1}) for i in range(k)]
+    for i in range(k):
+        for j in range(k):
+            prod = ts[i] * ts[j]
+            assert prod == 0 and not prod and prod.slopes == {}
+    # the product rule: (a + b.t)(c + d.t) = ac + (a d + c b).t
+    x = JetScalar(F(2), {0: F(3), 2: F(-1)})
+    y = JetScalar(F(5), {0: F(1, 2), 1: F(4)})
+    assert x * y == JetScalar(F(10), {0: F(16), 1: F(8), 2: F(-5)})
+
+
+def test_jet_ring_laws_on_random_elements():
+    rng = random.Random(16)
+    for _ in range(200):
+        a, b, c = (_random_jet(rng) for _ in range(3))
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a - b == a + (-b)
+        assert not (a - a) and (a - a).slopes == {}
+        assert a * 1 == a and a + 0 == a
+        expected = {i: a.value * b.slopes.get(i, 0) + b.value * a.slopes.get(i, 0)
+                    for i in set(a.slopes) | set(b.slopes)}
+        assert (a * b).slopes == {i: v for i, v in expected.items() if v}
+        assert (a * b).value == a.value * b.value
+
+
+def test_jet_mixes_with_rationals_and_ints_on_both_sides():
+    a = JetScalar(F(1, 2), {3: F(3)})
+    assert 2 * a == a * 2 == JetScalar(F(1), {3: F(6)})
+    assert F(1, 3) * a == a * F(1, 3) == JetScalar(F(1, 6), {3: F(1)})
+    assert a + 1 == 1 + a == JetScalar(F(3, 2), {3: F(3)})
+    assert a + F(1, 2) == F(1, 2) + a == JetScalar(F(1), {3: F(3)})
+    assert 1 - a == JetScalar(F(1, 2), {3: F(-3)})
+    assert a - 1 == JetScalar(F(-1, 2), {3: F(3)})
+    assert 0 * a == a * F(0) == 0 and (0 * a).slopes == {}
+    plain = JetScalar(F(5))
+    assert plain == F(5) and F(5) == plain and plain == 5 and 5 == plain
+    assert hash(plain) == hash(F(5))
+    assert a != F(1, 2) and F(1, 2) != a
+    assert value_part(a) == F(1, 2)
+
+
+def test_jet_zero_detection_in_sparse_vectors():
+    assert not JetScalar() and not JetScalar(0, {4: 0})
+    assert JetScalar(0, {4: 0}).slopes == {}
+    assert JetScalar(0, {1: 1}) and JetScalar(1)
+    t = JetScalar(0, {2: F(1)})
+    acc = {0: t, 1: F(1)}
+    viadd(acc, -1, {0: t})
+    assert acc == {1: F(1)}                    # the cancelled entry is dropped
+    viadd(acc, t - t, {1: F(5)})                # a zero jet coefficient adds nothing
+    assert acc == {1: F(1)}
+    sp = GradedSpace([("one", 0), ("x", 0)])
+    fam = ModeFamily(sp, sp, sp)
+    fam.set_entry(0, -1, 1, {1: t - t})
+    assert not fam and fam.entry(0, -1, 1) is None
+
+
+def test_jet_agrees_with_dual_scalar_in_one_direction():
+    rng = random.Random(17)
+
+    def pair():
+        a, b = (F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2))
+        return JetScalar(a, {0: b}), DualScalar(a, b)
+
+    def same(jet, dual):
+        return jet.value == dual.value and jet.slopes.get(0, 0) == dual.slope
+
+    for _ in range(200):
+        (j1, d1), (j2, d2) = pair(), pair()
+        q = F(rng.randint(1, 5), rng.randint(1, 5))
+        assert same(j1 + j2, d1 + d2)
+        assert same(j1 - j2, d1 - d2)
+        assert same(j1 * j2, d1 * d2)
+        assert same(-j1, -d1)
+        assert same(q * j1 + 3, q * d1 + 3)
+        assert bool(j1) == bool(d1)
+        assert (j1 == j2) == (d1 == d2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 
 from vertexcoh.cli import main
 from vertexcoh.cohomology import TwoCochain
+from vertexcoh.axioms import translation_map
 from vertexcoh.presets import PRESETS, adjoint_module, build_preset
+from vertexcoh.spaces import VAModule
 from vertexcoh.specfile import (
     ParseError,
     dump_spec,
@@ -304,6 +306,22 @@ def test_cli_h1_h2_report_dimensions(capsys):
     assert main(["h2", "--preset", "graded-nilpotent"]) == 0
     out = capsys.readouterr().out
     assert "h2 dimension: 0" in out
+
+
+def test_cli_h2_reports_a_module_that_breaks_its_axioms(tmp_path, capsys):
+    # the adjoint module of the dual numbers plus eps_{-1} eps = eps: Jacobi fails
+    V = build_preset("dual-numbers")
+    eps = V.space.index["eps"]
+    Y_W = V.Y.copy()
+    Y_W.set_entry(eps, -1, eps, {eps: F(1)})
+    mod = tmp_path / "mod.txt"
+    mod.write_text(dump_spec(spec_from_objects(V, VAModule(V.space, Y_W, translation_map(V)))))
+    assert main(["h2", "--preset", "dual-numbers", "--module", str(mod)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failure: the module fails its axioms")
+    assert "('jacobi', ('eps', 'eps', 'w:one', 0, -1, -1), 'eps')" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_extend_writes_a_checkable_artifact(tmp_path, capsys):
