@@ -22,7 +22,6 @@ Verdicts: "fail" iff any instance failed; "pass" requires no skips;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .scalars import binom
 from .spaces import (
@@ -150,7 +149,7 @@ def _gen_identity(Y: ModeFamily, vac: int, axiom: str = "identity"):
         for n in mode_window(sp, ww):
             residual = dict(Y.entry(vac, n, w) or {})
             if n == -1:
-                viadd(residual, -1, {w: Fraction(1)})
+                viadd(residual, -1, {w: 1})
             yield axiom, (vac_label, n, lab), residual
 
 
@@ -164,7 +163,7 @@ def _gen_creation(V: VertexAlgebra):
         for n in range(max(-1, window.start), window.stop):
             residual = dict(Y.entry(v, n, vac) or {})
             if n == -1:
-                viadd(residual, -1, {v: Fraction(1)})
+                viadd(residual, -1, {v: 1})
             yield "creation", (lab, n, vac_label), residual
 
 
@@ -182,11 +181,11 @@ def _gen_translation(Y: ModeFamily, T: GradedMap, T_act: GradedMap,
     for u in range(len(usp)):
         wu = usp.weight_of(u)
         lu = usp.label_of(u)
-        uvec = {u: Fraction(1)}
+        uvec = {u: 1}
         for w in range(len(sp)):
             ww = sp.weight_of(w)
             lw = sp.label_of(w)
-            wvec = {w: Fraction(1)}
+            wvec = {w: 1}
             for n in mode_window(sp, wu + ww + 1):
                 inst = (lu, n, lw)
                 shifted = Y.entry(u, n - 1, w)
@@ -214,11 +213,11 @@ def _gen_skew(V: VertexAlgebra, tmap: GradedMap):
     for u in range(len(sp)):
         wu = sp.weight_of(u)
         lu = sp.label_of(u)
-        uvec = {u: Fraction(1)}
+        uvec = {u: 1}
         for v in range(len(sp)):
             wv = sp.weight_of(v)
             lv = sp.label_of(v)
-            vvec = {v: Fraction(1)}
+            vvec = {v: 1}
             for n in mode_window(sp, wu + wv, fringe):
                 inst = (lu, n, lv)
                 try:
@@ -326,7 +325,7 @@ def _gen_grading(V: VertexAlgebra):
         (w for w in sp.by_weight if not sp.min_weight <= w <= sp.cutoff), None
     )
     yield "grading", ("weights-within-bounds",), (
-        {} if bad_weight is None else {sp.by_weight[bad_weight][0]: Fraction(1)}
+        {} if bad_weight is None else {sp.by_weight[bad_weight][0]: 1}
     )
     vac_ok = sp.weight_of(V.vacuum) == 0
     yield "grading", ("vacuum-weight-zero",), ({} if vac_ok else V.vacuum_vec())

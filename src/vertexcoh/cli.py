@@ -25,7 +25,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .axioms import (
@@ -51,7 +50,6 @@ from .extensions import (
     verify_extension,
 )
 from .presets import PRESETS, adjoint_module, build_preset
-from .scalars import DualScalar, format_rational
 from .spaces import (
     GradedMap,
     NoVacuum,
@@ -84,12 +82,19 @@ class MathError(Exception):
 # serialization helpers
 # ---------------------------------------------------------------------------
 
+def _coeffs(vec: dict) -> dict:
+    """A coefficient vector for output, every scalar as its exact text.
+
+    ``str`` spells an int or a Fraction "p" or "p/q" and a DualScalar
+    "a + b*t", so a coefficient prints the same whichever form it is stored
+    in.  Counts, dimensions and mode indices are not coefficients: they stay
+    numbers.
+    """
+    return {k: str(c) for k, c in vec.items()}
+
+
 def _jsonable(obj):
-    """Exact scalars as strings, tuples as lists, keys stringified."""
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, DualScalar):
-        return str(obj)
+    """Tuples as lists, keys stringified; scalars are already text (``_coeffs``)."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -102,7 +107,7 @@ def _report_data(rep: AxiomReport) -> dict:
         "verdict": rep.verdict,
         "passed": rep.passed_counts(),
         "failed": [
-            {"axiom": a, "instance": list(inst), "residual": res}
+            {"axiom": a, "instance": list(inst), "residual": _coeffs(res)}
             for a, inst, res in rep.failed
         ],
         "skipped": [
@@ -117,14 +122,13 @@ def _map_data(g: GradedMap) -> dict:
     out: dict = {}
     for s in sorted(g.columns):
         col = g.columns[s]
-        out[src.label_of(s)] = {
-            tgt.label_of(t): col[t] for t in sorted(col)
-        }
+        out[src.label_of(s)] = _coeffs({tgt.label_of(t): col[t] for t in sorted(col)})
     return out
 
 
 def _cochain_data(psi: TwoCochain) -> dict:
-    return {f"{u} {n} {v}": vec for (u, n, v), vec in psi.entries_by_labels().items()}
+    return {f"{u} {n} {v}": _coeffs(vec)
+            for (u, n, v), vec in psi.entries_by_labels().items()}
 
 
 def _file_source(path: str) -> dict:
@@ -139,7 +143,7 @@ def _verdict_lines(rep: AxiomReport) -> list[str]:
     counts = " ".join(f"{k}={v}" for k, v in sorted(rep.passed_counts().items()))
     lines = [f"verdict: {rep.verdict}", f"passed: {counts or 'none'}"]
     for a, inst, res in rep.failed[:10]:
-        lines.append(f"FAIL {a} {inst}: residual {_jsonable(res)}")
+        lines.append(f"FAIL {a} {inst}: residual {_coeffs(res)}")
     if len(rep.failed) > 10:
         lines.append(f"... and {len(rep.failed) - 10} more failures")
     if rep.skipped:
@@ -278,7 +282,7 @@ def _cmd_h1(args, started: float) -> int:
     lines = [f"h1 dimension: {res.h_dim}"
              + (f" (window {res.window})" if res.window else "")]
     for i, g in enumerate(res.representative_classes):
-        lines.append(f"derivation {i}: {_jsonable(_map_data(g))}")
+        lines.append(f"derivation {i}: {_map_data(g)}")
     return _emit(args, "h1", sources, "computed", 0, data, lines, started)
 
 
@@ -300,7 +304,7 @@ def _cmd_h2(args, started: float) -> int:
         + (f" (window {res.window})" if res.window else ""),
     ]
     for i, p in enumerate(res.representative_classes):
-        lines.append(f"class {i}: {_jsonable(_cochain_data(p))}")
+        lines.append(f"class {i}: {_cochain_data(p)}")
     return _emit(args, "h2", sources, "computed", 0, data, lines, started)
 
 
@@ -364,7 +368,7 @@ def _cmd_equiv(args, started: float) -> int:
     data = {"equivalent": True, "kind": res.kind, "note": res.note,
             "shear": _map_data(res.g)}
     lines = [f"equivalent ({res.kind}): {res.note}",
-             f"shear: {_jsonable(_map_data(res.g))}"]
+             f"shear: {_map_data(res.g)}"]
     return _emit(args, "equiv", sources, "equivalent", 0, data, lines, started)
 
 

@@ -241,11 +241,11 @@ def right_action(W: VAModule) -> dict[tuple[int, int, int], dict]:
     wsp, vsp = W.space, W.algebra_space
     table = {}
     for w in range(len(wsp)):
-        wvec = {w: Fraction(1)}
+        wvec = {w: 1}
         for v in range(len(vsp)):
             for tau in wsp.by_weight:
                 n = wsp.weight_of(w) + vsp.weight_of(v) - 1 - tau
-                vec = skew_mode(W, wvec, n, {v: Fraction(1)})
+                vec = skew_mode(W, wvec, n, {v: 1})
                 if vec:
                     table[(w, n, v)] = vec
     return table
@@ -348,7 +348,7 @@ def vacuum_killing_basis(V: VertexAlgebra, W: VAModule) -> list[GradedMap]:
             continue
         for t in W.space.by_weight.get(V.space.weight_of(v), ()):
             gmap = GradedMap(V.space, W.space, 0)
-            gmap.set_entry(t, v, Fraction(1))
+            gmap.set_entry(t, v, 1)
             basis.append(gmap)
     return basis
 
@@ -488,7 +488,7 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
     # the residual check leaves psi(1, -1, 1) = 0 and W's identity axiom, so
     # the vacuum rows read f(1) = 0 and the canonical solution kills the vacuum
     psi_slots = psi.slots()
-    rhs = [psi_slots.get(slot, Fraction(0)) for slot in cochain_slots(V, W)]
+    rhs = [psi_slots.get(slot, 0) for slot in cochain_slots(V, W)]
     solution = solve_affine(derivation_system(V, W), rhs)
     if solution is None:
         return None

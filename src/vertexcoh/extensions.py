@@ -22,7 +22,6 @@ the identity f_t = 1 + t g over dual numbers for deformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .axioms import AxiomReport, check_all
 from .cohomology import TwoCochain, is_coboundary, right_action
@@ -115,10 +114,10 @@ def build_extension(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> SquareZer
 
     proj = GradedMap(total_space, vsp, 0)
     for i, ti in enumerate(v_to_total):
-        proj.set_entry(i, ti, Fraction(1))
+        proj.set_entry(i, ti, 1)
     incl = GradedMap(wsp, total_space, 0)
     for i, ti in enumerate(w_to_total):
-        incl.set_entry(ti, i, Fraction(1))
+        incl.set_entry(ti, i, 1)
     return SquareZeroExtension(
         base=V, fiber=W, psi=psi, total=total, proj=proj, incl=incl,
         base_to_total=v_to_total, fiber_to_total=w_to_total,
@@ -133,9 +132,9 @@ def _homomorphism_residuals(f, src: ModeFamily, dst: ModeFamily):
     """
     sp, tsp = src.left, dst.target
     for a in range(len(sp)):
-        fa = f({a: Fraction(1)})
+        fa = f({a: 1})
         for b in range(len(sp)):
-            fb = f({b: Fraction(1)})
+            fb = f({b: 1})
             for n in mode_window(tsp, sp.weight_of(a) + sp.weight_of(b)):
                 lhs = f(src.entry(a, n, b) or {})
                 yield a, n, b, vsub(lhs, mode_apply(dst, fa, n, fb))
@@ -315,11 +314,11 @@ def check_equivalence_extensions(
                 f"at ({tsp.label_of(a)}, {n}, {tsp.label_of(b)})"
             )
     for a in range(len(tsp)):                  # commuting diagram, both legs
-        avec = {a: Fraction(1)}
+        avec = {a: 1}
         if ext2.proj.apply(h(avec)) != ext1.proj.apply(avec):
             raise RuntimeError("projection leg of the diagram failed")
     for w in range(len(ext1.fiber.space)):
-        wvec = {w: Fraction(1)}
+        wvec = {w: 1}
         if h(ext1.incl.apply(wvec)) != ext2.incl.apply(wvec):
             raise RuntimeError("inclusion leg of the diagram failed")
     if h(total1.vacuum_vec()) != total2.vacuum_vec():

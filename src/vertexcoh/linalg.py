@@ -2,9 +2,10 @@
 
 Systems are built around *unknown ids* — arbitrary hashable tags, usually
 tuples like ("f", target, source) — registered in a fixed order that
-determines pivoting.  Rows are sparse dicts id -> Fraction, each carrying a
-provenance tag naming the constraint it came from, so a failed solve can say
-which identity ruled the candidate out.
+determines pivoting.  Rows are sparse dicts id -> rational, an ``int`` or a
+``Fraction`` (``scalars.exact``), each carrying a provenance tag naming the
+constraint it came from, so a failed solve can say which identity ruled the
+candidate out.
 
 All routines are deterministic: the pivot of a row is its first nonzero
 coefficient in registration order, and reduced row echelon form is unique for
@@ -17,7 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional
 
-Row = dict[Hashable, Fraction]
+from .scalars import exact
+
+Row = dict[Hashable, int | Fraction]
 
 
 class SubspaceNotContained(Exception):
@@ -53,7 +56,7 @@ class LinearSystem:
             if uid not in self._pos:
                 raise KeyError(f"unknown id not registered: {uid!r}")
             if c:
-                clean[uid] = Fraction(c)
+                clean[uid] = exact(c)
         self.rows.append(clean)
         self.tags.append(tag)
 
@@ -65,7 +68,7 @@ def _scaled_sub(target: dict[int, Fraction], factor: Fraction,
                 source: dict[int, Fraction]) -> None:
     """target -= factor * source, in place, dropping zeros."""
     for pos, c in source.items():
-        new = target.get(pos, Fraction(0)) - factor * c
+        new = target.get(pos, 0) - factor * c
         if new:
             target[pos] = new
         else:
@@ -107,7 +110,8 @@ class Echelon:
             return None
         lead = min(work)
         inv = Fraction(1) / work[lead]
-        work = {p: c * inv for p, c in work.items()}
+        # exact form: integral entries stay int, and so does reducing by them
+        work = {p: exact(c * inv) for p, c in work.items()}
         for orow, _otag in self.pivots.values():
             if lead in orow:
                 _scaled_sub(orow, orow[lead], work)
@@ -153,7 +157,7 @@ def kernel_basis(system: LinearSystem) -> list[Row]:
     for free in system.unknowns:
         if free in rows_by_pivot:
             continue
-        vec: Row = {free: Fraction(1)}
+        vec: Row = {free: 1}
         for piv, row in rows_by_pivot.items():
             c = row.get(free)
             if c:

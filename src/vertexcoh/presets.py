@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .axioms import check_all, intrinsic_T
-from .scalars import binom, inv_factorial
+from .scalars import binom, exact, inv_factorial
 from .spaces import (
     GradedMap,
     GradedSpace,
@@ -77,7 +77,7 @@ class CommDiffAlgebraSpec:
         hit = self.products.get((a, b))
         if hit is None:
             hit = self.products.get((b, a), {})
-        return {k: Fraction(c) for k, c in hit.items() if c}
+        return {k: exact(c) for k, c in hit.items() if c}
 
     def product_vec(self, vec: dict[str, Fraction], b: str) -> dict[str, Fraction]:
         out: dict[str, Fraction] = {}
@@ -86,7 +86,7 @@ class CommDiffAlgebraSpec:
         return out
 
     def d_of(self, a: str) -> dict[str, Fraction]:
-        return {k: Fraction(c) for k, c in self.derivation.get(a, {}).items() if c}
+        return {k: exact(c) for k, c in self.derivation.get(a, {}).items() if c}
 
     def d_of_vec(self, vec: dict[str, Fraction]) -> dict[str, Fraction]:
         out: dict[str, Fraction] = {}
@@ -115,7 +115,7 @@ class CommDiffAlgebraSpec:
                             f"product {a!r}*{b!r} hits {k!r} at weight "
                             f"{self.weight(k)}, expected {w}"
                         )
-            if self.product(self.unit, a) != {a: Fraction(1)}:
+            if self.product(self.unit, a) != {a: 1}:
                 raise ValueError(f"unit does not act as identity on {a!r}")
         for a in self.labels:
             for b in self.labels:
@@ -153,7 +153,7 @@ def from_commutative_algebra(spec: CommDiffAlgebraSpec) -> VertexAlgebra:
     entries: dict[tuple[str, int, str], dict[str, Fraction]] = {}
     for a in spec.labels:
         for b in spec.labels:
-            dja = {a: Fraction(1)}
+            dja = {a: 1}
             j = 0
             while dja:
                 vec = spec.product_vec(
@@ -174,7 +174,7 @@ def trivial_algebra() -> VertexAlgebra:
     """The one-dimensional algebra: just the vacuum."""
     spec = CommDiffAlgebraSpec(
         labels=("one",), weights=(0,), unit="one",
-        products={("one", "one"): {"one": Fraction(1)}},
+        products={("one", "one"): {"one": 1}},
     )
     return from_commutative_algebra(spec)
 
@@ -184,8 +184,8 @@ def dual_numbers_algebra() -> VertexAlgebra:
     spec = CommDiffAlgebraSpec(
         labels=("one", "eps"), weights=(0, 0), unit="one",
         products={
-            ("one", "one"): {"one": Fraction(1)},
-            ("one", "eps"): {"eps": Fraction(1)},
+            ("one", "one"): {"one": 1},
+            ("one", "eps"): {"eps": 1},
             ("eps", "eps"): {},
         },
     )
@@ -197,9 +197,9 @@ def split_pair_algebra() -> VertexAlgebra:
     spec = CommDiffAlgebraSpec(
         labels=("one", "u"), weights=(0, 0), unit="one",
         products={
-            ("one", "one"): {"one": Fraction(1)},
-            ("one", "u"): {"u": Fraction(1)},
-            ("u", "u"): {"one": Fraction(1)},
+            ("one", "one"): {"one": 1},
+            ("one", "u"): {"u": 1},
+            ("u", "u"): {"one": 1},
         },
     )
     return from_commutative_algebra(spec)
@@ -210,8 +210,8 @@ def graded_nilpotent_algebra() -> VertexAlgebra:
     spec = CommDiffAlgebraSpec(
         labels=("one", "eps"), weights=(0, 1), unit="one",
         products={
-            ("one", "one"): {"one": Fraction(1)},
-            ("one", "eps"): {"eps": Fraction(1)},
+            ("one", "one"): {"one": 1},
+            ("one", "eps"): {"eps": 1},
             ("eps", "eps"): {},
         },
     )
@@ -222,14 +222,14 @@ def graded_nilpotent_algebra() -> VertexAlgebra:
 # the truncated free boson
 # ---------------------------------------------------------------------------
 
-_BOSON_CACHE: dict[tuple, dict[tuple, Fraction]] = {}
+_BOSON_CACHE: dict[tuple, dict[tuple, int]] = {}
 
 
 def _add_part(part: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(sorted(part + (m,), reverse=True))
 
 
-def _boson_mode(u: tuple[int, ...], n: int, w: tuple[int, ...]) -> dict[tuple, Fraction]:
+def _boson_mode(u: tuple[int, ...], n: int, w: tuple[int, ...]) -> dict[tuple, int]:
     """u_n w in the full rank-one Fock space, partitions as oscillator monomials.
 
     Recursion on the largest part k of u = a_{-k} v:
@@ -245,11 +245,11 @@ def _boson_mode(u: tuple[int, ...], n: int, w: tuple[int, ...]) -> dict[tuple, F
     if cached is not None:
         return cached
     if not u:
-        result = {w: Fraction(1)} if n == -1 else {}
+        result = {w: 1} if n == -1 else {}
     else:
         k = u[0]
         v = u[1:]
-        acc: dict[tuple, Fraction] = {}
+        acc: dict[tuple, int] = {}
         imax = sum(v) + sum(w) - n - 1          # below this, v_{n+i} w dies
         for i in range(0, imax + 1):
             c = binom(-k, i) * (1 if i % 2 == 0 else -1)
@@ -258,7 +258,7 @@ def _boson_mode(u: tuple[int, ...], n: int, w: tuple[int, ...]) -> dict[tuple, F
                 continue
             for part, coeff in inner.items():
                 newpart = _add_part(part, k + i)
-                acc[newpart] = acc.get(newpart, Fraction(0)) + c * coeff
+                acc[newpart] = acc.get(newpart, 0) + c * coeff
         outer_sign = 1 if k % 2 else -1         # the -(-1)^k prefactor
         for i in sorted(set(w)):
             idx = w.index(i)
@@ -267,7 +267,7 @@ def _boson_mode(u: tuple[int, ...], n: int, w: tuple[int, ...]) -> dict[tuple, F
             c = outer_sign * binom(-k, i) * (1 if i % 2 == 0 else -1) * factor
             inner = _boson_mode(v, n - k - i, down)
             for part, coeff in inner.items():
-                acc[part] = acc.get(part, Fraction(0)) + c * coeff
+                acc[part] = acc.get(part, 0) + c * coeff
         result = {p: c for p, c in acc.items() if c}
     _BOSON_CACHE[key] = result
     return result
@@ -303,7 +303,7 @@ def truncated_free_boson(cutoff: int = 4) -> VertexAlgebra:
         [(boson_label(p), sum(p)) for p in parts],
         tier="truncated", cutoff=cutoff, min_weight=0,
     )
-    entries: dict[tuple[str, int, str], dict[str, Fraction]] = {}
+    entries: dict[tuple[str, int, str], dict[str, int]] = {}
     for u in parts:
         for w in parts:
             for n in mode_window(space, sum(u) + sum(w)):

@@ -1,14 +1,20 @@
 """Exact scalar arithmetic: rationals, dual numbers and first-order jets.
 
-Rational scalars are stdlib ``fractions.Fraction`` (arbitrary precision,
-always reduced); the package re-exports it as ``Rational``.  ``DualScalar``
-implements the ring Q[t]/(t^2): elements a + b t with exact rational value
-part a and slope part b, so first-order computations are ring identities
-rather than limits.  ``JetScalar`` is the same ring in k directions at once,
-Q[t_1..t_k]/(t_i t_j): a rational value part plus a sparse dict of slopes,
-one per direction, where every product of two slopes vanishes.  Running a
-computation with each unknown set to its own t_i reads off, in the slopes of
-the result, the coefficients of every unknown in one pass.
+A rational scalar is an ``int | Fraction``: an ``int`` whenever it is
+integral, a reduced stdlib ``fractions.Fraction`` otherwise (``exact`` puts a
+value in that form, and the package re-exports ``Fraction`` as ``Rational``).
+Python's number tower keeps every sum and product of the two exact, and
+those of ints stay ints, so integral tables run on int arithmetic; only
+division needs care, since ``int / int`` is a float.
+
+``DualScalar`` implements the ring Q[t]/(t^2): elements a + b t with exact
+rational value part a and slope part b, so first-order computations are ring
+identities rather than limits.  ``JetScalar`` is the same ring in k
+directions at once, Q[t_1..t_k]/(t_i t_j): a rational value part plus a
+sparse dict of slopes, one per direction, where every product of two slopes
+vanishes.  Running a computation with each unknown set to its own t_i reads
+off, in the slopes of the result, the coefficients of every unknown in one
+pass.
 
 Also here: parsing/formatting of rational literals ("p/q" or "p") and the
 generalized binomial coefficient C(m, i) for arbitrary integer m, which the
@@ -26,20 +32,31 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction; reject anything else (floats, exponents)."""
+def exact(value) -> int | Fraction:
+    """``value`` as a rational scalar: an int when integral, else a Fraction.
+
+    Accepts whatever ``Fraction`` accepts; a bool becomes 0 or 1.
+    """
+    if type(value) is int:
+        return value
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def parse_rational(text: str) -> int | Fraction:
+    """Parse "p/q" or "p" into an exact scalar; reject anything else (floats, exponents)."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return exact(Fraction(int(num), int(den)))
+    return int(text)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
+def format_rational(value: int | Fraction) -> str:
+    """Render an exact scalar as "p/q", or "p" when it is integral."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -63,24 +80,24 @@ def binom(m: int, i: int) -> int:
     return num // math.factorial(i)
 
 
-def inv_factorial(j: int) -> Fraction:
-    """1 / j! as an exact rational."""
-    return Fraction(1, math.factorial(j))
+def inv_factorial(j: int) -> int | Fraction:
+    """1 / j! as an exact scalar (the int 1 for j = 0 and 1)."""
+    return exact(Fraction(1, math.factorial(j)))
 
 
 class DualScalar:
-    """An element a + b t of Q[t]/(t^2), with Fraction value and slope parts.
+    """An element a + b t of Q[t]/(t^2), with exact value and slope parts.
 
-    Mixes freely with int and Fraction (they embed as slope 0).  There is no
-    general division: the ring has zero divisors, and the solvers only ever
-    scale by rationals.
+    Both parts are ``int | Fraction`` in ``exact`` form.  Mixes freely with
+    int and Fraction (they embed as slope 0).  There is no general division:
+    the ring has zero divisors, and the solvers only ever scale by rationals.
     """
 
     __slots__ = ("value", "slope")
 
     def __init__(self, value=0, slope=0):
-        self.value = Fraction(value)
-        self.slope = Fraction(slope)
+        self.value = exact(value)
+        self.slope = exact(slope)
 
     # -- coercion ----------------------------------------------------------
 
@@ -127,7 +144,8 @@ class DualScalar:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return DualScalar(self.value / other, self.slope / other)
+            # through Fraction: an int part over an int divisor would give a float
+            return DualScalar(Fraction(self.value) / other, Fraction(self.slope) / other)
         return NotImplemented
 
     def __neg__(self):
@@ -167,8 +185,10 @@ DUAL_T = DualScalar(0, 1)
 class JetScalar:
     """An element a + sum_i b_i t_i of Q[t_1..t_k]/(t_i t_j for all i, j).
 
-    ``value`` is the Fraction a; ``slopes`` is the sparse dict {i: b_i} and
-    never stores a zero, so an element is falsy exactly when it is zero.
+    ``value`` is the rational a and ``slopes`` the sparse dict {i: b_i}, all
+    ``int | Fraction``; the constructor puts them in ``exact`` form, and
+    arithmetic on integral parts stays in ``int``.  ``slopes`` never stores a
+    zero, so an element is falsy exactly when it is zero.
     Products of two slope parts vanish, t_i t_i included.  Mixes freely with
     int and Fraction (they embed with no slopes).  It has no division: no
     checker path divides a coefficient.  Instances are never mutated, so they
@@ -178,12 +198,12 @@ class JetScalar:
     __slots__ = ("value", "slopes")
 
     def __init__(self, value=0, slopes=None):
-        self.value = Fraction(value)
-        self.slopes = {i: Fraction(c) for i, c in (slopes or {}).items() if c}
+        self.value = exact(value)
+        self.slopes = {i: exact(c) for i, c in (slopes or {}).items() if c}
 
     @classmethod
-    def _make(cls, value: Fraction, slopes: dict) -> "JetScalar":
-        """Trusted constructor: ``slopes`` already holds nonzero Fractions."""
+    def _make(cls, value, slopes: dict) -> "JetScalar":
+        """Trusted constructor: ``slopes`` already holds nonzero rationals."""
         out = object.__new__(cls)
         out.value = value
         out.slopes = slopes
@@ -266,15 +286,15 @@ def _scale_slopes(slopes: dict, factor) -> dict:
     return {i: factor * c for i, c in slopes.items()}
 
 
-def value_part(scalar) -> Fraction:
+def value_part(scalar) -> int | Fraction:
     """Rational value part of a scalar from any of the three rings."""
     if isinstance(scalar, (DualScalar, JetScalar)):
         return scalar.value
-    return Fraction(scalar)
+    return exact(scalar)
 
 
-def slope_part(scalar) -> Fraction:
+def slope_part(scalar) -> int | Fraction:
     """Rational slope part (zero for plain rationals)."""
     if isinstance(scalar, DualScalar):
         return scalar.slope
-    return Fraction(0)
+    return 0

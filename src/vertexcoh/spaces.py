@@ -1,9 +1,11 @@
 """Graded spaces, graded maps, mode families, and the vertex-algebra container.
 
 State spaces are finite direct sums of weight-homogeneous pieces with labeled
-basis vectors; vectors are sparse dicts {flat basis index: scalar}.  A mode
-family stores the structure constants u_n v as sparse entries keyed by
-(u, n, v) and enforces the weight rule
+basis vectors; vectors are sparse dicts {flat basis index: scalar}, where a
+rational scalar is an ``int | Fraction`` (``scalars.exact``): mode families and
+graded maps store every integral coefficient as an int, so integral tables run
+on int arithmetic throughout.  A mode family stores the structure constants
+u_n v as sparse entries keyed by (u, n, v) and enforces the weight rule
 
     wt(u_n v) = wt(u) + wt(v) - n - 1
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import inv_factorial
+from .scalars import exact, inv_factorial
 
 
 class WeightRuleViolation(Exception):
@@ -55,6 +57,11 @@ class TruncationBreach(Exception):
 # ---------------------------------------------------------------------------
 # sparse vectors: dict {flat basis index: scalar}, zero coefficients never stored
 # ---------------------------------------------------------------------------
+
+def _stored(coeff):
+    """A rational coefficient in ``exact`` form; ring elements as they are."""
+    return exact(coeff) if isinstance(coeff, (int, Fraction)) else coeff
+
 
 def viadd(acc: dict, coeff, vec: Mapping) -> dict:
     """acc += coeff * vec in place; returns acc."""
@@ -139,7 +146,7 @@ class GradedSpace:
 
     def basis_vec(self, key) -> dict:
         i = self.index[key] if isinstance(key, str) else key
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def describe(self, vec: Mapping) -> dict:
         """Vector re-keyed by basis label, in flat order (for reports)."""
@@ -194,7 +201,7 @@ class GradedMap:
             )
         col = self.columns.setdefault(source_index, {})
         if coeff:
-            col[target_index] = coeff
+            col[target_index] = _stored(coeff)
         else:
             col.pop(target_index, None)
             if not col:
@@ -281,7 +288,7 @@ class ModeFamily:
 
     def set_entry(self, u: int, n: int, v: int, vec: Mapping) -> None:
         expected = self.left.weight_of(u) + self.right.weight_of(v) - n - 1
-        clean = {t: c for t, c in vec.items() if c}
+        clean = {t: _stored(c) for t, c in vec.items() if c}
         for t in clean:
             if self.target.weight_of(t) != expected:
                 raise WeightRuleViolation(
@@ -376,7 +383,7 @@ class VertexAlgebra:
         return self.space.basis_vec(key)
 
     def vacuum_vec(self) -> dict:
-        return {self.vacuum: Fraction(1)}
+        return {self.vacuum: 1}
 
     def entries_by_labels(self) -> dict:
         """Mode table keyed by labels, for dumps and table surgery in tests."""

@@ -48,7 +48,7 @@ from .spaces import (
     build_vertex_algebra,
 )
 
-Terms = tuple[tuple[Fraction, str], ...]
+Terms = tuple[tuple[int | Fraction, str], ...]
 
 _SECTIONS = (
     "WEIGHTS", "BASIS", "VACUUM", "MODES",
@@ -111,7 +111,7 @@ def _parse_terms(fields: list[tuple[str, int]], lineno: int) -> tuple[Terms, lis
         if len(fields) > 1:
             raise ParseError("'0' must stand alone", lineno, fields[1][1])
         return (), []
-    terms: list[tuple[Fraction, str]] = []
+    terms: list[tuple[int | Fraction, str]] = []
     cols: list[int] = []
     expect_term = True
     for text, col in fields:
@@ -119,7 +119,7 @@ def _parse_terms(fields: list[tuple[str, int]], lineno: int) -> tuple[Terms, lis
             m = _TERM_RE.match(text)
             if not m:
                 raise ParseError(f"expected 'coeff*label' or 'label', got {text!r}", lineno, col)
-            coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            coeff = parse_rational(m.group("coeff")) if m.group("coeff") else 1
             terms.append((coeff, m.group("label")))
             cols.append(col)
             expect_term = False
@@ -342,12 +342,12 @@ def _assemble(raw: dict, positions: dict, header_line: dict) -> SpecFile:
 # ---------------------------------------------------------------------------
 
 def _terms_to_vec(terms: Terms, index: Mapping[str, int], what: str) -> dict:
-    vec: dict[int, Fraction] = {}
+    vec: dict[int, int | Fraction] = {}
     for coeff, lab in terms:
         if lab not in index:
             raise ValueError(f"{what}: unknown label {lab!r}")
         i = index[lab]
-        c = vec.get(i, Fraction(0)) + coeff
+        c = vec.get(i, 0) + coeff
         if c:
             vec[i] = c
         else:
@@ -416,11 +416,11 @@ def to_cochain(spec: SpecFile, V: VertexAlgebra, W: VAModule):
 # dumping: live objects -> SpecFile -> canonical text
 # ---------------------------------------------------------------------------
 
-def _as_terms(vec: Mapping[int, Fraction], labels: Sequence[str]) -> Terms:
+def _as_terms(vec: Mapping[int, int | Fraction], labels: Sequence[str]) -> Terms:
     out = []
     for i in sorted(vec):
         c = vec[i]
-        if not isinstance(c, Fraction):
+        if not isinstance(c, (int, Fraction)):
             raise ValueError("only exact rational coefficients can be serialized")
         out.append((c, labels[i]))
     return tuple(out)

@@ -47,7 +47,7 @@ def rref_dense(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
+        inv = F(1) / mat[r][c]  # exact even when the entry is an int
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:

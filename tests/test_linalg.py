@@ -131,6 +131,19 @@ def test_dual_scalar_mixes_with_rationals_and_ints():
     assert value_part(F(7)) == F(7) and slope_part(F(7)) == 0
 
 
+def test_dual_scalar_division_of_int_parts_stays_exact():
+    # int parts divided by an int must not go through float: 1/3 has no
+    # float representation, unlike the 1/2 above
+    third = DualScalar(1, 1) / 3
+    assert third == DualScalar(F(1, 3), F(1, 3))
+    assert type(third.value) is F and type(third.slope) is F
+    assert third * 3 == DualScalar(1, 1)
+    whole = DualScalar(6, -3) / 3
+    assert whole == DualScalar(2, -1)
+    assert type(whole.value) is int and type(whole.slope) is int
+    assert DualScalar(F(1, 2), 2) / F(2, 3) == DualScalar(F(3, 4), 3)
+
+
 # ---------------------------------------------------------------------------
 # first-order jets in k directions
 # ---------------------------------------------------------------------------
