@@ -25,6 +25,7 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from .axioms import (
@@ -93,25 +94,16 @@ def _coeffs(vec: dict) -> dict:
     return {k: str(c) for k, c in vec.items()}
 
 
-def _jsonable(obj):
-    """Tuples as lists, keys stringified; scalars are already text (``_coeffs``)."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def _report_data(rep: AxiomReport) -> dict:
     return {
         "verdict": rep.verdict,
         "passed": rep.passed_counts(),
         "failed": [
-            {"axiom": a, "instance": list(inst), "residual": _coeffs(res)}
+            {"axiom": a, "instance": inst, "residual": _coeffs(res)}
             for a, inst, res in rep.failed
         ],
         "skipped": [
-            {"axiom": a, "instance": list(inst), "reason": list(why)}
+            {"axiom": a, "instance": inst, "reason": why}
             for a, inst, why in rep.skipped
         ],
     }
@@ -238,17 +230,24 @@ def _load_cochain(path: str, V: VertexAlgebra, W: VAModule,
 # ---------------------------------------------------------------------------
 
 def _emit(args, command: str, sources: list[dict], status: str, code: int,
-          data: dict, lines: list[str], started: float) -> int:
+          data: Callable[[], dict], lines: list[str], started: float) -> int:
+    """Print the text lines, or under ``--json`` the report built from ``data()``.
+
+    ``data`` is a zero-argument function, so text mode never builds the
+    per-instance data.  The report is one line: CPython's json uses its C
+    encoder only when ``indent`` is None.  json writes tuples as lists and
+    int keys as their decimal text.
+    """
     if args.json:
         report = {
             "command": command,
             "inputs": sources,
             "status": status,
             "exit_code": code,
-            "data": data,
+            "data": data(),
             "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
         }
-        print(json.dumps(_jsonable(report), indent=2))
+        print(json.dumps(report))
     else:
         for line in lines:
             print(line)
@@ -267,18 +266,21 @@ def _cmd_check(args, started: float) -> int:
         check_module(V, W, report=rep)
     code = 1 if rep.verdict == "fail" else 0
     return _emit(args, "check", sources, rep.verdict, code,
-                 _report_data(rep), _verdict_lines(rep), started)
+                 lambda: _report_data(rep), _verdict_lines(rep), started)
 
 
 def _cmd_h1(args, started: float) -> int:
     V, sources = _load_algebra(args)
     W = _load_module(args, V, sources)
     res = compute_der(V, W)
-    data = {
-        "h1_dim": res.h_dim,
-        "window": res.window,
-        "basis": [_map_data(g) for g in res.representative_classes],
-    }
+
+    def data():
+        return {
+            "h1_dim": res.h_dim,
+            "window": res.window,
+            "basis": [_map_data(g) for g in res.representative_classes],
+        }
+
     lines = [f"h1 dimension: {res.h_dim}"
              + (f" (window {res.window})" if res.window else "")]
     for i, g in enumerate(res.representative_classes):
@@ -290,16 +292,19 @@ def _cmd_h2(args, started: float) -> int:
     V, sources = _load_algebra(args)
     W = _load_module(args, V, sources)
     res = compute_h2(V, W)
-    data = {
-        "z2_dim": len(res.cocycle_basis),
-        "b2_dim": len(res.coboundary_basis),
-        "h2_dim": res.h_dim,
-        "window": res.window,
-        "representatives": [_cochain_data(p) for p in res.representative_classes],
-    }
+
+    def data():
+        return {
+            "z2_dim": len(res.cocycle_basis),
+            "b2_dim": len(res.coboundary_basis),
+            "h2_dim": res.h_dim,
+            "window": res.window,
+            "representatives": [_cochain_data(p) for p in res.representative_classes],
+        }
+
     lines = [
-        f"z2 dimension: {data['z2_dim']}",
-        f"b2 dimension: {data['b2_dim']}",
+        f"z2 dimension: {len(res.cocycle_basis)}",
+        f"b2 dimension: {len(res.coboundary_basis)}",
         f"h2 dimension: {res.h_dim}"
         + (f" (window {res.window})" if res.window else ""),
     ]
@@ -315,14 +320,17 @@ def _cmd_extend(args, started: float) -> int:
            else TwoCochain.zero(V, W))
     ext = build_extension(V, W, psi)
     rep = verify_extension(ext)
-    data = _report_data(rep)
-    data["total_dims"] = ext.total.space.dims()
+    extra = {"total_dims": ext.total.space.dims()}
+
+    def data():
+        return {**_report_data(rep), **extra}
+
     lines = _verdict_lines(rep)
     if rep.verdict == "fail":
         return _emit(args, "extend", sources, "fail", 1, data, lines, started)
     if args.out:
         Path(args.out).write_text(dump_spec(spec_from_objects(ext.total)))
-        data["out"] = args.out
+        extra["out"] = args.out
         lines.append(f"total algebra written to {args.out}")
     return _emit(args, "extend", sources, rep.verdict, 0, data, lines, started)
 
@@ -343,7 +351,7 @@ def _cmd_deform(args, started: float) -> int:
     if code == 0:
         lines.append("the deformed mode table satisfies every axiom to first order")
     return _emit(args, "deform", sources, status, code,
-                 _report_data(rep), lines, started)
+                 lambda: _report_data(rep), lines, started)
 
 
 def _cmd_equiv(args, started: float) -> int:
@@ -364,9 +372,12 @@ def _cmd_equiv(args, started: float) -> int:
         lines = ["inequivalent: the difference cochain is a cocycle "
                  "but not a coboundary"]
         return _emit(args, "equiv", sources, "inequivalent", 1,
-                     {"equivalent": False}, lines, started)
-    data = {"equivalent": True, "kind": res.kind, "note": res.note,
-            "shear": _map_data(res.g)}
+                     lambda: {"equivalent": False}, lines, started)
+
+    def data():
+        return {"equivalent": True, "kind": res.kind, "note": res.note,
+                "shear": _map_data(res.g)}
+
     lines = [f"equivalent ({res.kind}): {res.note}",
              f"shear: {_map_data(res.g)}"]
     return _emit(args, "equiv", sources, "equivalent", 0, data, lines, started)
@@ -379,10 +390,10 @@ def _cmd_dump_preset(args, started: float) -> int:
     if args.out:
         Path(args.out).write_text(text)
         return _emit(args, "dump-preset", sources, "written", 0,
-                     {"out": args.out}, [f"written to {args.out}"], started)
+                     lambda: {"out": args.out}, [f"written to {args.out}"], started)
     if args.json:
         return _emit(args, "dump-preset", sources, "dumped", 0,
-                     {"text": text}, [], started)
+                     lambda: {"text": text}, [], started)
     sys.stdout.write(text)
     return 0
 
