@@ -21,6 +21,7 @@ Verdicts: "fail" iff any instance failed; "pass" requires no skips;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .scalars import binom
@@ -239,14 +240,45 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
     for the adjoint case).  Enumerates the finite window where every
     intermediate fits under its cutoff and the result weight is admissible,
     plus — on truncated tiers — the depth-1 fringe, yielded as breaches.
+
+    For fixed (u, v, w) write s = p + q + r.  With m the inner mode index,
+    the three sums read only the vectors
+
+        A = (u_m v)_{s-m} w,   B = u_{s-m}(v_m w),   C = v_{s-m}(u_m w),
+
+    which depend on (m, s) alone.  They are built once per (u, v, w) and s,
+    on first use, and each instance combines them with its binomial signs;
+    binomials are cached too.  The loops over (r, q, p) are unchanged, so
+    instances come in the same order with the same residuals: the sums are
+    exact ring arithmetic, regrouped.  A breach depends on r, q and p
+    separately, so its weight is found without a per-instance list, and the
+    fringe shares one TruncationBreach per offending weight.
     """
     vsp = YV.left
     wsp = Y_act.right
     NV, NW, mwW = vsp.cutoff, wsp.cutoff, wsp.min_weight
     fringe = 1 if tier == "truncated" else 0
-    act_entries = Y_act.entries
+    act = Y_act.entries.get
     act_pairs = Y_act.pair_modes
     v_pairs = YV.pair_modes
+    # below every cap: an intermediate weight above its cap is above this
+    floor = min(NV, NW)
+    breaches: dict[int, TruncationBreach] = {}
+    choose = functools.cache(binom)
+
+    def products(modes: dict, s: int, entry) -> list:
+        """[(m, sum of c * entry(x, s - m) over x, c in modes[m])], nonzero only."""
+        out = []
+        for m, ivec in modes.items():
+            vec: dict = {}
+            for x, cx in ivec.items():
+                e = entry(x, s - m)
+                if e:
+                    viadd(vec, cx, e)
+            if vec:
+                out.append((m, vec))
+        return out
+
     for u in range(len(vsp)):
         wu = vsp.weight_of(u)
         lu = vsp.label_of(u)
@@ -264,57 +296,50 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
                 p_lo = wu + ww - 1 - NW - fringe
                 s_hi = wu + wv + ww - 2 - mwW
                 s_lo = wu + wv + ww - 2 - NW
+                memo: dict[int, tuple[list, list, list]] = {}
                 for r in range(r_lo, s_hi - q_lo - p_lo + 1):
                     Ar = wu + wv - 1 - r
+                    over_r = Ar if Ar > NV else floor
                     for q in range(q_lo, s_hi - p_lo - r + 1):
                         Aq = wv + ww - 1 - q
+                        over_rq = Aq if NW < Aq > over_r else over_r
                         for p in range(max(p_lo, s_lo - q - r), s_hi - q - r + 1):
                             inst = (lu, lv, lw, p, q, r)
                             Ap = wu + ww - 1 - p
-                            over = [a for a, cap in ((Ar, NV), (Aq, NW), (Ap, NW))
-                                    if a > cap]
-                            if over:
-                                yield axiom, inst, TruncationBreach(max(over))
+                            over = Ap if NW < Ap > over_rq else over_rq
+                            if over > floor:
+                                breach = breaches.get(over)
+                                if breach is None:
+                                    breach = breaches[over] = TruncationBreach(over)
+                                yield axiom, inst, breach
                                 continue
+                            s = p + q + r
+                            terms = memo.get(s)
+                            if terms is None:
+                                terms = memo[s] = (
+                                    products(pm_uv, s, lambda x, n: act((x, n, w))),
+                                    products(pm_vw, s, lambda x, n: act((u, n, x))),
+                                    products(pm_uw, s, lambda x, n: act((v, n, x))),
+                                )
+                            A, B, C = terms
                             residual: dict = {}
-                            for m, ivec in pm_uv.items():
+                            for m, vec in A:
                                 i = m - r
                                 if i < 0:
                                     continue
-                                c = binom(p, i)
-                                if not c:
-                                    continue
-                                on = p + q - i
-                                for x, cx in ivec.items():
-                                    e = act_entries.get((x, on, w))
-                                    if e:
-                                        viadd(residual, c * cx, e)
-                            for m, ivec in pm_vw.items():
+                                viadd(residual, choose(p, i), vec)
+                            for m, vec in B:
                                 i = m - q
                                 if i < 0:
                                     continue
-                                c = binom(r, i)
-                                if not c:
-                                    continue
-                                sign = -c if i % 2 == 0 else c
-                                on = p + r - i
-                                for x, cx in ivec.items():
-                                    e = act_entries.get((u, on, x))
-                                    if e:
-                                        viadd(residual, sign * cx, e)
-                            for m, ivec in pm_uw.items():
+                                c = choose(r, i)
+                                viadd(residual, c if i % 2 else -c, vec)
+                            for m, vec in C:
                                 i = m - p
                                 if i < 0:
                                     continue
-                                c = binom(r, i)
-                                if not c:
-                                    continue
-                                sign = c if (i + r) % 2 == 0 else -c
-                                on = q + r - i
-                                for x, cx in ivec.items():
-                                    e = act_entries.get((v, on, x))
-                                    if e:
-                                        viadd(residual, sign * cx, e)
+                                c = choose(r, i)
+                                viadd(residual, -c if (i + r) % 2 else c, vec)
                             yield axiom, inst, residual
 
 

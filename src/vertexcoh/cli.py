@@ -15,7 +15,9 @@ dual-numbers, split-pair, graded-nilpotent, free-boson).  Exit codes: 0 for
 mathematical success (pass, pass-within-window, equivalent, computed,
 artifact written), 1 for mathematical failure (axiom failures, inequivalent,
 not a cocycle, a module that fails its axioms), 2 for unusable input (parse
-errors, unknown preset, bad flags, impossible cutoffs).
+errors, unknown preset, bad flags, impossible cutoffs).  A reader that closes
+stdout before the output is written (``| head``, a pager quit early) gets
+exit code 1 and no traceback: the rest of the output goes to os.devnull.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -479,7 +482,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.monotonic()
     try:
-        return args.func(args, started)
+        code = args.func(args, started)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; keep the interpreter's final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,7 +70,9 @@ class NotACocycle(Exception):
 class ModuleAxiomsFail(Exception):
     """The split extension (psi = 0) fails the checker: W is not a lawful module.
 
-    Then no cochain is a cocycle, and Z2 and H2 are not defined.
+    Then no cochain is a cocycle, and Z2 and H2 are not defined.  The
+    coordinates come sorted, as in NotACocycle, so the message does not
+    depend on the order in which the checker sums its terms.
     """
 
     def __init__(self, coords):
@@ -428,7 +430,7 @@ def compute_z2(V: VertexAlgebra, W: VAModule) -> list[TwoCochain]:
         V, W, {slot: JetScalar(0, {i: 1}) for i, slot in enumerate(slots)}
     )
     residual = cocycle_residual(V, W, psi)
-    broken = [coord for coord, c in residual.items() if value_part(c)]
+    broken = sorted(coord for coord, c in residual.items() if value_part(c))
     if broken:
         raise ModuleAxiomsFail(broken)
     system = LinearSystem()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import AxiomReport, check_all
-from .cohomology import TwoCochain, is_coboundary, right_action
+from .cohomology import NotACocycle, TwoCochain, is_coboundary, right_action
 from .scalars import DualScalar
 from .spaces import (
     GradedMap,
@@ -141,14 +141,18 @@ def _homomorphism_residuals(f, src: ModeFamily, dst: ModeFamily):
 
 
 def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
-    """check_all on the total algebra plus the structural extension checks.
+    """check_all on the total algebra plus the structural extension checks."""
+    return _check_structure(ext, check_all(ext.total))
 
-    Structural fragments: the fiber multiplies to zero, the projection is a
-    homomorphism onto the base, the inclusion intertwines the module action,
-    and the vacuum is the base vacuum.  All live inside the window, so they
-    pass or fail — never skip.
+
+def _check_structure(ext: SquareZeroExtension, report: AxiomReport) -> AxiomReport:
+    """The structural extension checks, recorded into ``report``.
+
+    The fiber multiplies to zero, the projection is a homomorphism onto the
+    base, the inclusion intertwines the module action, and the vacuum is the
+    base vacuum.  All live inside the window, so they pass or fail — never
+    skip.
     """
-    report = check_all(ext.total)
     total, V, W = ext.total, ext.base, ext.fiber
     tsp, vsp, wsp = total.space, V.space, W.space
 
@@ -274,26 +278,61 @@ def _require_same_base(A: VertexAlgebra, B: VertexAlgebra, what: str) -> None:
         raise ValueError(f"{what} live over different algebras")
 
 
+def _built_along(ext: SquareZeroExtension, V: VertexAlgebra, W: VAModule) -> bool:
+    """Whether ext's total algebra is exactly build_extension(V, W, ext.psi)'s."""
+    have, built = ext.total, build_extension(V, W, ext.psi).total
+    return (
+        have.same_content(built)
+        and have.ring == built.ring
+        and (have.space.tier, have.space.cutoff, have.space.min_weight)
+        == (built.space.tier, built.space.cutoff, built.space.min_weight)
+    )
+
+
 def check_equivalence_extensions(
     ext1: SquareZeroExtension, ext2: SquareZeroExtension
 ) -> Equivalence | None:
     """Find and verify h(v, w) = (v, w + g(v)) between two verified extensions.
 
     Returns None when the difference cochain is not a coboundary (the
-    extensions are genuinely inequivalent); raises NotACocycle if either
-    input was never a cocycle to begin with, and NotVerified if one fails
-    verification.
+    extensions are genuinely inequivalent); raises NotVerified if either
+    extension fails verification, and NotACocycle if two totals that pass,
+    but not as built along their cochains, differ by a non-cocycle.
+
+    ext1 is verified in full; ext2 gets the structural checks, and passes the
+    checker by linearity.  Write R(psi) for the residuals of the total
+    algebra built along psi.  Because the fiber squares to zero,
+    R(psi) = R0 + L(psi) with L linear.  An instance with a fiber argument
+    never meets psi, and neither does the base part of any residual, so R0
+    lives there, while L(psi) lives on the fiber part of the instances with
+    three base arguments.  So if ext1 passes, R0 = 0 and L(psi1) = 0.  If in
+    addition diff = psi1 - psi2 is a cocycle (is_coboundary checks that
+    first), L(diff) = 0 and R(psi2) = R(psi1) - L(diff) = 0; otherwise
+    R(psi2) = -L(diff) is nonzero and ext2 fails.  The skipped instances
+    are the same for every psi, as compute_z2's docstring argues.  This holds
+    only for totals built along their psi, so when either total is not what
+    build_extension makes of it, ext2 is verified in full instead.
     """
     _require_same_base(ext1.base, ext2.base, "extensions")
     if ext1.fiber.Y_W.entries != ext2.fiber.Y_W.entries or \
             ext1.fiber.space.labels != ext2.fiber.space.labels:
         raise ValueError("extensions have different fibers")
-    for ext in (ext1, ext2):
-        if verify_extension(ext).verdict == "fail":
-            raise NotVerified("cannot compare an unverified extension")
+    if verify_extension(ext1).verdict == "fail":
+        raise NotVerified("cannot compare an unverified extension")
+    V, W = ext1.base, ext1.fiber
+    by_linearity = _built_along(ext1, V, W) and _built_along(ext2, V, W)
+    report2 = (_check_structure(ext2, AxiomReport()) if by_linearity
+               else verify_extension(ext2))
+    if report2.verdict == "fail":
+        raise NotVerified("cannot compare an unverified extension")
 
     diff = ext1.psi - ext2.psi
-    g = is_coboundary(ext1.base, ext1.fiber, diff)
+    try:
+        g = is_coboundary(V, W, diff)
+    except NotACocycle:
+        if not by_linearity:
+            raise
+        raise NotVerified("cannot compare an unverified extension") from None
     if g is None:
         return None
 

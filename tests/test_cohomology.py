@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
-from vertexcoh.axioms import check_all
+from vertexcoh.axioms import check_all, translation_map
 from vertexcoh.cohomology import (
+    ModuleAxiomsFail,
     NotACocycle,
     TwoCochain,
     VacuumNotKilled,
@@ -35,7 +36,15 @@ from vertexcoh.presets import (
     truncated_free_boson,
 )
 from vertexcoh.scalars import JetScalar
-from vertexcoh.spaces import GradedMap, mode_apply, skew_mode, vadd, vsub
+from vertexcoh.spaces import (
+    GradedMap,
+    ModeFamily,
+    VAModule,
+    mode_apply,
+    skew_mode,
+    vadd,
+    vsub,
+)
 
 F = Fraction
 
@@ -444,3 +453,34 @@ def test_h2_on_graded_nilpotent_is_rigid():
     assert compute_z2(V, W) == []
     res = compute_h2(V, W)
     assert (res.h_dim, res.cocycle_basis, res.representative_classes) == (0, [], [])
+
+
+def _dual_numbers_with_a_changed_action(reverse: bool):
+    """The dual numbers' adjoint module plus eps_{-1} eps = eps: Jacobi fails.
+
+    ``reverse`` enters the action's entries in the opposite order, which
+    changes the order in which the checker sums its terms.
+    """
+    V = build_preset("dual-numbers")
+    sp = V.space
+    eps = sp.index["eps"]
+    entries = list(V.Y.iter_entries())
+    Y_W = ModeFamily(sp, sp, sp)
+    for u, n, w, vec in (entries[::-1] if reverse else entries):
+        Y_W.set_entry(u, n, w, vec)
+    Y_W.set_entry(eps, -1, eps, {eps: F(1)})
+    return V, VAModule(sp, Y_W, translation_map(V))
+
+
+def test_module_axioms_fail_names_sorted_coordinates():
+    messages = []
+    for reverse in (False, True):
+        V, W = _dual_numbers_with_a_changed_action(reverse)
+        with pytest.raises(ModuleAxiomsFail) as exc:
+            compute_z2(V, W)
+        coords = exc.value.coords
+        assert len(coords) == 12 and coords == sorted(coords)
+        assert str(exc.value).endswith(
+            "residual at " + ", ".join(map(str, coords[:3])) + " (+9 more)")
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
+from vertexcoh import cohomology, extensions
 from vertexcoh.axioms import check_all
 from vertexcoh.cohomology import (
     NotACocycle,
@@ -239,10 +240,58 @@ def test_equivalence_rejects_mismatched_inputs():
 
 def test_unverified_extensions_cannot_be_compared():
     V, W = _setting("dual-numbers")
-    bad = TwoCochain.from_entries(V, W, {("one", -1, "eps"): {"eps": F(1)}})
+    bad = build_extension(V, W, TwoCochain.from_entries(
+        V, W, {("one", -1, "eps"): {"eps": F(1)}}))
     good = build_extension(V, W, TwoCochain.zero(V, W))
-    with pytest.raises(NotVerified):
-        check_equivalence_extensions(build_extension(V, W, bad), good)
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(NotVerified, match="cannot compare an unverified extension"):
+            check_equivalence_extensions(*pair)
+
+
+def test_equivalent_extensions_take_two_checker_passes(monkeypatch):
+    # ext1 is checked in full, is_coboundary checks the difference, and ext2
+    # passes by linearity: one check_all and one cocycle_residual in all
+    calls = {"check_all": 0, "cocycle_residual": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(extensions, "check_all")
+    counted(cohomology, "cocycle_residual")
+    V = build_preset("free-boson", 2)
+    W = adjoint_module(V)
+    g = vacuum_killing_basis(V, W)[0]
+    ext1 = build_extension(V, W, coboundary(V, W, g))
+    ext2 = build_extension(V, W, TwoCochain.zero(V, W))
+    res = check_equivalence_extensions(ext1, ext2)
+    assert res is not None and res.g.columns == g.columns
+    assert calls == {"check_all": 1, "cocycle_residual": 1}
+
+
+def _edited(ext, a, n, b, vec):
+    """ext with one entry of its total table set after build_extension."""
+    lab = ext.total.space.index
+    ext.total.Y.set_entry(lab[a], n, lab[b], {lab[t]: c for t, c in vec.items()})
+    return ext
+
+
+@pytest.mark.parametrize("entry", [
+    ("w:eps", -1, "w:one", {"w:eps": F(1)}),   # fiber x fiber: not square-zero
+    ("w:eps", -1, "one", {"w:eps": F(2)}),     # fiber x base: only check_all sees it
+])
+def test_an_edited_second_extension_is_verified_in_full(entry):
+    V, W = _setting("dual-numbers")
+    cob = coboundary(V, W, vacuum_killing_basis(V, W)[0])
+    ext1 = build_extension(V, W, cob)
+    ext2 = _edited(build_extension(V, W, TwoCochain.zero(V, W)), *entry)
+    assert verify_extension(ext2).verdict == "fail"
+    with pytest.raises(NotVerified, match="cannot compare an unverified extension"):
+        check_equivalence_extensions(ext1, ext2)
 
 
 def test_deformation_equivalence_rejects_non_cocycle_difference():

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import vertexcoh
 from vertexcoh.cli import main
 from vertexcoh.cohomology import TwoCochain
 from vertexcoh.axioms import translation_map
@@ -320,7 +325,7 @@ def test_cli_h2_reports_a_module_that_breaks_its_axioms(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("failure: the module fails its axioms")
-    assert "('jacobi', ('eps', 'eps', 'w:one', 0, -1, -1), 'eps')" in captured.err
+    assert "('jacobi', ('eps', 'eps', 'w:eps', -1, 0, -1), 'eps')" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -414,3 +419,26 @@ def test_cli_equiv_rejects_non_cocycles(tmp_path, capsys):
         assert main(["equiv", "--preset", "dual-numbers", "--kind", kind,
                      "--psi", str(bad), "--psi2", str(zero)]) == 1
         assert "failure:" in capsys.readouterr().err
+    # a non-cocycle second extension fails too, though it is checked only
+    # structurally: the difference is then no cocycle
+    assert main(["equiv", "--preset", "dual-numbers", "--psi", str(zero),
+                 "--psi2", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failure: cannot compare an unverified extension\n"
+
+
+def test_cli_exits_quietly_when_stdout_closes_early():
+    # the cutoff-3 report is far larger than a pipe buffer, so the writer is
+    # still writing when the reader goes away
+    src = Path(vertexcoh.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vertexcoh.cli", "check", "--preset", "free-boson",
+         "--cutoff", "3", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(80).startswith(b'{"command": "check"')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
