@@ -1,8 +1,8 @@
 """Exact low-degree cohomology for grading-restricted vertex algebras.
 
-Everything is computed over exact scalars — arbitrary-precision rationals,
-dual numbers for first-order families, and first-order jets in many directions
-for one-pass cocycle solves — at desk scale: small labeled bases,
+Everything is computed over exact scalars — arbitrary-precision rationals and
+first-order jets, in one direction (the dual numbers) for first-order families
+and in many for one-pass cocycle solves — at desk scale: small labeled bases,
 sparse tables, deterministic reports.  The pieces:
 
 * ``scalars`` / ``linalg``: the scalar rings and a sparse exact solver with
@@ -13,16 +13,14 @@ sparse tables, deterministic reports.  The pieces:
   pass/fail/skip accounting;
 * ``cohomology``: derivations (degree one) and square-zero classes (degree
   two) from one run of the checker's residual over jet scalars;
-* ``extensions``: square-zero extensions, first-order deformations over dual
-  numbers, and equivalence certificates, kept in exact bijection;
+* ``extensions``: square-zero extensions, first-order deformations over the
+  dual numbers, and equivalence certificates, kept in exact bijection;
 * ``presets``: worked examples, from one-dimensional to a truncated free boson;
 * ``specfile`` / ``cli``: a plain-text interchange format and a command-line
   front end with machine-readable reports.
 """
 
 from .scalars import (
-    DUAL_T,
-    DualScalar,
     JetScalar,
     Rational,
     binom,

@@ -89,10 +89,10 @@ class MathError(Exception):
 def _coeffs(vec: dict) -> dict:
     """A coefficient vector for output, every scalar as its exact text.
 
-    ``str`` spells an int or a Fraction "p" or "p/q" and a DualScalar
-    "a + b*t", so a coefficient prints the same whichever form it is stored
-    in.  Counts, dimensions and mode indices are not coefficients: they stay
-    numbers.
+    ``str`` spells an int or a Fraction "p" or "p/q" and a first-order
+    coefficient (a jet in one direction) "a + b*t", so a coefficient prints
+    the same whichever form it is stored in.  Counts, dimensions and mode
+    indices are not coefficients: they stay numbers.
     """
     return {k: str(c) for k, c in vec.items()}
 

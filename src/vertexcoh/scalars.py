@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, dual numbers and first-order jets.
+"""Exact scalar arithmetic: rationals and first-order jets.
 
 A rational scalar is an ``int | Fraction``: an ``int`` whenever it is
 integral, a reduced stdlib ``fractions.Fraction`` otherwise (``exact`` puts a
@@ -7,14 +7,13 @@ Python's number tower keeps every sum and product of the two exact, and
 those of ints stay ints, so integral tables run on int arithmetic; only
 division needs care, since ``int / int`` is a float.
 
-``DualScalar`` implements the ring Q[t]/(t^2): elements a + b t with exact
-rational value part a and slope part b, so first-order computations are ring
-identities rather than limits.  ``JetScalar`` is the same ring in k
-directions at once, Q[t_1..t_k]/(t_i t_j): a rational value part plus a
-sparse dict of slopes, one per direction, where every product of two slopes
-vanishes.  Running a computation with each unknown set to its own t_i reads
-off, in the slopes of the result, the coefficients of every unknown in one
-pass.
+``JetScalar`` implements the ring Q[t_1..t_k]/(t_i t_j): a rational value
+part plus a sparse dict of slopes, one per direction, where every product of
+two slopes vanishes, so first-order computations are ring identities rather
+than limits.  With k = 1 it is the dual numbers Q[t]/(t^2), the coefficients
+of a first-order deformation a + b t, with the slope b in direction 0.
+Running a computation with each unknown set to its own t_i reads off, in the
+slopes of the result, the coefficients of every unknown in one pass.
 
 Also here: parsing/formatting of rational literals ("p/q" or "p") and the
 generalized binomial coefficient C(m, i) for arbitrary integer m, which the
@@ -85,103 +84,6 @@ def inv_factorial(j: int) -> int | Fraction:
     return exact(Fraction(1, math.factorial(j)))
 
 
-class DualScalar:
-    """An element a + b t of Q[t]/(t^2), with exact value and slope parts.
-
-    Both parts are ``int | Fraction`` in ``exact`` form.  Mixes freely with
-    int and Fraction (they embed as slope 0).  There is no general division:
-    the ring has zero divisors, and the solvers only ever scale by rationals.
-    """
-
-    __slots__ = ("value", "slope")
-
-    def __init__(self, value=0, slope=0):
-        self.value = exact(value)
-        self.slope = exact(slope)
-
-    # -- coercion ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "DualScalar | None":
-        if isinstance(other, DualScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return DualScalar(other)
-        return None
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualScalar(self.value + o.value, self.slope + o.slope)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualScalar(self.value - o.value, self.slope - o.slope)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualScalar(o.value - self.value, o.slope - self.slope)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualScalar(
-            self.value * o.value,
-            self.value * o.slope + self.slope * o.value,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # through Fraction: an int part over an int divisor would give a float
-            return DualScalar(Fraction(self.value) / other, Fraction(self.slope) / other)
-        return NotImplemented
-
-    def __neg__(self):
-        return DualScalar(-self.value, -self.slope)
-
-    def __pos__(self):
-        return self
-
-    # -- comparisons / hashing ----------------------------------------------
-
-    def __bool__(self):
-        return bool(self.value) or bool(self.slope)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value and self.slope == o.slope
-
-    def __hash__(self):
-        if self.slope == 0:
-            return hash(self.value)
-        return hash((self.value, self.slope))
-
-    def __repr__(self):
-        return f"DualScalar({self.value!r}, {self.slope!r})"
-
-    def __str__(self):
-        sign = "-" if self.slope < 0 else "+"
-        return f"{format_rational(self.value)} {sign} {format_rational(abs(self.slope))}*t"
-
-
-#: the nilpotent generator t (t*t == 0)
-DUAL_T = DualScalar(0, 1)
-
-
 class JetScalar:
     """An element a + sum_i b_i t_i of Q[t_1..t_k]/(t_i t_j for all i, j).
 
@@ -213,13 +115,15 @@ class JetScalar:
 
     def __add__(self, other):
         if isinstance(other, JetScalar):
-            slopes = dict(self.slopes)
-            for i, c in other.slopes.items():
-                s = slopes.get(i, 0) + c
-                if s:
-                    slopes[i] = s
-                else:
-                    del slopes[i]
+            slopes = self.slopes
+            if other.slopes:
+                slopes = dict(slopes)
+                for i, c in other.slopes.items():
+                    s = slopes.get(i, 0) + c
+                    if s:
+                        slopes[i] = s
+                    else:
+                        del slopes[i]
             return JetScalar._make(self.value + other.value, slopes)
         if isinstance(other, (int, Fraction)):
             return JetScalar._make(self.value + other, self.slopes)
@@ -239,19 +143,24 @@ class JetScalar:
 
     def __mul__(self, other):
         if isinstance(other, JetScalar):
-            a, b = self.value, other.value
-            slopes = _scale_slopes(other.slopes, a)
-            if b:
-                for i, c in self.slopes.items():
-                    s = slopes.get(i, 0) + b * c
-                    if s:
-                        slopes[i] = s
-                    else:
-                        del slopes[i]
-            return JetScalar._make(a * b, slopes)
-        if isinstance(other, (int, Fraction)):
-            return JetScalar._make(self.value * other, _scale_slopes(self.slopes, other))
-        return NotImplemented
+            b, more = other.value, other.slopes
+        elif isinstance(other, (int, Fraction)):
+            b, more = other, None
+        else:
+            return NotImplemented
+        a = self.value
+        slopes = {}
+        if b:
+            for i, c in self.slopes.items():
+                slopes[i] = b * c
+        if a and more:
+            for i, c in more.items():
+                s = slopes.get(i, 0) + a * c
+                if s:
+                    slopes[i] = s
+                else:
+                    del slopes[i]
+        return JetScalar._make(a * b, slopes)
 
     __rmul__ = __mul__
 
@@ -278,23 +187,20 @@ class JetScalar:
     def __repr__(self):
         return f"JetScalar({self.value!r}, {self.slopes!r})"
 
-
-def _scale_slopes(slopes: dict, factor) -> dict:
-    """factor * slopes as a new dict; empty when the factor is zero."""
-    if not factor:
-        return {}
-    return {i: factor * c for i, c in slopes.items()}
+    def __str__(self):
+        """a + b t as "a + b*t" or "a - |b|*t", b the t_0 slope; else the repr."""
+        if self.slopes.keys() - {0}:
+            return repr(self)
+        slope = self.slopes.get(0, 0)
+        sign = "-" if slope < 0 else "+"
+        return f"{format_rational(self.value)} {sign} {format_rational(abs(slope))}*t"
 
 
 def value_part(scalar) -> int | Fraction:
-    """Rational value part of a scalar from any of the three rings."""
-    if isinstance(scalar, (DualScalar, JetScalar)):
-        return scalar.value
-    return exact(scalar)
+    """Rational value part of a rational or a jet."""
+    return scalar.value if isinstance(scalar, JetScalar) else exact(scalar)
 
 
 def slope_part(scalar) -> int | Fraction:
-    """Rational slope part (zero for plain rationals)."""
-    if isinstance(scalar, DualScalar):
-        return scalar.slope
-    return 0
+    """Rational slope part in direction 0, the first-order t (zero for rationals)."""
+    return scalar.slopes.get(0, 0) if isinstance(scalar, JetScalar) else 0

@@ -9,7 +9,7 @@ import pytest
 
 import oracles as orc
 from vertexcoh import cohomology, extensions
-from vertexcoh.axioms import check_all
+from vertexcoh.axioms import check_all, translation_map
 from vertexcoh.cohomology import (
     NotACocycle,
     TwoCochain,
@@ -31,6 +31,7 @@ from vertexcoh.extensions import (
 )
 from vertexcoh.presets import adjoint_module, build_preset
 from vertexcoh.scalars import slope_part, value_part
+from vertexcoh.spaces import ModeFamily, VAModule
 
 F = Fraction
 
@@ -301,3 +302,70 @@ def test_deformation_equivalence_rejects_non_cocycle_difference():
     d_zero = build_deformation(V, TwoCochain.zero(V, W))
     with pytest.raises(NotACocycle):
         check_equivalence_deformations(d_bad, d_zero)
+
+
+def test_unverified_deformations_cannot_be_compared():
+    # bad breaks the identity axiom; bad - bad = 0 and bad - rep = -rep are
+    # cocycles, so only checking the deformations themselves rules them out
+    V, W = _setting("dual-numbers")
+    bad = TwoCochain.from_entries(V, W, {("one", -1, "eps"): {"eps": F(1)}})
+    rep = TwoCochain.from_entries(V, W, {("eps", -1, "eps"): {"one": F(4, 3)}})
+    assert is_coboundary(V, W, rep) is None           # a nontrivial class
+    d_bad = build_deformation(V, bad)
+    for other in (bad, bad + rep):
+        with pytest.raises(NotVerified, match="cannot compare an unverified deformation"):
+            check_equivalence_deformations(d_bad, build_deformation(V, other))
+
+
+def _count_check_all(monkeypatch) -> dict:
+    calls = {"check_all": 0}
+    original = extensions.check_all
+
+    def wrapper(*args):
+        calls["check_all"] += 1
+        return original(*args)
+    monkeypatch.setattr(extensions, "check_all", wrapper)
+    return calls
+
+
+def test_equivalent_deformations_take_one_checker_pass(monkeypatch):
+    # defm1 is checked in full and defm2 passes by linearity
+    V = build_preset("free-boson", 2)
+    W = adjoint_module(V)
+    g = vacuum_killing_basis(V, W)[0]
+    d1 = build_deformation(V, coboundary(V, W, g))
+    d2 = build_deformation(V, TwoCochain.zero(V, W))
+    calls = _count_check_all(monkeypatch)
+    res = check_equivalence_deformations(d1, d2)
+    assert res is not None and res.kind == "deformation"
+    assert calls == {"check_all": 1}
+
+
+def test_an_edited_second_deformation_is_verified_in_full(monkeypatch):
+    V, W = _setting("dual-numbers")
+    d1 = build_deformation(V, coboundary(V, W, vacuum_killing_basis(V, W)[0]))
+    d2 = build_deformation(V, TwoCochain.zero(V, W))
+    lab = V.space.index
+    d2.deformed.Y.set_entry(lab["eps"], -1, lab["one"], {lab["eps"]: 2})
+    assert check_all(d2.deformed).verdict == "fail"
+    calls = _count_check_all(monkeypatch)
+    with pytest.raises(NotVerified, match="cannot compare an unverified deformation"):
+        check_equivalence_deformations(d1, d2)
+    assert calls == {"check_all": 2}
+
+
+def test_deformations_read_against_another_module_are_verified_in_full(monkeypatch):
+    # the linearity argument needs psi read against V's adjoint module; here
+    # eps acts by zero on a module with V's labels, so both are checked
+    V = build_preset("dual-numbers")
+    sp, one = V.space, V.space.index["one"]
+    Y_W = ModeFamily(sp, sp, sp)
+    for w in range(len(sp)):
+        Y_W.set_entry(one, -1, w, {w: 1})
+    W = VAModule(sp, Y_W, translation_map(V))
+    zero = TwoCochain.zero(V, W)
+    calls = _count_check_all(monkeypatch)
+    res = check_equivalence_deformations(build_deformation(V, zero),
+                                         build_deformation(V, zero))
+    assert res is not None
+    assert calls == {"check_all": 2}

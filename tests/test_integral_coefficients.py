@@ -1,7 +1,7 @@
 """One exact scalar representation: integral coefficients are stored as int.
 
 Every mode table and graded map keeps an integral coefficient as an ``int`` and
-any other as a ``Fraction``, and the two first-order rings keep their parts the
+any other as a ``Fraction``, and the first-order jets keep their parts the
 same way, so integral tables run on int arithmetic.  These tests hold that
 invariant on presets and parsed files, hold the checker's reports on it
 against Fraction-only copies of the same tables (tables with genuinely
@@ -28,7 +28,7 @@ from vertexcoh.presets import (
     build_preset,
     from_commutative_algebra,
 )
-from vertexcoh.scalars import DualScalar, JetScalar
+from vertexcoh.scalars import JetScalar
 from vertexcoh.spaces import GradedMap, GradedSpace, ModeFamily, VertexAlgebra
 from vertexcoh.specfile import SpecFile, dump_spec, parse_spec, spec_from_objects
 from vertexcoh.specfile import to_algebra, to_cochain, to_module
@@ -37,8 +37,6 @@ F = Fraction
 
 
 def _parts(c):
-    if isinstance(c, DualScalar):
-        return (c.value, c.slope)
     if isinstance(c, JetScalar):
         return (c.value, *c.slopes.values())
     return (c,)
@@ -110,14 +108,13 @@ def _fraction_only(V: VertexAlgebra) -> VertexAlgebra:
     """The same table with every rational part a Fraction, bypassing set_entry.
 
     This is the arithmetic the checker ran before integral coefficients were
-    kept as int; a DualScalar is assembled by hand, since its constructor
-    would store int parts.
+    kept as int; a jet is assembled by the trusted constructor, since the
+    public one would store int parts.
     """
     def slow(c):
-        if isinstance(c, DualScalar):
-            d = object.__new__(DualScalar)
-            d.value, d.slope = Fraction(c.value), Fraction(c.slope)
-            return d
+        if isinstance(c, JetScalar):
+            return JetScalar._make(Fraction(c.value),
+                                   {i: Fraction(x) for i, x in c.slopes.items()})
         return Fraction(c)
 
     Y = ModeFamily(V.space, V.space, V.space)
@@ -213,9 +210,9 @@ def test_parsed_tables_store_integral_coefficients_as_int():
 
 
 def test_ring_elements_store_integral_parts_as_int():
-    d = DualScalar(F(4, 2), True)
-    assert (type(d.value), type(d.slope)) == (int, int)
-    assert (d * DualScalar(F(1, 2), F(3, 2))).value == 1
+    d = JetScalar(F(4, 2), {0: True})
+    assert (type(d.value), type(d.slopes[0])) == (int, int)
+    assert (d * JetScalar(F(1, 2), {0: F(3, 2)})).value == 1
     j = JetScalar(F(6, 3), {0: F(5, 1), 1: True, 2: F(1, 2), 3: 0})
     _assert_exact_form([{0: j}])
     assert j.slopes == {0: 5, 1: 1, 2: F(1, 2)}

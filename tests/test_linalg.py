@@ -24,8 +24,6 @@ from vertexcoh.linalg import (
     solve_affine,
 )
 from vertexcoh.scalars import (
-    DUAL_T,
-    DualScalar,
     JetScalar,
     binom,
     format_rational,
@@ -85,67 +83,7 @@ def test_inv_factorial():
 
 
 # ---------------------------------------------------------------------------
-# dual numbers
-# ---------------------------------------------------------------------------
-
-def _random_dual(rng: random.Random) -> DualScalar:
-    q = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
-    return DualScalar(q(), q())
-
-
-def test_dual_scalar_ring_laws():
-    rng = random.Random(13)
-    for _ in range(200):
-        a, b, c = (_random_dual(rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a - a == DualScalar(0, 0)
-        assert not (a - a)
-
-
-def test_dual_scalar_multiplication_rule_and_nilpotence():
-    a = DualScalar(F(2), F(3))
-    b = DualScalar(F(5), F(-1))
-    assert a * b == DualScalar(F(10), F(13))  # ac, ad + bc
-    assert DUAL_T * DUAL_T == DualScalar(0, 0)
-    rng = random.Random(14)
-    for _ in range(50):
-        s = F(rng.randint(-20, 20), rng.randint(1, 10))
-        x = DualScalar(0, s)
-        assert x * x == DualScalar(0, 0)
-
-
-def test_dual_scalar_mixes_with_rationals_and_ints():
-    a = DualScalar(F(1, 2), F(3))
-    assert 2 * a == DualScalar(F(1), F(6))
-    assert a * F(1, 3) == DualScalar(F(1, 6), F(1))
-    assert a + 1 == DualScalar(F(3, 2), F(3))
-    assert 1 - a == DualScalar(F(1, 2), F(-3))
-    assert a / 2 == DualScalar(F(1, 4), F(3, 2))
-    assert a == a + 0
-    assert DualScalar(F(5), 0) == F(5)
-    assert value_part(a) == F(1, 2) and slope_part(a) == F(3)
-    assert value_part(F(7)) == F(7) and slope_part(F(7)) == 0
-
-
-def test_dual_scalar_division_of_int_parts_stays_exact():
-    # int parts divided by an int must not go through float: 1/3 has no
-    # float representation, unlike the 1/2 above
-    third = DualScalar(1, 1) / 3
-    assert third == DualScalar(F(1, 3), F(1, 3))
-    assert type(third.value) is F and type(third.slope) is F
-    assert third * 3 == DualScalar(1, 1)
-    whole = DualScalar(6, -3) / 3
-    assert whole == DualScalar(2, -1)
-    assert type(whole.value) is int and type(whole.slope) is int
-    assert DualScalar(F(1, 2), 2) / F(2, 3) == DualScalar(F(3, 4), 3)
-
-
-# ---------------------------------------------------------------------------
-# first-order jets in k directions
+# first-order jets in k directions (k = 1: the dual numbers Q[t]/(t^2))
 # ---------------------------------------------------------------------------
 
 def _random_jet(rng: random.Random, k: int = 4) -> JetScalar:
@@ -155,6 +93,14 @@ def _random_jet(rng: random.Random, k: int = 4) -> JetScalar:
 
 
 def test_jet_directions_multiply_to_zero():
+    # k = 1: the dual numbers, (2 + 3t)(5 - t) = 10 + 13t and t.t = 0
+    t = JetScalar(0, {0: 1})
+    assert JetScalar(2, {0: 3}) * JetScalar(5, {0: -1}) == JetScalar(10, {0: 13})
+    assert t * t == 0 and (t * t).slopes == {}
+    rng = random.Random(14)
+    for _ in range(50):
+        x = JetScalar(0, {0: F(rng.randint(-20, 20), rng.randint(1, 10))})
+        assert x * x == 0 and not x * x
     k = 5
     ts = [JetScalar(0, {i: 1}) for i in range(k)]
     for i in range(k):
@@ -169,8 +115,8 @@ def test_jet_directions_multiply_to_zero():
 
 def test_jet_ring_laws_on_random_elements():
     rng = random.Random(16)
-    for _ in range(200):
-        a, b, c = (_random_jet(rng) for _ in range(3))
+    for k in (1, 4) * 200:
+        a, b, c = (_random_jet(rng, k) for _ in range(3))
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
@@ -198,7 +144,27 @@ def test_jet_mixes_with_rationals_and_ints_on_both_sides():
     assert plain == F(5) and F(5) == plain and plain == 5 and 5 == plain
     assert hash(plain) == hash(F(5))
     assert a != F(1, 2) and F(1, 2) != a
-    assert value_part(a) == F(1, 2)
+    assert value_part(a) == F(1, 2) and slope_part(a) == 0
+    # k = 1, the first-order ring: the slope part is the t_0 slope
+    d = JetScalar(F(1, 2), {0: 3})
+    assert 2 * d == d * 2 == JetScalar(1, {0: 6})
+    assert d * F(1, 3) == JetScalar(F(1, 6), {0: 1})
+    assert d + 1 == JetScalar(F(3, 2), {0: 3})
+    assert 1 - d == JetScalar(F(1, 2), {0: -3})
+    assert d == d + 0 and JetScalar(5, {0: 0}) == 5
+    assert value_part(d) == F(1, 2) and slope_part(d) == 3
+    assert value_part(F(7)) == 7 and slope_part(F(7)) == 0 and slope_part(7) == 0
+
+
+def test_jet_prints_as_a_first_order_coefficient():
+    assert str(JetScalar(F(1, 2), {0: F(-3, 4)})) == "1/2 - 3/4*t"
+    assert str(JetScalar(5)) == "5 + 0*t"
+    assert str(JetScalar(0, {0: 1})) == "0 + 1*t"
+    assert str(JetScalar(-2, {0: F(3, 2)})) == "-2 + 3/2*t"
+    # a slope in another direction is never dropped
+    for jet in (JetScalar(1, {1: 2}), JetScalar(1, {0: 3, 2: F(1, 2)})):
+        assert str(jet) == repr(jet)
+    assert str(JetScalar(1, {1: 2})) == "JetScalar(1, {1: 2})"
 
 
 def test_jet_zero_detection_in_sparse_vectors():
@@ -216,32 +182,6 @@ def test_jet_zero_detection_in_sparse_vectors():
     fam.set_entry(0, -1, 1, {1: t - t})
     assert not fam and fam.entry(0, -1, 1) is None
 
-
-def test_jet_agrees_with_dual_scalar_in_one_direction():
-    rng = random.Random(17)
-
-    def pair():
-        a, b = (F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2))
-        return JetScalar(a, {0: b}), DualScalar(a, b)
-
-    def same(jet, dual):
-        return jet.value == dual.value and jet.slopes.get(0, 0) == dual.slope
-
-    for _ in range(200):
-        (j1, d1), (j2, d2) = pair(), pair()
-        q = F(rng.randint(1, 5), rng.randint(1, 5))
-        assert same(j1 + j2, d1 + d2)
-        assert same(j1 - j2, d1 - d2)
-        assert same(j1 * j2, d1 * d2)
-        assert same(-j1, -d1)
-        assert same(q * j1 + 3, q * d1 + 3)
-        assert bool(j1) == bool(d1)
-        assert (j1 == j2) == (d1 == d2)
-
-
-# ---------------------------------------------------------------------------
-# sparse systems
-# ---------------------------------------------------------------------------
 
 def _random_system(rng: random.Random, n_unknowns: int, n_rows: int):
     """Sparse LinearSystem plus the same matrix densely, for the oracle."""

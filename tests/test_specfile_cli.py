@@ -390,6 +390,46 @@ def test_cli_deform_reports_a_failing_algebra(tmp_path, capsys):
     assert fail_instances(capsys.readouterr().out) == want
 
 
+def test_cli_deform_prints_first_order_residuals_as_a_plus_b_t(tmp_path, capsys):
+    # the value part is V's own residual and the slope part psi's; both are
+    # spelled exactly, a negative slope as "a - |b|*t" and no slope as "+ 0*t"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("[PSI]\none -1 eps -> 1*eps\n")
+    assert main(["deform", "--preset", "dual-numbers", "--psi", str(bad)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verdict: fail"
+    assert out[2:5] == [
+        "FAIL identity ('one', -1, 'eps'): residual {'eps': '0 + 1*t'}",
+        "FAIL skew-symmetry ('one', -1, 'eps'): residual {'eps': '0 + 1*t'}",
+        "FAIL skew-symmetry ('eps', -1, 'one'): residual {'eps': '0 - 1*t'}",
+    ]
+    assert len(out) == 11
+    assert main(["deform", "--preset", "dual-numbers", "--psi", str(bad), "--json"]) == 1
+    failed = json.loads(capsys.readouterr().out)["data"]["failed"]
+    assert [f["residual"] for f in failed] == [{"eps": s} for s in (
+        "0 + 1*t", "0 + 1*t", "0 - 1*t",
+        "0 - 1*t", "0 - 1*t", "0 + 1*t", "0 - 1*t", "0 - 1*t", "0 + 1*t")]
+
+    # a failing algebra deformed along a p/q slope: nonzero value parts too
+    alg = tmp_path / "alg.txt"
+    alg.write_text(_dump("dual-numbers").replace("eps -1 one -> 1*eps",
+                                                 "eps -1 one -> 2*eps"))
+    pq = tmp_path / "pq.txt"
+    pq.write_text("[PSI]\none -1 eps -> -3/4*eps\n")
+    assert main(["deform", str(alg), "--psi", str(pq)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:5] == [
+        "FAIL identity ('one', -1, 'eps'): residual {'eps': '0 - 3/4*t'}",
+        "FAIL creation ('eps', -1, 'one'): residual {'eps': '1 + 0*t'}",
+        "FAIL skew-symmetry ('one', -1, 'eps'): residual {'eps': '-1 - 3/4*t'}",
+    ]
+    assert main(["deform", str(alg), "--psi", str(pq), "--json"]) == 1
+    failed = json.loads(capsys.readouterr().out)["data"]["failed"]
+    assert [f["residual"]["eps"] for f in failed] == [
+        "0 - 3/4*t", "1 + 0*t", "-1 - 3/4*t", "1 + 3/4*t", "0 + 3/4*t", "0 + 3/4*t",
+        "0 - 3/2*t", "0 + 3/2*t", "2 + 0*t", "2 + 3/2*t", "0 - 3/2*t"]
+
+
 def test_cli_equiv_both_kinds(tmp_path, capsys):
     rep = tmp_path / "rep.txt"
     rep.write_text("[PSI]\neps -1 eps -> 1*one\n")
@@ -426,6 +466,18 @@ def test_cli_equiv_rejects_non_cocycles(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "failure: cannot compare an unverified extension\n"
+
+
+def test_cli_equiv_refuses_two_unverified_deformations(tmp_path, capsys):
+    # the difference of bad and bad is the zero cocycle; the deformations
+    # themselves break the identity axiom, so they are not compared
+    bad = tmp_path / "bad.txt"
+    bad.write_text("[PSI]\none -1 eps -> 1*eps\n")
+    assert main(["equiv", "--preset", "dual-numbers", "--kind", "deformation",
+                 "--psi", str(bad), "--psi2", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failure: cannot compare an unverified deformation\n"
 
 
 def test_cli_exits_quietly_when_stdout_closes_early():
