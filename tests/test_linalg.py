@@ -83,7 +83,59 @@ def test_inv_factorial():
 
 
 # ---------------------------------------------------------------------------
-# first-order jets in k directions (k = 1: the dual numbers Q[t]/(t^2))
+# dual numbers Q[t]/(t^2): first-order jets in one direction
+# ---------------------------------------------------------------------------
+
+def _dual(value, slope) -> JetScalar:
+    return JetScalar(value, {0: slope})
+
+
+def _random_dual(rng: random.Random) -> JetScalar:
+    q = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
+    return _dual(q(), q())
+
+
+def test_dual_scalar_ring_laws():
+    rng = random.Random(13)
+    for _ in range(200):
+        a, b, c = (_random_dual(rng) for _ in range(3))
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a - a == _dual(0, 0)
+        assert not (a - a)
+
+
+def test_dual_scalar_multiplication_rule_and_nilpotence():
+    a = _dual(F(2), F(3))
+    b = _dual(F(5), F(-1))
+    assert a * b == _dual(F(10), F(13))  # ac, ad + bc
+    t = _dual(0, 1)
+    assert t * t == _dual(0, 0) and (t * t).slopes == {}
+    rng = random.Random(14)
+    for _ in range(50):
+        s = F(rng.randint(-20, 20), rng.randint(1, 10))
+        x = _dual(0, s)
+        assert x * x == _dual(0, 0) and not x * x
+
+
+def test_dual_scalar_mixes_with_rationals_and_ints():
+    a = _dual(F(1, 2), F(3))
+    assert 2 * a == a * 2 == _dual(F(1), F(6))
+    assert a * F(1, 3) == _dual(F(1, 6), F(1))
+    assert a + 1 == _dual(F(3, 2), F(3))
+    assert 1 - a == _dual(F(1, 2), F(-3))
+    assert a == a + 0
+    assert _dual(F(5), 0) == F(5) and _dual(5, 0) == 5
+    assert value_part(a) == F(1, 2) and slope_part(a) == F(3)
+    assert value_part(F(7)) == F(7) and slope_part(F(7)) == 0
+    assert slope_part(7) == 0
+
+
+# ---------------------------------------------------------------------------
+# first-order jets in k directions
 # ---------------------------------------------------------------------------
 
 def _random_jet(rng: random.Random, k: int = 4) -> JetScalar:
@@ -93,14 +145,6 @@ def _random_jet(rng: random.Random, k: int = 4) -> JetScalar:
 
 
 def test_jet_directions_multiply_to_zero():
-    # k = 1: the dual numbers, (2 + 3t)(5 - t) = 10 + 13t and t.t = 0
-    t = JetScalar(0, {0: 1})
-    assert JetScalar(2, {0: 3}) * JetScalar(5, {0: -1}) == JetScalar(10, {0: 13})
-    assert t * t == 0 and (t * t).slopes == {}
-    rng = random.Random(14)
-    for _ in range(50):
-        x = JetScalar(0, {0: F(rng.randint(-20, 20), rng.randint(1, 10))})
-        assert x * x == 0 and not x * x
     k = 5
     ts = [JetScalar(0, {i: 1}) for i in range(k)]
     for i in range(k):
@@ -115,8 +159,8 @@ def test_jet_directions_multiply_to_zero():
 
 def test_jet_ring_laws_on_random_elements():
     rng = random.Random(16)
-    for k in (1, 4) * 200:
-        a, b, c = (_random_jet(rng, k) for _ in range(3))
+    for _ in range(200):
+        a, b, c = (_random_jet(rng) for _ in range(3))
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
@@ -145,15 +189,6 @@ def test_jet_mixes_with_rationals_and_ints_on_both_sides():
     assert hash(plain) == hash(F(5))
     assert a != F(1, 2) and F(1, 2) != a
     assert value_part(a) == F(1, 2) and slope_part(a) == 0
-    # k = 1, the first-order ring: the slope part is the t_0 slope
-    d = JetScalar(F(1, 2), {0: 3})
-    assert 2 * d == d * 2 == JetScalar(1, {0: 6})
-    assert d * F(1, 3) == JetScalar(F(1, 6), {0: 1})
-    assert d + 1 == JetScalar(F(3, 2), {0: 3})
-    assert 1 - d == JetScalar(F(1, 2), {0: -3})
-    assert d == d + 0 and JetScalar(5, {0: 0}) == 5
-    assert value_part(d) == F(1, 2) and slope_part(d) == 3
-    assert value_part(F(7)) == 7 and slope_part(F(7)) == 0 and slope_part(7) == 0
 
 
 def test_jet_prints_as_a_first_order_coefficient():
@@ -182,6 +217,10 @@ def test_jet_zero_detection_in_sparse_vectors():
     fam.set_entry(0, -1, 1, {1: t - t})
     assert not fam and fam.entry(0, -1, 1) is None
 
+
+# ---------------------------------------------------------------------------
+# sparse systems
+# ---------------------------------------------------------------------------
 
 def _random_system(rng: random.Random, n_unknowns: int, n_rows: int):
     """Sparse LinearSystem plus the same matrix densely, for the oracle."""
