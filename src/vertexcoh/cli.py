@@ -358,19 +358,17 @@ def _cmd_deform(args, started: float) -> int:
 
 
 def _cmd_equiv(args, started: float) -> int:
+    if args.kind == "deformation" and args.module:
+        raise InputError("--kind deformation compares deformations of the "
+                         "algebra itself and takes no --module")
     V, sources = _load_algebra(args)
     W = _load_module(args, V, sources)
     psi1 = _load_cochain(args.psi, V, W, sources)
     psi2 = _load_cochain(args.psi2, V, W, sources)
     if args.kind == "extension":
-        res = check_equivalence_extensions(
-            build_extension(V, W, psi1), build_extension(V, W, psi2))
+        res = check_equivalence_extensions(psi1, psi2)
     else:
-        try:
-            d1, d2 = build_deformation(V, psi1), build_deformation(V, psi2)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        res = check_equivalence_deformations(d1, d2)
+        res = check_equivalence_deformations(psi1, psi2)
     if res is None:
         lines = ["inequivalent: the difference cochain is a cocycle "
                  "but not a coboundary"]

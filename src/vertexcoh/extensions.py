@@ -14,9 +14,12 @@ checker runs unchanged over either scalar ring — the acceptance suite holds
 the two verdicts equal on random cochains, cocycle or not.
 
 Equivalence in both pictures reduces to the same linear question
-psi_1 - psi_2 = delta g; the certificate g is then verified *exactly* — as a
-total-space isomorphism commuting with the projections for extensions, and as
-the identity f_t = 1 + t g over dual numbers for deformations.
+psi_1 - psi_2 = delta g.  The two equivalence checks take the cochains, build
+their own structures, verify the first, and read delta off W's action for
+extensions and off V's adjoint action for deformations.  The certificate g is
+then verified *exactly* — as a total-space isomorphism commuting with the
+projections for extensions, and as the identity f_t = 1 + t g over dual
+numbers for deformations.
 """
 
 from __future__ import annotations
@@ -141,18 +144,14 @@ def _homomorphism_residuals(f, src: ModeFamily, dst: ModeFamily):
 
 
 def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
-    """check_all on the total algebra plus the structural extension checks."""
-    return _check_structure(ext, check_all(ext.total))
-
-
-def _check_structure(ext: SquareZeroExtension, report: AxiomReport) -> AxiomReport:
-    """The structural extension checks, recorded into ``report``.
+    """check_all on the total algebra plus the structural extension checks.
 
     The fiber multiplies to zero, the projection is a homomorphism onto the
     base, the inclusion intertwines the module action, and the vacuum is the
     base vacuum.  All live inside the window, so they pass or fail — never
     skip.
     """
+    report = check_all(ext.total)
     total, V, W = ext.total, ext.base, ext.fiber
     tsp, vsp, wsp = total.space, V.space, W.space
 
@@ -270,70 +269,37 @@ class Equivalence:
     note: str
 
 
-def _require_same_base(A: VertexAlgebra, B: VertexAlgebra, what: str) -> None:
-    if not A.same_content(B):
-        raise ValueError(f"{what} live over different algebras")
+def check_equivalence_extensions(psi1: TwoCochain, psi2: TwoCochain) -> Equivalence | None:
+    """Find and verify h(v, w) = (v, w + g(v)) between the extensions along psi1, psi2.
 
+    Both cochains map V x V into the same module W; ValueError otherwise.
+    Returns None when psi1 - psi2 is a cocycle but not a coboundary (the
+    extensions are genuinely inequivalent); raises NotVerified when the
+    extensions fail verification.
 
-def _same_table(have: VertexAlgebra, built: VertexAlgebra) -> bool:
-    """Whether ``have`` is exactly ``built``: content, scalar ring and window."""
-    return (
-        have.same_content(built)
-        and have.ring == built.ring
-        and (have.space.tier, have.space.cutoff, have.space.min_weight)
-        == (built.space.tier, built.space.cutoff, built.space.min_weight)
-    )
-
-
-def check_equivalence_extensions(
-    ext1: SquareZeroExtension, ext2: SquareZeroExtension
-) -> Equivalence | None:
-    """Find and verify h(v, w) = (v, w + g(v)) between two verified extensions.
-
-    Returns None when the difference cochain is not a coboundary (the
-    extensions are genuinely inequivalent); raises NotVerified if either
-    extension fails verification, and NotACocycle if two totals that pass,
-    but not as built along their cochains, differ by a non-cocycle.
-
-    ext1 is verified in full; ext2 gets the structural checks, and passes the
-    checker by linearity.  Write R(psi) for the residuals of the total
-    algebra built along psi.  Because the fiber squares to zero,
-    R(psi) = R0 + L(psi) with L linear.  An instance with a fiber argument
-    never meets psi, and neither does the base part of any residual, so R0
-    lives there, while L(psi) lives on the fiber part of the instances with
-    three base arguments.  So if ext1 passes, R0 = 0 and L(psi1) = 0.  If in
-    addition diff = psi1 - psi2 is a cocycle (is_coboundary checks that
-    first), L(diff) = 0 and R(psi2) = R(psi1) - L(diff) = 0; otherwise
-    R(psi2) = -L(diff) is nonzero and ext2 fails.  The skipped instances
-    are the same for every psi, as compute_z2's docstring argues.  This holds
-    only for totals built along their psi, so when either total is not what
-    build_extension makes of it, ext2 is verified in full instead.
+    Only the first extension is verified; the second passes by linearity.
+    The residuals of the total built along psi are R0 + L(psi), L linear,
+    because the fiber squares to zero, and the structural checks do not read
+    psi.  So if the first passes, R0 = L(psi1) = 0; if psi1 - psi2 is also a
+    cocycle, L(psi2) = 0 and the second passes, and if it is not, the second
+    fails.  Skips do not depend on psi (see compute_z2).
     """
-    _require_same_base(ext1.base, ext2.base, "extensions")
-    if ext1.fiber.Y_W.entries != ext2.fiber.Y_W.entries or \
-            ext1.fiber.space.labels != ext2.fiber.space.labels:
-        raise ValueError("extensions have different fibers")
+    V, W = psi1.V, psi1.W
+    if not (V.same_content(psi2.V) and W.space.labels == psi2.W.space.labels
+            and W.Y_W.entries == psi2.W.Y_W.entries):
+        raise ValueError("extensions live over different algebras or modules")
+    ext1 = build_extension(V, W, psi1)
     if verify_extension(ext1).verdict == "fail":
         raise NotVerified("cannot compare an unverified extension")
-    V, W = ext1.base, ext1.fiber
-    by_linearity = all(_same_table(e.total, build_extension(V, W, e.psi).total)
-                       for e in (ext1, ext2))
-    report2 = (_check_structure(ext2, AxiomReport()) if by_linearity
-               else verify_extension(ext2))
-    if report2.verdict == "fail":
-        raise NotVerified("cannot compare an unverified extension")
-
-    diff = ext1.psi - ext2.psi
     try:
-        g = is_coboundary(V, W, diff)
+        g = is_coboundary(V, W, psi1 - psi2)
     except NotACocycle:
-        if not by_linearity:
-            raise
         raise NotVerified("cannot compare an unverified extension") from None
     if g is None:
         return None
 
     # exact verification of the certificate on the total spaces
+    ext2 = build_extension(V, W, psi2)
     total1, total2 = ext1.total, ext2.total
     tsp = total1.space
 
@@ -353,7 +319,7 @@ def check_equivalence_extensions(
         avec = {a: 1}
         if ext2.proj.apply(h(avec)) != ext1.proj.apply(avec):
             raise RuntimeError("projection leg of the diagram failed")
-    for w in range(len(ext1.fiber.space)):
+    for w in range(len(W.space)):
         wvec = {w: 1}
         if h(ext1.incl.apply(wvec)) != ext2.incl.apply(wvec):
             raise RuntimeError("inclusion leg of the diagram failed")
@@ -366,38 +332,30 @@ def check_equivalence_extensions(
     )
 
 
-def check_equivalence_deformations(
-    defm1: Deformation, defm2: Deformation
-) -> Equivalence | None:
-    """Find and verify f_t = 1 + t g between two verified deformations of V.
+def check_equivalence_deformations(psi1: TwoCochain, psi2: TwoCochain) -> Equivalence | None:
+    """Find and verify f_t = 1 + t g between the deformations Y + t psi1, Y + t psi2.
 
-    Returns None when the difference is a cocycle but not a coboundary;
-    raises NotACocycle first when it is no cocycle, then NotVerified when
-    either deformation fails the checker.  defm1 is checked in full, defm2
-    passes by linearity: over Q[t]/(t^2) each residual of Y + t psi is
-    R0 + t L(psi), with value part R0 V's own residual and L linear in psi.
-    L is the fiber part of the residual of the extension by the adjoint
-    module, which is_coboundary reads.  So defm1 passing gives R0 = L(psi1) = 0,
-    the cocycle diff gives L(diff) = 0, hence L(psi2) = 0; skips do not depend
-    on psi (see compute_z2).  A table not as build_deformation makes it, or a
-    psi not read against V's adjoint module, gets the full check instead.
+    Both cochains take values in V's own labels; ValueError otherwise.  delta
+    is always that of V's adjoint action: the deformations do not depend on
+    the module psi was read against, so neither does the verdict.  Raises
+    NotACocycle when psi1 - psi2 is no cocycle, then NotVerified when the
+    first deformation fails the checker; returns None when the difference is
+    a cocycle but not a coboundary.
 
-    The certificate is then verified as the exact identity
-    f_t( Y_t^(1)(u)_n v ) = Y_t^(2)( f_t u )_n ( f_t v ) on all basis pairs
-    and window modes; nothing is truncated or approximated.
+    Only the first deformation is checked; the second passes by linearity.
+    Over Q[t]/(t^2) each residual of Y + t psi is R0 + t L(psi), with R0 V's
+    own residual and L the fiber part of the adjoint extension's residual,
+    which is_coboundary reads.  So the first passing and the cocycle
+    difference give L(psi2) = 0.  The certificate is then verified as the
+    exact identity f_t( Y_t^(1)(u)_n v ) = Y_t^(2)( f_t u )_n ( f_t v ) on all
+    basis pairs and window modes; nothing is truncated or approximated.
     """
-    _require_same_base(defm1.base, defm2.base, "deformations")
-    V = defm1.base
-    sp = V.space
-    W = defm1.psi.W
-    g = is_coboundary(V, W, defm1.psi - defm2.psi)
+    V = psi1.V
+    if not V.same_content(psi2.V):
+        raise ValueError("deformations live over different algebras")
+    defm1, defm2 = build_deformation(V, psi1), build_deformation(V, psi2)
+    g = is_coboundary(V, VAModule(V.space, V.Y, translation_map(V)), psi1 - psi2)
     if check_all(defm1.deformed).verdict == "fail":
-        raise NotVerified("cannot compare an unverified deformation")
-    by_linearity = (W.Y_W.entries == V.Y.entries
-                    and W.T_W.columns == translation_map(V).columns
-                    and all(_same_table(d.deformed, build_deformation(V, d.psi).deformed)
-                            for d in (defm1, defm2)))
-    if not by_linearity and check_all(defm2.deformed).verdict == "fail":
         raise NotVerified("cannot compare an unverified deformation")
     if g is None:
         return None
@@ -412,7 +370,7 @@ def check_equivalence_deformations(
         if residual:
             raise RuntimeError(
                 "deformation equivalence failed exact verification "
-                f"at ({sp.label_of(u)}, {n}, {sp.label_of(v)})"
+                f"at ({V.space.label_of(u)}, {n}, {V.space.label_of(v)})"
             )
     return Equivalence(
         g=g, kind="deformation",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .axioms import check_all, intrinsic_T
+from .axioms import check_all, translation_map
 from .scalars import binom, exact, inv_factorial
 from .spaces import (
     GradedMap,
@@ -331,7 +331,8 @@ def adjoint_module(V: VertexAlgebra) -> VAModule:
             f"cannot take the adjoint module: {len(report.failed)} axiom "
             "instance(s) fail on the algebra itself"
         )
-    return VAModule(V.space, V.Y, intrinsic_T(V))
+    # check_all covered creation, so the mode-derived map is intrinsic_T(V)
+    return VAModule(V.space, V.Y, translation_map(V))
 
 
 PRESETS: dict[str, object] = {

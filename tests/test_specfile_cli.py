@@ -459,8 +459,8 @@ def test_cli_equiv_rejects_non_cocycles(tmp_path, capsys):
         assert main(["equiv", "--preset", "dual-numbers", "--kind", kind,
                      "--psi", str(bad), "--psi2", str(zero)]) == 1
         assert "failure:" in capsys.readouterr().err
-    # a non-cocycle second extension fails too, though it is checked only
-    # structurally: the difference is then no cocycle
+    # a non-cocycle second extension fails too, though only the first is
+    # verified: the difference is then no cocycle
     assert main(["equiv", "--preset", "dual-numbers", "--psi", str(zero),
                  "--psi2", str(bad)]) == 1
     captured = capsys.readouterr()
@@ -480,17 +480,44 @@ def test_cli_equiv_refuses_two_unverified_deformations(tmp_path, capsys):
     assert captured.err == "failure: cannot compare an unverified deformation\n"
 
 
+def test_cli_equiv_deformation_does_not_depend_on_a_module(tmp_path, capsys):
+    # psi = delta g for g: eps -> one under the dual numbers' own action; a
+    # module with V's labels on which eps acts by zero would read it otherwise
+    dual = tmp_path / "dual.txt"
+    assert main(["dump-preset", "dual-numbers", "--out", str(dual)]) == 0
+    mod = tmp_path / "mod.txt"
+    mod.write_text("[MODULE_BASIS]\none 0\neps 0\n\n"
+                   "[MODULE_MODES]\none -1 one -> 1*one\none -1 eps -> 1*eps\n")
+    psi = tmp_path / "psi.txt"
+    psi.write_text("[PSI]\neps -1 eps -> 2*eps\n")
+    zero = tmp_path / "zero.txt"
+    zero.write_text("[PSI]\n")
+    assert main(["check", str(dual), "--module", str(mod)]) == 0
+    capsys.readouterr()
+    args = ["equiv", str(dual), "--kind", "deformation", "--psi", str(psi),
+            "--psi2", str(zero)]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "equivalent (deformation): f_t = 1 + t g carries deformation 1 to deformation 2",
+        "shear: {'eps': {'one': '1'}}",
+    ]
+    assert main(args + ["--module", str(mod)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_exits_quietly_when_stdout_closes_early():
     # the cutoff-3 report is far larger than a pipe buffer, so the writer is
     # still writing when the reader goes away
     src = Path(vertexcoh.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "vertexcoh.cli", "check", "--preset", "free-boson",
          "--cutoff", "3", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(80).startswith(b'{"command": "check"')
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 1
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(80).startswith(b'{"command": "check"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
