@@ -21,7 +21,9 @@ Verdicts: "fail" iff any instance failed; "pass" requires no skips;
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 from dataclasses import dataclass, field
 
 from .scalars import binom
@@ -67,12 +69,6 @@ class AxiomReport:
             return "pass-within-window"
         return "pass"
 
-    def merge(self, other: "AxiomReport") -> "AxiomReport":
-        self.passed.extend(other.passed)
-        self.failed.extend(other.failed)
-        self.skipped.extend(other.skipped)
-        return self
-
     def passed_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for axiom, _inst in self.passed:
@@ -86,19 +82,48 @@ class AxiomReport:
         )
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its prior state on exit.
+
+    For building reports: they hold acyclic tuples only, so collections that
+    run while one grows would find nothing to free and traverse it again
+    and again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _record(report: AxiomReport, space, generator) -> None:
     """Drain an instance generator into a report, labeling residuals.
 
     The generator yields (axiom, instance, result) where result is a residual
-    vector (empty = passed) or a TruncationBreach (skipped).
+    vector (empty = passed) or a TruncationBreach (skipped).  The skips of
+    one offending weight share one immutable reason tuple, so a report does
+    not hold a copy per skip, and the cyclic garbage collector is paused
+    while the report grows (see _gc_paused).
     """
-    for axiom, inst, result in generator:
-        if isinstance(result, TruncationBreach):
-            report.skipped.append((axiom, inst, ("TruncationBreach", result.weight)))
-        elif result:
-            report.failed.append((axiom, inst, space.describe(result)))
-        else:
-            report.passed.append((axiom, inst))
+    passed, failed, skipped = (
+        report.passed.append, report.failed.append, report.skipped.append
+    )
+    reasons: dict[int, tuple[str, int]] = {}
+    with _gc_paused():
+        for axiom, inst, result in generator:
+            if isinstance(result, TruncationBreach):
+                weight = result.weight
+                reason = reasons.get(weight)
+                if reason is None:
+                    reason = reasons[weight] = ("TruncationBreach", weight)
+                skipped((axiom, inst, reason))
+            elif result:
+                failed((axiom, inst, space.describe(result)))
+            else:
+                passed((axiom, inst))
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +232,12 @@ def _gen_translation(Y: ModeFamily, T: GradedMap, T_act: GradedMap,
                     yield f"{axiom}-bracket", inst, breach
 
 
-def _gen_skew(V: VertexAlgebra, tmap: GradedMap):
+def _gen_skew(V: VertexAlgebra, tmap: GradedMap, tier: str):
+    """u_n v against the skew expansion, plus the depth-1 fringe when ``tier``
+    is truncated."""
     sp, Y = V.space, V.Y
     adjoint = VAModule(sp, Y, tmap)
-    fringe = 1 if sp.tier == "truncated" else 0
+    fringe = 1 if tier == "truncated" else 0
     for u in range(len(sp)):
         wu = sp.weight_of(u)
         lu = sp.label_of(u)
@@ -392,7 +419,7 @@ def check_skew_symmetry(V: VertexAlgebra, report: AxiomReport | None = None,
     """u_n v agrees with the skew expansion of v acting back on u."""
     report = report if report is not None else AxiomReport()
     tmap = tmap if tmap is not None else translation_map(V)
-    _record(report, V.space, _gen_skew(V, tmap))
+    _record(report, V.space, _gen_skew(V, tmap, V.space.tier))
     return report
 
 

@@ -361,8 +361,12 @@ def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
     Returns {(axiom, instance, fiber label): coefficient} over the checker's
     deterministic instance enumeration; empty means the extension passes
     within its window.  Instances the truncation makes unverifiable are
-    breaches, i.e. skipped — they contribute no coordinates.  Linearity in
-    psi holds because the fiber squares to zero.
+    breaches, i.e. skipped — they contribute no coordinates.  So the pass
+    covers the window only: skew-symmetry and Jacobi are enumerated as on an
+    exact tier, without check_all's depth-1 fringe, whose instances all need
+    a state of weight cutoff + 1 and always breach.  The instances evaluated,
+    and their order, are those of the full enumeration.  Linearity in psi
+    holds because the fiber squares to zero.
     """
     from .axioms import (
         _gen_creation,
@@ -386,8 +390,8 @@ def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
         _gen_identity(total.Y, total.vacuum),
         _gen_creation(total),
         _gen_translation(total.Y, tmap, tmap),
-        _gen_skew(total, tmap),
-        _gen_jacobi(total.Y, total.Y, total.space.tier),
+        _gen_skew(total, tmap, "exact"),
+        _gen_jacobi(total.Y, total.Y, "exact"),
     )
     for gen in generators:
         for axiom, inst, result in gen:
@@ -476,6 +480,23 @@ def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     )
 
 
+def _solve_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap | None:
+    """The canonical g with psi = delta g, or None; psi is not checked first.
+
+    Without is_coboundary's residual check nothing forces g to kill the
+    vacuum, so a caller that needs a vacuum-killing shear tests g(vacuum).
+    """
+    psi_slots = psi.slots()
+    rhs = [psi_slots.get(slot, 0) for slot in cochain_slots(V, W)]
+    solution = solve_affine(derivation_system(V, W), rhs)
+    if solution is None:
+        return None
+    gmap = GradedMap(V.space, W.space, 0)
+    for (_f, src, tgt), c in solution.items():
+        gmap.set_entry(tgt, src, c)
+    return gmap
+
+
 def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap | None:
     """Solve psi = delta g over vacuum-killing g; None when no solution exists.
 
@@ -486,15 +507,6 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
     residual = cocycle_residual(V, W, psi)
     if any(residual.values()):
         raise NotACocycle(sorted(residual))
-
     # the residual check leaves psi(1, -1, 1) = 0 and W's identity axiom, so
     # the vacuum rows read f(1) = 0 and the canonical solution kills the vacuum
-    psi_slots = psi.slots()
-    rhs = [psi_slots.get(slot, 0) for slot in cochain_slots(V, W)]
-    solution = solve_affine(derivation_system(V, W), rhs)
-    if solution is None:
-        return None
-    gmap = GradedMap(V.space, W.space, 0)
-    for (_f, src, tgt), c in solution.items():
-        gmap.set_entry(tgt, src, c)
-    return gmap
+    return _solve_coboundary(V, W, psi)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,13 @@ import pytest
 from vertexcoh.axioms import (
     AxiomReport,
     CreationFailed,
+    _gen_creation,
+    _gen_grading,
+    _gen_identity,
+    _gen_jacobi,
+    _gen_skew,
+    _gen_translation,
+    _record,
     check_all,
     check_creation,
     check_identity,
@@ -20,7 +28,7 @@ from vertexcoh.axioms import (
     translation_map,
 )
 from vertexcoh.presets import adjoint_module, build_preset, truncated_free_boson
-from vertexcoh.spaces import GradedSpace, build_vertex_algebra
+from vertexcoh.spaces import GradedSpace, TruncationBreach, build_vertex_algebra
 
 F = Fraction
 
@@ -188,13 +196,89 @@ def test_boson_level2_passes_within_window():
 
 def test_report_merge_and_verdict_precedence():
     good = check_all(build_preset("trivial"))
-    rep = AxiomReport()
-    rep.merge(good)
+    rep = AxiomReport(list(good.passed), list(good.failed), list(good.skipped))
     assert rep.verdict == "pass"
     rep.skipped.append(("jacobi", ("x",), ("TruncationBreach", 9)))
     assert rep.verdict == "pass-within-window"
     rep.failed.append(("jacobi", ("x",), {"one": F(1)}))
     assert rep.verdict == "fail"
+
+
+def _reference_record(report, space, generator):
+    """The drain as first written: one reason tuple per skip."""
+    for axiom, inst, result in generator:
+        if isinstance(result, TruncationBreach):
+            report.skipped.append((axiom, inst, ("TruncationBreach", result.weight)))
+        elif result:
+            report.failed.append((axiom, inst, space.describe(result)))
+        else:
+            report.passed.append((axiom, inst))
+
+
+def _fragments(V):
+    """check_all's generators, in check_all's order."""
+    tmap, tier = translation_map(V), V.space.tier
+    return (_gen_grading(V), _gen_identity(V.Y, V.vacuum), _gen_creation(V),
+            _gen_translation(V.Y, tmap, tmap), _gen_skew(V, tmap, tier),
+            _gen_jacobi(V.Y, V.Y, tier))
+
+
+def test_record_drains_like_the_reference():
+    V = build_preset("free-boson", 4)
+    vac = V.space.label_of(V.vacuum)
+    table = V.entries_by_labels()
+    key = next(k for k in table if vac not in (k[0], k[2]) and k[1] == 0)
+    table[key] = {t: 3 * c for t, c in table[key].items()}
+    for alg in (V, _rebuild_with(V, table)):
+        new, ref = AxiomReport(), AxiomReport()
+        for gen in _fragments(alg):
+            def teed():                      # one pass feeds both drains
+                for item in gen:
+                    _reference_record(ref, alg.space, (item,))
+                    yield item
+            _record(new, alg.space, teed())
+        assert new.passed == ref.passed
+        assert new.failed == ref.failed
+        assert new.skipped == ref.skipped
+        assert new.skipped and (alg is V) == (not new.failed)
+    # every boson skip breaks at cutoff + 1, so mix offending weights here
+    mixed = [("jacobi", (i,), TruncationBreach(w)) for i, w in enumerate((5, 6, 5, 7, 6))]
+    mixed += [("identity", ("x",), {0: F(1, 2)}), ("identity", ("y",), {})]
+    new, ref = AxiomReport(), AxiomReport()
+    _record(new, V.space, iter(mixed))
+    _reference_record(ref, V.space, mixed)
+    assert (new.passed, new.failed, new.skipped) == (ref.passed, ref.failed, ref.skipped)
+
+
+def test_skips_of_one_weight_share_one_reason():
+    # one reason tuple per offending weight and check fragment
+    rep = check_all(build_preset("free-boson", 3))
+    shared: dict = {}
+    for axiom, _inst, reason in rep.skipped:
+        fragment = axiom.split("-")[0]       # translation-shift, -bracket: one
+        assert shared.setdefault((fragment, reason[1]), reason) is reason
+    assert set(shared) == {("jacobi", 4), ("skew", 4), ("translation", 4)}
+    assert all(reason == ("TruncationBreach", 4) for reason in shared.values())
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_record_restores_the_collector_when_a_generator_raises(enabled):
+    seen = []
+
+    def failing():
+        seen.append(gc.isenabled())
+        yield "identity", ("x",), {}
+        raise RuntimeError("generator fails mid-drain")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError):
+            _record(AxiomReport(), build_preset("trivial").space, failing())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]                   # paused while draining
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,15 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
-from vertexcoh.axioms import check_all, translation_map
+from vertexcoh.axioms import (
+    _gen_creation,
+    _gen_identity,
+    _gen_jacobi,
+    _gen_skew,
+    _gen_translation,
+    check_all,
+    translation_map,
+)
 from vertexcoh.cohomology import (
     ModuleAxiomsFail,
     NotACocycle,
@@ -39,6 +47,7 @@ from vertexcoh.scalars import JetScalar
 from vertexcoh.spaces import (
     GradedMap,
     ModeFamily,
+    TruncationBreach,
     VAModule,
     mode_apply,
     skew_mode,
@@ -274,6 +283,51 @@ def test_cocycle_residual_is_linear():
             keys = set(rp) | set(rq) | set(rs)
             for k in keys:
                 assert rs.get(k, F(0)) == rp.get(k, F(0)) + rq.get(k, F(0))
+
+
+def _residual_with_the_fringe(V, W, psi):
+    """cocycle_residual as check_all enumerates it: the depth-1 fringe
+    included, its breaches dropped.  Also returns how many breaches it saw."""
+    ext = build_extension(V, W, psi)
+    total = ext.total
+    tmap = translation_map(total)
+    tier = total.space.tier
+    fiber_of_total = {ti: wi for wi, ti in enumerate(ext.fiber_to_total)}
+    out, breaches = {}, 0
+    for gen in (_gen_identity(total.Y, total.vacuum), _gen_creation(total),
+                _gen_translation(total.Y, tmap, tmap), _gen_skew(total, tmap, tier),
+                _gen_jacobi(total.Y, total.Y, tier)):
+        for axiom, inst, result in gen:
+            if isinstance(result, TruncationBreach):
+                breaches += 1
+                continue
+            for t, c in result.items():
+                wi = fiber_of_total.get(t)
+                if wi is not None and c:
+                    out[(axiom, inst, W.space.label_of(wi))] = c
+    return out, breaches
+
+
+@pytest.mark.parametrize(
+    "name, cutoff",
+    [(p, c) for p in EXACT_PRESETS for c in (None, 3)]
+    + [("free-boson", c) for c in (1, 2, 3)])
+def test_window_only_residual_equals_the_fringe_enumeration(name, cutoff):
+    # cocycle_residual skips the fringe, whose instances only ever breach: the
+    # coordinates, their values and their order must be unchanged
+    rng = random.Random(f"window:{name}:{cutoff}")
+    V, W = _setting(name, cutoff)
+    slots = cochain_slots(V, W)
+    dense = TwoCochain.from_slots(
+        V, W, {s: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) for s in slots})
+    cochains = [dense] + [coboundary(V, W, g) for g in vacuum_killing_basis(V, W)[:1]]
+    for psi in cochains:
+        got = cocycle_residual(V, W, psi)
+        want, breaches = _residual_with_the_fringe(V, W, psi)
+        assert list(got.items()) == list(want.items())
+        assert got or psi is not dense       # a dense random cochain breaks something
+        if V.space.tier == "truncated":
+            assert breaches                  # the fringe was there to skip
 
 
 @pytest.mark.parametrize("name", EXACT_PRESETS)

@@ -242,9 +242,7 @@ def test_unverified_extensions_cannot_be_compared():
             check_equivalence_extensions(*pair)
 
 
-def test_equivalent_extensions_take_two_checker_passes(monkeypatch):
-    # ext1 is checked in full, is_coboundary checks the difference, and ext2
-    # passes by linearity: one check_all and one cocycle_residual in all
+def _count_checker_passes(monkeypatch) -> dict:
     calls = {"check_all": 0, "cocycle_residual": 0}
 
     def counted(module, name):
@@ -257,11 +255,28 @@ def test_equivalent_extensions_take_two_checker_passes(monkeypatch):
 
     counted(extensions, "check_all")
     counted(cohomology, "cocycle_residual")
+    return calls
+
+
+def test_equivalent_extensions_take_two_checker_passes(monkeypatch):
+    # ext1 is checked in full and the verified certificate proves the rest:
+    # one check_all and no cocycle_residual in all
+    calls = _count_checker_passes(monkeypatch)
     V = build_preset("free-boson", 2)
     W = adjoint_module(V)
     g = vacuum_killing_basis(V, W)[0]
     res = check_equivalence_extensions(coboundary(V, W, g), TwoCochain.zero(V, W))
     assert res is not None and res.g.columns == g.columns
+    assert calls == {"check_all": 1, "cocycle_residual": 0}
+
+
+def test_inequivalent_extensions_take_one_cocycle_pass(monkeypatch):
+    # no shear solves the dual numbers' class, so is_coboundary explains the
+    # "no" with one cocycle pass over the difference
+    calls = _count_checker_passes(monkeypatch)
+    V, W = _setting("dual-numbers")
+    rep = TwoCochain.from_entries(V, W, {("eps", -1, "eps"): {"one": F(1)}})
+    assert check_equivalence_extensions(rep, TwoCochain.zero(V, W)) is None
     assert calls == {"check_all": 1, "cocycle_residual": 1}
 
 
