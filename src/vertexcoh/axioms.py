@@ -21,9 +21,7 @@ Verdicts: "fail" iff any instance failed; "pass" requires no skips;
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import gc
 from dataclasses import dataclass, field
 
 from .scalars import binom
@@ -82,48 +80,29 @@ class AxiomReport:
         )
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, restoring its prior state on exit.
-
-    For building reports: they hold acyclic tuples only, so collections that
-    run while one grows would find nothing to free and traverse it again
-    and again.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _record(report: AxiomReport, space, generator) -> None:
     """Drain an instance generator into a report, labeling residuals.
 
     The generator yields (axiom, instance, result) where result is a residual
     vector (empty = passed) or a TruncationBreach (skipped).  The skips of
     one offending weight share one immutable reason tuple, so a report does
-    not hold a copy per skip, and the cyclic garbage collector is paused
-    while the report grows (see _gc_paused).
+    not hold a copy per skip.
     """
     passed, failed, skipped = (
         report.passed.append, report.failed.append, report.skipped.append
     )
     reasons: dict[int, tuple[str, int]] = {}
-    with _gc_paused():
-        for axiom, inst, result in generator:
-            if isinstance(result, TruncationBreach):
-                weight = result.weight
-                reason = reasons.get(weight)
-                if reason is None:
-                    reason = reasons[weight] = ("TruncationBreach", weight)
-                skipped((axiom, inst, reason))
-            elif result:
-                failed((axiom, inst, space.describe(result)))
-            else:
-                passed((axiom, inst))
+    for axiom, inst, result in generator:
+        if isinstance(result, TruncationBreach):
+            weight = result.weight
+            reason = reasons.get(weight)
+            if reason is None:
+                reason = reasons[weight] = ("TruncationBreach", weight)
+            skipped((axiom, inst, reason))
+        elif result:
+            failed((axiom, inst, space.describe(result)))
+        else:
+            passed((axiom, inst))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from pathlib import Path
 from .axioms import (
     AxiomReport,
     CreationFailed,
-    _gc_paused,
     check_all,
     check_module,
     translation_map,
@@ -99,19 +98,18 @@ def _coeffs(vec: dict) -> dict:
 
 
 def _report_data(rep: AxiomReport) -> dict:
-    with _gc_paused():      # acyclic dicts, one per failed or skipped instance
-        return {
-            "verdict": rep.verdict,
-            "passed": rep.passed_counts(),
-            "failed": [
-                {"axiom": a, "instance": inst, "residual": _coeffs(res)}
-                for a, inst, res in rep.failed
-            ],
-            "skipped": [
-                {"axiom": a, "instance": inst, "reason": why}
-                for a, inst, why in rep.skipped
-            ],
-        }
+    return {
+        "verdict": rep.verdict,
+        "passed": rep.passed_counts(),
+        "failed": [
+            {"axiom": a, "instance": inst, "residual": _coeffs(res)}
+            for a, inst, res in rep.failed
+        ],
+        "skipped": [
+            {"axiom": a, "instance": inst, "reason": why}
+            for a, inst, why in rep.skipped
+        ],
+    }
 
 
 def _map_data(g: GradedMap) -> dict:

@@ -480,21 +480,11 @@ def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     )
 
 
-def _solve_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap | None:
-    """The canonical g with psi = delta g, or None; psi is not checked first.
-
-    Without is_coboundary's residual check nothing forces g to kill the
-    vacuum, so a caller that needs a vacuum-killing shear tests g(vacuum).
-    """
-    psi_slots = psi.slots()
-    rhs = [psi_slots.get(slot, 0) for slot in cochain_slots(V, W)]
-    solution = solve_affine(derivation_system(V, W), rhs)
-    if solution is None:
-        return None
-    gmap = GradedMap(V.space, W.space, 0)
-    for (_f, src, tgt), c in solution.items():
-        gmap.set_entry(tgt, src, c)
-    return gmap
+def _require_cocycle(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> None:
+    """Raise NotACocycle unless the extension along psi passes within its window."""
+    residual = cocycle_residual(V, W, psi)
+    if any(residual.values()):
+        raise NotACocycle(sorted(residual))
 
 
 def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap | None:
@@ -503,10 +493,28 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
     Raises NotACocycle when psi is not a cocycle in the first place (nonzero
     extension residual): asking whether a non-cocycle is a coboundary is a
     category error, not a "no".
+
+    The solve comes first, and the cocycle pass runs only to explain a "no".
+    A vacuum-killing g with delta g = psi on every cochain slot makes
+    h(v, w) = (v, w + g(v)) an exact degree-0 isomorphism, fixing the
+    vacuum, from the split extension onto the one along psi.  When V and W
+    pass the checker the split extension passes, so the one along psi passes
+    too and psi is a cocycle.  So on such V and W the answer is that of the
+    cocycle pass followed by the solve.  On a V or W that fails the checker,
+    a solvable psi gets its g rather than NotACocycle; a caller that has not
+    verified them runs the cocycle pass itself where the difference matters.
     """
-    residual = cocycle_residual(V, W, psi)
-    if any(residual.values()):
-        raise NotACocycle(sorted(residual))
+    psi_slots = psi.slots()
+    rhs = [psi_slots.get(slot, 0) for slot in cochain_slots(V, W)]
+    solution = solve_affine(derivation_system(V, W), rhs)
+    gmap = None
+    if solution is not None:
+        gmap = GradedMap(V.space, W.space, 0)
+        for (_f, src, tgt), c in solution.items():
+            gmap.set_entry(tgt, src, c)
+        if not gmap.column(V.vacuum):
+            return gmap
+    _require_cocycle(V, W, psi)
     # the residual check leaves psi(1, -1, 1) = 0 and W's identity axiom, so
-    # the vacuum rows read f(1) = 0 and the canonical solution kills the vacuum
-    return _solve_coboundary(V, W, psi)
+    # the vacuum rows read f(1) = 0 and every solution kills the vacuum
+    return gmap

@@ -21,8 +21,8 @@ then verified *exactly* — as a total-space isomorphism commuting with the
 projections for extensions, and as the identity f_t = 1 + t g over dual
 numbers for deformations.  A verified certificate is the proof: an exact
 isomorphism from a verified structure onto the second one makes the
-difference a cocycle.  The cocycle pass over the difference runs only to
-explain a "no".
+difference a cocycle.  So the shear is solved for first, and the cocycle
+pass over the difference runs only to explain a "no".
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .axioms import AxiomReport, check_all, translation_map
 from .cohomology import (
     NotACocycle,
     TwoCochain,
-    _solve_coboundary,
+    _require_cocycle,
     is_coboundary,
     right_action,
 )
@@ -278,14 +278,46 @@ class Equivalence:
     note: str
 
 
-def _extension_certificate_failure(ext1: SquareZeroExtension, ext2: SquareZeroExtension,
-                                   g: GradedMap) -> str | None:
-    """Verify h(v, w) = (v, w + g(v)) from ext1's total onto ext2's, exactly.
+def check_equivalence_extensions(psi1: TwoCochain, psi2: TwoCochain) -> Equivalence | None:
+    """Find and verify h(v, w) = (v, w + g(v)) between the extensions along psi1, psi2.
 
-    h must be a homomorphism on all basis pairs and window modes, commute
-    with both projections and inclusions, and keep the vacuum.  Returns None
-    when all hold, else the first failure's message.
+    Both cochains map V x V into the same module W; ValueError otherwise.
+    Returns None when psi1 - psi2 is a cocycle but not a coboundary (the
+    extensions are genuinely inequivalent); raises NotVerified when the
+    extensions fail verification.
+
+    Only the first extension is verified, and a verified certificate proves
+    the rest.  Once the first passes, V and W pass (they are its quotient and
+    its ideal), so is_coboundary solves psi1 - psi2 = delta g without a
+    cocycle pass.  h is then checked exactly: an exact degree-0 isomorphism
+    (inverse (v, w) -> (v, w - g(v))) from a verified total onto the second,
+    carrying each axiom instance to one of the same weights.  So the second
+    extension passes too, psi1 - psi2 = delta g is a cocycle, and the answer
+    is "equivalent" with no cocycle pass.
+
+    A "no" comes from is_coboundary's cocycle pass on the difference.  The
+    residuals of the total built along psi are R0 + L(psi), L linear,
+    because the fiber squares to zero, and the structural checks do not read
+    psi.  So if the first passes, R0 = L(psi1) = 0; if psi1 - psi2 is also a
+    cocycle, L(psi2) = 0 and the second passes, and if it is not, the second
+    fails.  Skips do not depend on psi (see compute_z2).
     """
+    V, W = psi1.V, psi1.W
+    if not (V.same_content(psi2.V) and W.space.labels == psi2.W.space.labels
+            and W.Y_W.entries == psi2.W.Y_W.entries):
+        raise ValueError("extensions live over different algebras or modules")
+    ext1 = build_extension(V, W, psi1)
+    if verify_extension(ext1).verdict == "fail":
+        raise NotVerified("cannot compare an unverified extension")
+    try:
+        g = is_coboundary(V, W, psi1 - psi2)
+    except NotACocycle:
+        raise NotVerified("cannot compare an unverified extension") from None
+    if g is None:
+        return None
+
+    # exact verification of the certificate on the total spaces
+    ext2 = build_extension(V, W, psi2)
     total1, total2 = ext1.total, ext2.total
     tsp = total1.space
 
@@ -297,94 +329,25 @@ def _extension_certificate_failure(ext1: SquareZeroExtension, ext2: SquareZeroEx
 
     for a, n, b, residual in _homomorphism_residuals(h, total1.Y, total2.Y):
         if residual:
-            return ("equivalence certificate failed exact verification "
-                    f"at ({tsp.label_of(a)}, {n}, {tsp.label_of(b)})")
+            raise RuntimeError(
+                "equivalence certificate failed exact verification "
+                f"at ({tsp.label_of(a)}, {n}, {tsp.label_of(b)})"
+            )
     for a in range(len(tsp)):                  # commuting diagram, both legs
         avec = {a: 1}
         if ext2.proj.apply(h(avec)) != ext1.proj.apply(avec):
-            return "projection leg of the diagram failed"
-    for w in range(len(ext1.fiber.space)):
+            raise RuntimeError("projection leg of the diagram failed")
+    for w in range(len(W.space)):
         wvec = {w: 1}
         if h(ext1.incl.apply(wvec)) != ext2.incl.apply(wvec):
-            return "inclusion leg of the diagram failed"
+            raise RuntimeError("inclusion leg of the diagram failed")
     if h(total1.vacuum_vec()) != total2.vacuum_vec():
-        return "equivalence does not preserve the vacuum"
-    return None
+        raise RuntimeError("equivalence does not preserve the vacuum")
 
-
-def check_equivalence_extensions(psi1: TwoCochain, psi2: TwoCochain) -> Equivalence | None:
-    """Find and verify h(v, w) = (v, w + g(v)) between the extensions along psi1, psi2.
-
-    Both cochains map V x V into the same module W; ValueError otherwise.
-    Returns None when psi1 - psi2 is a cocycle but not a coboundary (the
-    extensions are genuinely inequivalent); raises NotVerified when the
-    extensions fail verification.
-
-    Only the first extension is verified in full, and a verified certificate
-    proves the rest.  Once the first passes, psi1 - psi2 = delta g is solved
-    directly.  If g kills the vacuum and h passes the certificate check, h is
-    an exact degree-0 isomorphism (inverse (v, w) -> (v, w - g(v))) from a
-    verified total onto the second, carrying each axiom instance to one of
-    the same weights.  So the second extension passes too, psi1 - psi2 =
-    delta g is a cocycle, and the answer is "equivalent" with no cocycle pass.
-
-    Any other outcome (no solution, g(vacuum) != 0, a failed certificate)
-    takes the path that explains a "no": is_coboundary's cocycle pass on the
-    difference, then the certificate again.  There the second extension
-    passes by linearity: the residuals of the total along psi are
-    R0 + L(psi), L linear, because the fiber squares to zero, and the
-    structural checks do not read psi.  So the first passing gives
-    R0 = L(psi1) = 0, and L(psi2) = 0 exactly when the difference is a
-    cocycle.  Skips do not depend on psi (see compute_z2).
-    """
-    V, W = psi1.V, psi1.W
-    if not (V.same_content(psi2.V) and W.space.labels == psi2.W.space.labels
-            and W.Y_W.entries == psi2.W.Y_W.entries):
-        raise ValueError("extensions live over different algebras or modules")
-    ext1 = build_extension(V, W, psi1)
-    if verify_extension(ext1).verdict == "fail":
-        raise NotVerified("cannot compare an unverified extension")
-    ext2 = build_extension(V, W, psi2)
-    diff = psi1 - psi2
-    g = _solve_coboundary(V, W, diff)
-    if (g is None or g.column(V.vacuum)
-            or _extension_certificate_failure(ext1, ext2, g) is not None):
-        try:
-            g = is_coboundary(V, W, diff)
-        except NotACocycle:
-            raise NotVerified("cannot compare an unverified extension") from None
-        if g is None:
-            return None
-        failure = _extension_certificate_failure(ext1, ext2, g)
-        if failure is not None:
-            raise RuntimeError(failure)
     return Equivalence(
         g=g, kind="extension",
         note="h(v, w) = (v, w + g(v)) from total space 1 to total space 2",
     )
-
-
-def _deformation_certificate_failure(defm1: Deformation, defm2: Deformation,
-                                     g: GradedMap) -> str | None:
-    """Verify f_t = 1 + t g from defm1 onto defm2, exactly over the jets.
-
-    Returns None when f_t( Y_t^(1)(u)_n v ) = Y_t^(2)( f_t u )_n ( f_t v )
-    holds on all basis pairs and window modes, else the first failure's
-    message.
-    """
-    sp = defm1.base.space
-
-    def f_t(vec: dict) -> dict:
-        out = dict(vec)
-        viadd(out, JetScalar(0, {0: 1}), g.apply(vec))
-        return out
-
-    residuals = _homomorphism_residuals(f_t, defm1.deformed.Y, defm2.deformed.Y)
-    for u, n, v, residual in residuals:
-        if residual:
-            return ("deformation equivalence failed exact verification "
-                    f"at ({sp.label_of(u)}, {n}, {sp.label_of(v)})")
-    return None
 
 
 def check_equivalence_deformations(psi1: TwoCochain, psi2: TwoCochain) -> Equivalence | None:
@@ -398,23 +361,22 @@ def check_equivalence_deformations(psi1: TwoCochain, psi2: TwoCochain) -> Equiva
     a cocycle but not a coboundary.
 
     Only the first deformation is checked, and a verified certificate proves
-    the rest.  psi1 - psi2 = delta g is solved directly.  If g kills the
-    vacuum, the first deformed table passes the checker, and f_t passes the
-    certificate check, the exact identity
-    f_t( Y_t^(1)(u)_n v ) = Y_t^(2)( f_t u )_n ( f_t v ) on all basis pairs
-    and window modes, then f_t is an exact degree-0 isomorphism over
+    the rest.  is_coboundary solves psi1 - psi2 = delta g first.  If the
+    first deformed table passes, so does V, and f_t is then checked as the
+    exact identity f_t( Y_t^(1)(u)_n v ) = Y_t^(2)( f_t u )_n ( f_t v ) on
+    all basis pairs and window modes: an exact degree-0 isomorphism over
     Q[t]/(t^2) (inverse 1 - t g) from a verified table onto the second,
     fixing the vacuum.  So the second deformation passes too, psi1 - psi2 =
-    delta g is a cocycle, and the answer is "equivalent" with no cocycle pass.
+    delta g is a cocycle, and the answer is "equivalent" with no cocycle
+    pass.  Nothing is truncated or approximated.
 
-    Any other outcome takes the path that explains a "no", reusing the first
-    deformation's report: is_coboundary's cocycle pass on the difference,
-    then that report's verdict, then the certificate again.  There the second
+    A "no" comes from is_coboundary's cocycle pass on the difference; when
+    the first deformation fails after a shear was found, that pass runs
+    here, so that a non-cocycle difference is reported first.  The second
     passes by linearity: over Q[t]/(t^2) each residual of Y + t psi is
     R0 + t L(psi), with R0 V's own residual and L the fiber part of the
-    adjoint extension's residual, which is_coboundary reads.  So the first
-    passing and the cocycle difference give L(psi2) = 0.  Nothing is
-    truncated or approximated.
+    adjoint extension's residual, which the cocycle pass reads.  So the
+    first passing and the cocycle difference give L(psi2) = 0.
     """
     V = psi1.V
     if not V.same_content(psi2.V):
@@ -422,22 +384,26 @@ def check_equivalence_deformations(psi1: TwoCochain, psi2: TwoCochain) -> Equiva
     defm1, defm2 = build_deformation(V, psi1), build_deformation(V, psi2)
     adjoint = VAModule(V.space, V.Y, translation_map(V))
     diff = psi1 - psi2
-    g = _solve_coboundary(V, adjoint, diff)
-    report = None
-    if g is not None and not g.column(V.vacuum):
-        report = check_all(defm1.deformed)
-    if (report is None or report.verdict == "fail"
-            or _deformation_certificate_failure(defm1, defm2, g) is not None):
-        g = is_coboundary(V, adjoint, diff)
-        if report is None:
-            report = check_all(defm1.deformed)
-        if report.verdict == "fail":
-            raise NotVerified("cannot compare an unverified deformation")
-        if g is None:
-            return None
-        failure = _deformation_certificate_failure(defm1, defm2, g)
-        if failure is not None:
-            raise RuntimeError(failure)
+    g = is_coboundary(V, adjoint, diff)
+    if check_all(defm1.deformed).verdict == "fail":
+        if g is not None:            # found without the cocycle pass
+            _require_cocycle(V, adjoint, diff)
+        raise NotVerified("cannot compare an unverified deformation")
+    if g is None:
+        return None
+
+    def f_t(vec: dict) -> dict:
+        out = dict(vec)
+        viadd(out, JetScalar(0, {0: 1}), g.apply(vec))
+        return out
+
+    residuals = _homomorphism_residuals(f_t, defm1.deformed.Y, defm2.deformed.Y)
+    for u, n, v, residual in residuals:
+        if residual:
+            raise RuntimeError(
+                "deformation equivalence failed exact verification "
+                f"at ({V.space.label_of(u)}, {n}, {V.space.label_of(v)})"
+            )
     return Equivalence(
         g=g, kind="deformation",
         note="f_t = 1 + t g carries deformation 1 to deformation 2",

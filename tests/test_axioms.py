@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 from fractions import Fraction
 
 import pytest
@@ -259,26 +258,6 @@ def test_skips_of_one_weight_share_one_reason():
         assert shared.setdefault((fragment, reason[1]), reason) is reason
     assert set(shared) == {("jacobi", 4), ("skew", 4), ("translation", 4)}
     assert all(reason == ("TruncationBreach", 4) for reason in shared.values())
-
-
-@pytest.mark.parametrize("enabled", (True, False))
-def test_record_restores_the_collector_when_a_generator_raises(enabled):
-    seen = []
-
-    def failing():
-        seen.append(gc.isenabled())
-        yield "identity", ("x",), {}
-        raise RuntimeError("generator fails mid-drain")
-
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        with pytest.raises(RuntimeError):
-            _record(AxiomReport(), build_preset("trivial").space, failing())
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert seen == [False]                   # paused while draining
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Certificate-first equivalence against the path it replaces.
 
-``check_equivalence_extensions`` and ``check_equivalence_deformations`` solve
-psi1 - psi2 = delta g first and answer "equivalent" from a verified
+``is_coboundary`` solves psi = delta g first and runs the cocycle pass only
+when no vacuum-killing shear exists, so ``check_equivalence_extensions`` and
+``check_equivalence_deformations`` answer "equivalent" from a verified
 certificate, without a cocycle pass.  The references below are the sequence
-they replace, written with public calls: verify the first structure, run
-``is_coboundary`` on the difference, then check the certificate.  Verdict,
+they replace, written with public calls: verify the first structure, run the
+cocycle pass on the difference, solve, then check the certificate.  Verdict,
 shear, exception type and message must agree on every input.
 """
 
@@ -15,13 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from vertexcoh import extensions
+from vertexcoh import cohomology
 from vertexcoh.axioms import check_all, translation_map
 from vertexcoh.cohomology import (
     NotACocycle,
     TwoCochain,
     coboundary,
     cochain_slots,
+    cocycle_residual,
     compute_h2,
     is_coboundary,
     vacuum_killing_basis,
@@ -47,13 +49,21 @@ SETTINGS = (
 )
 
 
+def _residual_first(V, W, psi) -> GradedMap | None:
+    """is_coboundary as it was: the cocycle pass, then the solve."""
+    residual = cocycle_residual(V, W, psi)
+    if any(residual.values()):
+        raise NotACocycle(sorted(residual))
+    return is_coboundary(V, W, psi)         # a cocycle: the solve decides
+
+
 def _reference_extensions(psi1: TwoCochain, psi2: TwoCochain) -> Equivalence | None:
     V, W = psi1.V, psi1.W
     ext1 = build_extension(V, W, psi1)
     if verify_extension(ext1).verdict == "fail":
         raise NotVerified("cannot compare an unverified extension")
     try:
-        g = is_coboundary(V, W, psi1 - psi2)
+        g = _residual_first(V, W, psi1 - psi2)
     except NotACocycle:
         raise NotVerified("cannot compare an unverified extension") from None
     if g is None:
@@ -90,7 +100,7 @@ def _reference_extensions(psi1: TwoCochain, psi2: TwoCochain) -> Equivalence | N
 def _reference_deformations(psi1: TwoCochain, psi2: TwoCochain) -> Equivalence | None:
     V = psi1.V
     defm1, defm2 = build_deformation(V, psi1), build_deformation(V, psi2)
-    g = is_coboundary(V, VAModule(V.space, V.Y, translation_map(V)), psi1 - psi2)
+    g = _residual_first(V, VAModule(V.space, V.Y, translation_map(V)), psi1 - psi2)
     if check_all(defm1.deformed).verdict == "fail":
         raise NotVerified("cannot compare an unverified deformation")
     if g is None:
@@ -190,37 +200,54 @@ def test_fast_path_gives_the_answers_of_the_path_it_replaces(name, cutoff, kind)
     assert {"equivalent", "raises"} <= seen
 
 
-def _planted(monkeypatch, wrong):
-    """Replace the shortcut's solve by one returning ``wrong(V, W, g)``."""
+@pytest.mark.parametrize("name,cutoff", SETTINGS)
+def test_is_coboundary_answers_as_the_residual_first_sequence(name, cutoff):
+    V = build_preset(name, cutoff)
+    W = adjoint_module(V)
+    c = _cochains(name, cutoff, 1)
+
+    def outcome(solve, psi):
+        try:
+            g = solve(V, W, psi)
+        except NotACocycle as exc:
+            return ("raises", str(exc), exc.coords)
+        return None if g is None else g.columns
+    for key, psi in c.items():
+        assert outcome(is_coboundary, psi) == outcome(_residual_first, psi), key
+
+
+def _plant_doubled_solve(monkeypatch, vacuum) -> list:
+    """Make is_coboundary's solve return 2 g, or one elementary
+    vacuum-killing map where there is no solution."""
     calls = []
-    original = extensions._solve_coboundary
+    original = cohomology.solve_affine
 
-    def planted(V, W, psi):
-        calls.append(psi)
-        return wrong(V, W, original(V, W, psi))
-    monkeypatch.setattr(extensions, "_solve_coboundary", planted)
+    def planted(system, rhs):
+        calls.append(rhs)
+        solution = original(system, rhs)
+        if solution is None:
+            return {next(u for u in system.unknowns if u[1] != vacuum): 1}
+        return {uid: 2 * c for uid, c in solution.items()}
+    monkeypatch.setattr(cohomology, "solve_affine", planted)
     return calls
-
-
-def _doubled(V, W, g):
-    """2 g, or an elementary vacuum-killing map when there is no solution."""
-    if g is None:
-        return vacuum_killing_basis(V, W)[0]
-    out = GradedMap(V.space, W.space, 0)
-    for src, col in g.columns.items():
-        for tgt, c in col.items():
-            out.set_entry(tgt, src, 2 * c)
-    return out
 
 
 @pytest.mark.parametrize("name,cutoff", (("dual-numbers", None), ("free-boson", 2)))
 @pytest.mark.parametrize("kind", sorted(PAIRS))
-def test_a_wrong_shear_falls_back_to_the_old_answer(monkeypatch, name, cutoff, kind):
+def test_a_wrong_shear_is_never_called_equivalent(monkeypatch, name, cutoff, kind):
+    # the certificate, not the solve, decides "equivalent": a planted wrong
+    # shear gives the old answer or fails exact verification (2 g is right
+    # only where g = 0)
     check, reference = PAIRS[kind]
     c = _cochains(name, cutoff, 1)
     expected = {pair: _outcome(reference, c[pair[0]], c[pair[1]]) for pair in _pairs(c)}
-    calls = _planted(monkeypatch, _doubled)
+    calls = _plant_doubled_solve(monkeypatch, c["zero"].V.vacuum)
+    caught = 0
     for (a, b), want in expected.items():
-        assert _outcome(check, c[a], c[b]) == want, (a, b)
+        got = _outcome(check, c[a], c[b])
+        if got != want:
+            assert got[:2] == ("raises", RuntimeError), (a, b, got)
+            assert "failed exact verification" in got[2], (a, b, got)
+            caught += 1
     assert calls, "the planted solve was never consulted"
-    assert expected[("cob", "zero")][0] == "equivalent"
+    assert caught, "no planted shear reached the certificate"
