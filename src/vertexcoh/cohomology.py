@@ -507,7 +507,6 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
     psi_slots = psi.slots()
     rhs = [psi_slots.get(slot, 0) for slot in cochain_slots(V, W)]
     solution = solve_affine(derivation_system(V, W), rhs)
-    gmap = None
     if solution is not None:
         gmap = GradedMap(V.space, W.space, 0)
         for (_f, src, tgt), c in solution.items():
@@ -516,5 +515,5 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
             return gmap
     _require_cocycle(V, W, psi)
     # the residual check leaves psi(1, -1, 1) = 0 and W's identity axiom, so
-    # the vacuum rows read f(1) = 0 and every solution kills the vacuum
-    return gmap
+    # the vacuum rows read f(1) = 0: a solution would have killed the vacuum
+    return None
