@@ -32,7 +32,6 @@ from .linalg import (
     SubspaceNotContained,
     kernel_basis,
     quotient_dim,
-    rank,
     rref,
     solve_affine,
 )

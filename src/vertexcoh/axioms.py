@@ -117,15 +117,8 @@ def translation_map(V: VertexAlgebra) -> GradedMap:
     it is undefined on weights whose image would cross the cutoff.
     """
     sp = V.space
-    undefined = (
-        frozenset(w for w in sp.by_weight if w + 1 > sp.cutoff)
-        if sp.tier == "truncated"
-        else frozenset()
-    )
-    tmap = GradedMap(sp, sp, 1, undefined_source_weights=undefined)
+    tmap = GradedMap(sp, sp, 1)
     for v in range(len(sp)):
-        if sp.weight_of(v) in undefined:
-            continue
         vec = V.Y.entry(v, -2, V.vacuum)
         if vec:
             tmap.set_column(v, vec)

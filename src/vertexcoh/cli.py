@@ -33,7 +33,6 @@ from pathlib import Path
 
 from .axioms import (
     AxiomReport,
-    CreationFailed,
     check_all,
     check_module,
     translation_map,
@@ -490,8 +489,7 @@ def main(argv=None) -> int:
     except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MathError, ModuleAxiomsFail, NotACocycle, NotVerified,
-            CreationFailed) as exc:
+    except (MathError, ModuleAxiomsFail, NotACocycle, NotVerified) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import Echelon, LinearSystem, kernel_basis, quotient_dim, solve_affine
+from .linalg import Echelon, LinearSystem, SubspaceNotContained, kernel_basis, solve_affine
+from .linalg import quotient_dim  # unused; perfbench/tracer.py wraps cohomology.quotient_dim
 from .scalars import JetScalar, value_part
 from .spaces import (
     GradedMap,
@@ -449,9 +450,14 @@ def compute_z2(V: VertexAlgebra, W: VAModule) -> list[TwoCochain]:
 def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     """Cocycles, coboundaries, the quotient dimension, and representatives.
 
-    The coboundary candidates are delta of the elementary vacuum-killing maps
+    One elimination over the cochain slots reads all of them.  The
+    coboundary candidates are delta of the elementary vacuum-killing maps
     (vacuum_killing_basis order): the columns of delta's matrix at the
-    unknowns ("f", v, t) with v not the vacuum.
+    unknowns ("f", v, t) with v not the vacuum.  They go in first, and the
+    independent ones are the B2 basis; the Z2 basis goes in next, and the
+    members independent modulo B2 are the representatives, so h_dim is their
+    count.  B2 lies in Z2 exactly when the two counts add up to dim Z2;
+    SubspaceNotContained is raised otherwise.
     """
     z_basis = compute_z2(V, W)
     slots = cochain_slots(V, W)
@@ -460,19 +466,18 @@ def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     for slot, row in zip(slots, system.rows):
         for uid, c in row.items():
             columns[uid][slot] = c
-    b_candidates = [
-        TwoCochain.from_slots(V, W, columns[uid])
-        for uid in system.unknowns if uid[1] != V.vacuum
-    ]
     picked = Echelon(slots)
-    b_basis = [b for b in b_candidates if b and picked.insert(b.slots()) is not None]
-    h_dim = quotient_dim(
-        [z.slots() for z in z_basis], [b.slots() for b in b_basis]
-    )
+    b_basis = [
+        TwoCochain.from_slots(V, W, columns[uid])
+        for uid in system.unknowns
+        if uid[1] != V.vacuum and picked.insert(columns[uid]) is not None
+    ]
     reps = [z for z in z_basis if picked.insert(z.slots()) is not None]
+    if len(b_basis) + len(reps) != len(z_basis):
+        raise SubspaceNotContained("a coboundary does not lie in the span of Z2")
     return CohomologyResult(
         degree=2,
-        h_dim=h_dim,
+        h_dim=len(reps),
         cocycle_basis=z_basis,
         coboundary_basis=b_basis,
         representative_classes=reps,

@@ -138,10 +138,6 @@ def rref(system: LinearSystem) -> LinearSystem:
     return out
 
 
-def rank(system: LinearSystem) -> int:
-    return len(rref(system).rows)
-
-
 def kernel_basis(system: LinearSystem) -> list[Row]:
     """Basis of the solution space, one vector per free unknown, in unknown order.
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 from .axioms import check_all, translation_map
 from .scalars import binom, exact, inv_factorial
 from .spaces import (
-    GradedMap,
     GradedSpace,
     VAModule,
     VertexAlgebra,

@@ -199,8 +199,3 @@ class JetScalar:
 def value_part(scalar) -> int | Fraction:
     """Rational value part of a rational or a jet."""
     return scalar.value if isinstance(scalar, JetScalar) else exact(scalar)
-
-
-def slope_part(scalar) -> int | Fraction:
-    """Rational slope part in direction 0, the first-order t (zero for rationals)."""
-    return scalar.slopes.get(0, 0) if isinstance(scalar, JetScalar) else 0

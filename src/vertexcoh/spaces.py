@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .scalars import exact, inv_factorial
+from .scalars import JetScalar, exact, inv_factorial
 
 
 class WeightRuleViolation(Exception):
@@ -74,10 +74,6 @@ def viadd(acc: dict, coeff, vec: Mapping) -> dict:
         else:
             acc.pop(i, None)
     return acc
-
-
-def vadd(a: Mapping, b: Mapping) -> dict:
-    return viadd(viadd({}, 1, a), 1, b)
 
 
 def vsub(a: Mapping, b: Mapping) -> dict:
@@ -176,18 +172,20 @@ def mode_window(space: GradedSpace, weight: int, fringe: int = 0) -> range:
 class GradedMap:
     """A linear map between graded spaces shifting weights by a fixed degree.
 
-    ``undefined_source_weights`` marks weights on which the map is not known
-    (the translation map of a truncated algebra is undefined on the top
-    weight); applying the map to a vector supported there raises
-    TruncationBreach with the weight the image would need.
+    ``undefined_source_weights`` are the source weights whose image would
+    land above the cutoff of a truncated target (the translation map of a
+    truncated algebra is undefined on the top weight); applying the map to a
+    vector supported there raises TruncationBreach with the weight the image
+    would need.
     """
 
-    def __init__(self, source: GradedSpace, target: GradedSpace, degree: int = 0,
-                 *, undefined_source_weights: frozenset[int] = frozenset()):
+    def __init__(self, source: GradedSpace, target: GradedSpace, degree: int = 0):
         self.source = source
         self.target = target
         self.degree = degree
-        self.undefined_source_weights = frozenset(undefined_source_weights)
+        self.undefined_source_weights = frozenset(
+            w for w in source.by_weight if w + degree > target.cutoff
+        ) if target.tier == "truncated" else frozenset()
         self.columns: dict[int, dict] = {}
 
     def set_entry(self, target_index: int, source_index: int, coeff) -> None:
@@ -230,10 +228,7 @@ class GradedMap:
 
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self after inner."""
-        out = GradedMap(
-            inner.source, self.target, self.degree + inner.degree,
-            undefined_source_weights=inner.undefined_source_weights,
-        )
+        out = GradedMap(inner.source, self.target, self.degree + inner.degree)
         for s, col in inner.columns.items():
             out.set_column(s, self.apply(col))
         return out
@@ -353,19 +348,22 @@ def mode_apply(family: ModeFamily, uvec: Mapping, n: int, vvec: Mapping) -> dict
 class VertexAlgebra:
     """A mode family on a single graded space with a weight-zero vacuum vector.
 
-    ``ring`` records the scalar ring of the stored coefficients: "rational"
-    for ordinary algebras, "dual" for first-order families a + b t.
-    Build through build_vertex_algebra for label-level input validation.
+    ``ring`` is read off the stored coefficients, never set.  Build through
+    build_vertex_algebra for label-level input validation.
     """
 
-    def __init__(self, space: GradedSpace, vacuum: int, Y: ModeFamily,
-                 ring: str = "rational"):
-        if ring not in ("rational", "dual"):
-            raise ValueError(f"unknown scalar ring {ring!r}")
+    def __init__(self, space: GradedSpace, vacuum: int, Y: ModeFamily):
         self.space = space
         self.vacuum = vacuum
         self.Y = Y
-        self.ring = ring
+
+    @property
+    def ring(self) -> str:
+        """"dual" when a stored coefficient is a JetScalar (a first-order
+        family a + b t), else "rational"."""
+        return "dual" if any(
+            isinstance(c, JetScalar) for vec in self.Y.entries.values() for c in vec.values()
+        ) else "rational"
 
     @property
     def tier(self) -> str:
@@ -424,11 +422,11 @@ class VAModule:
         return self.Y_W.left
 
 
-def build_vertex_algebra(space: GradedSpace, vacuum: str,
-                         entries: Mapping, *, ring: str = "rational") -> VertexAlgebra:
+def build_vertex_algebra(space: GradedSpace, vacuum: str, entries: Mapping) -> VertexAlgebra:
     """Assemble an algebra from a label-keyed mode table.
 
-    ``entries`` maps (u label, n, v label) to {target label: coefficient}.
+    ``entries`` maps (u label, n, v label) to {target label: coefficient};
+    the algebra's ``ring`` follows from the coefficients.
     Raises NoVacuum / VacuumWrongWeight for a bad vacuum and
     WeightRuleViolation for any entry off the weight rule.  No axioms are
     checked here — that is the checker's job.
@@ -446,7 +444,7 @@ def build_vertex_algebra(space: GradedSpace, vacuum: str,
             space.index[u], n, space.index[v],
             {space.index[t]: c for t, c in vec.items()},
         )
-    return VertexAlgebra(space, vac, Y, ring)
+    return VertexAlgebra(space, vac, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ dump reproduces the SpecFile exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -388,10 +388,7 @@ def to_module(spec: SpecFile, V: VertexAlgebra) -> VAModule:
         vec = _terms_to_vec(terms, wsp.index, f"module mode {u}[{n}]{w}")
         if vec:
             Y_W.set_entry(vsp.index[u], n, wsp.index[w], vec)
-    undefined = frozenset(
-        w for w in wsp.by_weight if w + 1 > wsp.cutoff
-    ) if wsp.tier == "truncated" else frozenset()
-    T_W = GradedMap(wsp, wsp, 1, undefined_source_weights=undefined)
+    T_W = GradedMap(wsp, wsp, 1)
     for lab, terms in spec.tw:
         T_W.set_column(wsp.index[lab], _terms_to_vec(terms, wsp.index, f"T {lab}"))
     return VAModule(wsp, Y_W, T_W)

@@ -26,8 +26,9 @@ from vertexcoh.axioms import (
     intrinsic_T,
     translation_map,
 )
-from vertexcoh.presets import adjoint_module, build_preset, truncated_free_boson
-from vertexcoh.spaces import GradedSpace, TruncationBreach, build_vertex_algebra
+from vertexcoh.presets import PRESETS, adjoint_module, build_preset, truncated_free_boson
+from vertexcoh.spaces import GradedSpace, TruncationBreach, VAModule, build_vertex_algebra
+from vertexcoh.specfile import dump_spec, parse_spec, spec_from_objects, to_module
 
 F = Fraction
 
@@ -171,6 +172,25 @@ def test_translation_map_total_on_exact_presets():
     t = translation_map(V)
     assert t.undefined_source_weights == frozenset()
     assert t.is_zero()    # products carry no derivative term here
+
+
+def _former_undefined_weights(sp):
+    """The set callers once passed to GradedMap for a degree-1 translation."""
+    if sp.tier != "truncated":
+        return frozenset()
+    return frozenset(w for w in sp.by_weight if w + 1 > sp.cutoff)
+
+
+def test_derived_undefined_weights_match_the_former_formula():
+    algebras = [build_preset(p) for p in PRESETS] + [truncated_free_boson(c) for c in range(7)]
+    for V in algebras:
+        tmap = translation_map(V)
+        assert tmap.undefined_source_weights == _former_undefined_weights(V.space)
+        # the adjoint module written to a module file and read back: to_module's T_W
+        text = dump_spec(spec_from_objects(V, VAModule(V.space, V.Y, tmap)))
+        W = to_module(parse_spec(text), V)
+        assert W.T_W.undefined_source_weights == _former_undefined_weights(W.space)
+        assert W.T_W == tmap
 
 
 # ---------------------------------------------------------------------------

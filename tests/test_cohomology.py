@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
+from vertexcoh import cohomology
 from vertexcoh.axioms import (
     _gen_creation,
     _gen_identity,
@@ -35,7 +36,13 @@ from vertexcoh.cohomology import (
     vacuum_killing_basis,
 )
 from vertexcoh.extensions import build_extension
-from vertexcoh.linalg import LinearSystem, kernel_basis, quotient_dim
+from vertexcoh.linalg import (
+    Echelon,
+    LinearSystem,
+    SubspaceNotContained,
+    kernel_basis,
+    quotient_dim,
+)
 from vertexcoh.presets import (
     CommDiffAlgebraSpec,
     adjoint_module,
@@ -51,7 +58,7 @@ from vertexcoh.spaces import (
     VAModule,
     mode_apply,
     skew_mode,
-    vadd,
+    viadd,
     vsub,
 )
 
@@ -98,9 +105,9 @@ def test_derivations_satisfy_leibniz_and_kill_vacuum():
             assert f.column(V.vacuum) == {}        # derived, not imposed
             for u, n, v, vec in V.Y.iter_entries():
                 lhs = f.apply(vec)
-                rhs = vadd(
+                rhs = viadd(
                     skew_mode(W, f.apply(sp.basis_vec(u)), n, sp.basis_vec(v)),
-                    mode_apply(W.Y_W, sp.basis_vec(u), n, f.apply(sp.basis_vec(v))),
+                    1, mode_apply(W.Y_W, sp.basis_vec(u), n, f.apply(sp.basis_vec(v))),
                 )
                 assert lhs == rhs, (name, u, n, v)
 
@@ -156,9 +163,9 @@ def test_derivations_on_truncated_boson_are_window_consistent():
         assert f.column(V.vacuum) == {}
         for u, n, v, vec in V.Y.iter_entries():
             lhs = f.apply(vec)
-            rhs = vadd(
+            rhs = viadd(
                 skew_mode(W, f.apply(sp.basis_vec(u)), n, sp.basis_vec(v)),
-                mode_apply(W.Y_W, sp.basis_vec(u), n, f.apply(sp.basis_vec(v))),
+                1, mode_apply(W.Y_W, sp.basis_vec(u), n, f.apply(sp.basis_vec(v))),
             )
             assert lhs == rhs
 
@@ -236,9 +243,9 @@ def test_coboundary_is_the_defining_formula(name, cutoff):
         want = {}
         for u, n, v in _mode_index_triples(V, W):
             uvec, vvec = {u: F(1)}, {v: F(1)}
-            vec = vadd(
+            vec = viadd(
                 skew_mode(W, g.apply(uvec), n, vvec),
-                mode_apply(W.Y_W, uvec, n, g.apply(vvec)),
+                1, mode_apply(W.Y_W, uvec, n, g.apply(vvec)),
             )
             vec = vsub(vec, g.apply(V.Y.entry(u, n, v) or {}))
             if vec:
@@ -364,6 +371,52 @@ def test_h2_picks_are_the_greedily_independent_ones(name, cutoff):
     deltas = [coboundary(V, W, g) for g in vacuum_killing_basis(V, W)]
     assert res.coboundary_basis == greedy(deltas)
     assert res.representative_classes == greedy(res.cocycle_basis)
+
+
+def _h2_by_quotient_dim(V, W, z_basis):
+    """compute_h2's former sequence, the reference: B2 picks, then quotient_dim
+    for h_dim, then the representatives, each elimination on its own."""
+    slots = cochain_slots(V, W)
+    system = derivation_system(V, W)
+    columns: dict = {uid: {} for uid in system.unknowns}
+    for slot, row in zip(slots, system.rows):
+        for uid, c in row.items():
+            columns[uid][slot] = c
+    b_candidates = [
+        TwoCochain.from_slots(V, W, columns[uid])
+        for uid in system.unknowns if uid[1] != V.vacuum
+    ]
+    picked = Echelon(slots)
+    b_basis = [b for b in b_candidates if b and picked.insert(b.slots()) is not None]
+    h_dim = quotient_dim(
+        [z.slots() for z in z_basis], [b.slots() for b in b_basis]
+    )
+    reps = [z for z in z_basis if picked.insert(z.slots()) is not None]
+    return h_dim, b_basis, reps
+
+
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, c) for p in EXACT_PRESETS for c in (None, 3)]
+                         + [("free-boson", c) for c in (1, 2, 3)])
+def test_h2_matches_the_quotient_dim_sequence(name, cutoff):
+    V, W = _setting(name, cutoff)
+    res = compute_h2(V, W)
+    h_dim, b_basis, reps = _h2_by_quotient_dim(V, W, res.cocycle_basis)
+    assert res.h_dim == h_dim == len(res.representative_classes)
+    assert res.coboundary_basis == b_basis
+    assert res.representative_classes == reps
+
+
+def test_h2_raises_when_a_coboundary_leaves_z2(monkeypatch):
+    # boson cutoff 2: B2 = Z2, so without one cocycle some coboundary is outside
+    V, W = _setting("free-boson", 2)
+    assert compute_h2(V, W).h_dim == 0
+    z_basis = compute_z2(V, W)
+    monkeypatch.setattr(cohomology, "compute_z2", lambda V, W: z_basis[1:])
+    with pytest.raises(SubspaceNotContained):
+        compute_h2(V, W)
+    with pytest.raises(SubspaceNotContained):
+        _h2_by_quotient_dim(V, W, z_basis[1:])
 
 
 def test_representatives_are_cocycles_and_not_coboundaries():

@@ -21,6 +21,7 @@ from vertexcoh.cohomology import (
 )
 from vertexcoh.extensions import (
     NotVerified,
+    _homomorphism_residuals,
     build_deformation,
     build_extension,
     check_equivalence_deformations,
@@ -29,9 +30,18 @@ from vertexcoh.extensions import (
     extension_to_cocycle,
     verify_extension,
 )
-from vertexcoh.presets import adjoint_module, build_preset
-from vertexcoh.scalars import slope_part, value_part
-from vertexcoh.spaces import ModeFamily, VAModule
+from vertexcoh.presets import PRESETS, adjoint_module, build_preset, truncated_free_boson
+from vertexcoh.scalars import JetScalar, value_part
+from vertexcoh.spaces import (
+    GradedMap,
+    GradedSpace,
+    ModeFamily,
+    TruncationBreach,
+    VAModule,
+    mode_window,
+    vsub,
+)
+from vertexcoh.specfile import dump_spec, parse_spec, spec_from_objects, to_algebra
 
 F = Fraction
 
@@ -119,6 +129,141 @@ def test_nontrivial_class_builds_the_x4_ring():
     assert all(n == -1 for (_u, n, _v) in ext.total.entries_by_labels())
 
 
+def _reference_verify_extension(ext):
+    """verify_extension as four hand-written loops after check_all: the reference.
+
+    The one deliberate difference from those loops as first written is the
+    vacuum-preserved residual: a failure now records the total vacuum minus
+    the lifted base vacuum, where the loop recorded an empty residual.
+    """
+    report = check_all(ext.total)
+    total, V, W = ext.total, ext.base, ext.fiber
+    tsp, vsp, wsp = total.space, V.space, W.space
+
+    for wi, w1 in enumerate(ext.fiber_to_total):     # square-zero ideal
+        lw1 = tsp.label_of(w1)
+        for wj, w2 in enumerate(ext.fiber_to_total):
+            lw2 = tsp.label_of(w2)
+            for n in mode_window(tsp, wsp.weight_of(wi) + wsp.weight_of(wj)):
+                inst = (lw1, n, lw2)
+                vec = total.Y.entry(w1, n, w2)
+                if vec:
+                    report.failed.append(("square-zero", inst, tsp.describe(vec)))
+                else:
+                    report.passed.append(("square-zero", inst))
+
+    # projection homomorphism
+    for a, n, b, residual in _homomorphism_residuals(ext.proj.apply, total.Y, V.Y):
+        inst = (tsp.label_of(a), n, tsp.label_of(b))
+        if residual:
+            report.failed.append(("projection", inst, vsp.describe(residual)))
+        else:
+            report.passed.append(("projection", inst))
+
+    for v in range(len(vsp)):                        # inclusion intertwines Y_W
+        lv = vsp.label_of(v)
+        vt = ext.base_to_total[v]
+        for w in range(len(wsp)):
+            lw = wsp.label_of(w)
+            wt = ext.fiber_to_total[w]
+            for n in mode_window(wsp, vsp.weight_of(v) + wsp.weight_of(w)):
+                inst = (lv, n, lw)
+                lhs = total.Y.entry(vt, n, wt) or {}
+                rhs = ext.lift_fiber(W.Y_W.entry(v, n, w) or {})
+                residual = vsub(lhs, rhs)
+                if residual:
+                    report.failed.append(("inclusion", inst, tsp.describe(residual)))
+                else:
+                    report.passed.append(("inclusion", inst))
+
+    if ext.total.vacuum == ext.base_to_total[V.vacuum]:
+        report.passed.append(("vacuum-preserved", ("vacuum",)))
+    else:
+        moved = vsub(total.vacuum_vec(), ext.lift_base(V.vacuum_vec()))
+        report.failed.append(("vacuum-preserved", ("vacuum",), tsp.describe(moved)))
+    return report
+
+
+def _assert_same_report(ext):
+    got, want = verify_extension(ext), _reference_verify_extension(ext)
+    assert got.passed == want.passed
+    assert got.failed == want.failed
+    assert got.skipped == want.skipped
+    return got
+
+
+def _plant(ext, fault: str) -> None:
+    """Break one structural property of a built extension in place."""
+    Y, V, W = ext.total.Y, ext.base, ext.fiber
+    vac = ext.base_to_total[V.vacuum]
+    w_vac = ext.fiber_to_total[W.space.index[V.space.label_of(V.vacuum)]]
+    if fault == "square-zero":          # a fiber x fiber entry
+        Y.set_entry(w_vac, -1, w_vac, {w_vac: 1})
+    elif fault == "inclusion":          # an edited base x fiber entry
+        Y.set_entry(vac, -1, w_vac, {w_vac: 2})
+    elif fault == "projection":         # an edited base x base entry
+        Y.set_entry(vac, -1, vac, {vac: 2})
+    else:                               # a moved vacuum
+        ext.total.vacuum = w_vac
+
+
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, None) for p in EXACT_PRESETS]
+                         + [("free-boson", 2), ("free-boson", 3)])
+def test_structural_checks_match_the_reference_loops(name, cutoff):
+    V = build_preset(name, cutoff)
+    W = adjoint_module(V)
+    rng = random.Random(20261019)
+    slots = cochain_slots(V, W)
+    g = GradedMap(V.space, W.space, 0)
+    for b in vacuum_killing_basis(V, W):
+        (src, col), = b.columns.items()
+        (tgt, _one), = col.items()
+        g.set_entry(tgt, src, F(rng.randint(-3, 3), rng.randint(1, 2)))
+    cocycles = [coboundary(V, W, g)]
+    if cutoff is None:
+        cocycles += compute_z2(V, W)
+    non_cocycle = TwoCochain.from_slots(
+        V, W, {s: F(rng.randint(-3, 3), rng.randint(1, 2)) for s in slots}
+    )
+    for psi in cocycles:
+        assert _assert_same_report(build_extension(V, W, psi)).verdict != "fail"
+    rep = _assert_same_report(build_extension(V, W, non_cocycle))
+    assert rep.verdict == ("fail" if slots else "pass")
+    if cutoff == 3:                     # the planted faults run on the smaller settings
+        return
+    for fault in ("square-zero", "projection", "inclusion", "vacuum-preserved"):
+        ext = build_extension(V, W, TwoCochain.zero(V, W))
+        _plant(ext, fault)
+        rep = _assert_same_report(ext)
+        assert fault in {axiom for axiom, _inst, _res in rep.failed}, fault
+
+
+def test_moved_vacuum_records_the_difference_of_the_vacuum_vectors():
+    V, W = _setting("dual-numbers")
+    ext = build_extension(V, W, TwoCochain.zero(V, W))
+    _plant(ext, "vacuum-preserved")
+    (res,) = [r for axiom, _inst, r in verify_extension(ext).failed
+              if axiom == "vacuum-preserved"]
+    assert res == {"one": -1, "w:one": 1}
+
+
+def test_module_above_a_truncated_base_cutoff_breaks_the_projection():
+    # Only a hand-built module can reach above a truncated base's cutoff (a
+    # module file takes the algebra's cutoff).  The total then has weights
+    # the base does not know, the projection onto the base is undefined
+    # there, and verify_extension raises instead of reporting.
+    V = truncated_free_boson(1)
+    wsp = GradedSpace(list(zip(V.space.labels, V.space.weights)) + [("x", 2)],
+                      tier="truncated", cutoff=2)
+    W = VAModule(wsp, ModeFamily(V.space, wsp, wsp), GradedMap(wsp, wsp, 1))
+    ext = build_extension(V, W, TwoCochain.zero(V, W))
+    assert ext.proj.undefined_source_weights == frozenset({2})
+    with pytest.raises(TruncationBreach) as err:
+        verify_extension(ext)
+    assert err.value.weight == 2
+
+
 # ---------------------------------------------------------------------------
 # deformations
 # ---------------------------------------------------------------------------
@@ -137,9 +282,21 @@ def test_deformation_value_part_is_the_base_and_slope_is_psi():
         slope = psi.psi.entries.get(key, {})
         targets = set(vec) | set(base) | set(slope)
         for t in targets:
-            c = vec.get(t, F(0))
+            c = vec.get(t, JetScalar(0))
             assert value_part(c) == base.get(t, F(0))
-            assert slope_part(c) == slope.get(t, F(0))
+            assert c.slopes.get(0, 0) == slope.get(t, F(0))
+
+
+def test_ring_is_read_off_the_stored_coefficients():
+    for name in PRESETS:
+        V = build_preset(name, 2 if name == "free-boson" else None)
+        assert V.ring == "rational"
+        assert to_algebra(parse_spec(dump_spec(spec_from_objects(V)))).ring == "rational"
+    for name in EXACT_PRESETS:
+        V, W = _setting(name)
+        for psi in [TwoCochain.zero(V, W)] + compute_z2(V, W):
+            assert build_extension(V, W, psi).total.ring == "rational", name
+            assert build_deformation(V, psi).deformed.ring == "dual", name
 
 
 def test_deformation_checker_verdict_matches_extension_verdict():

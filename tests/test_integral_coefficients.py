@@ -97,7 +97,7 @@ def _corrupted(V: VertexAlgebra, factor) -> VertexAlgebra:
     Where the algebra has a translation entry u_{-2} vacuum, that one: then
     the failures run through T and the 1/j! of skew-symmetry.
     """
-    out = VertexAlgebra(V.space, V.vacuum, V.Y.copy(), V.ring)
+    out = VertexAlgebra(V.space, V.vacuum, V.Y.copy())
     key = max((k for k in V.Y.entries if k[0] != V.vacuum),
               key=lambda k: (k[1:] == (-2, V.vacuum), k))
     out.Y.set_entry(*key, {t: c * factor for t, c in V.Y.entries[key].items()})
@@ -122,7 +122,7 @@ def _fraction_only(V: VertexAlgebra) -> VertexAlgebra:
         col = {t: slow(c) for t, c in vec.items()}
         Y.entries[(u, n, v)] = col
         Y.pair_modes.setdefault((u, v), {})[n] = col
-    out = VertexAlgebra(V.space, V.vacuum, Y, V.ring)
+    out = VertexAlgebra(V.space, V.vacuum, Y)
     assert all(type(x) is Fraction for x in _coefficients(out))
     return out
 

@@ -19,7 +19,6 @@ from vertexcoh.linalg import (
     SubspaceNotContained,
     kernel_basis,
     quotient_dim,
-    rank,
     rref,
     solve_affine,
 )
@@ -29,7 +28,6 @@ from vertexcoh.scalars import (
     format_rational,
     inv_factorial,
     parse_rational,
-    slope_part,
     value_part,
 )
 from vertexcoh.spaces import GradedSpace, ModeFamily, viadd
@@ -129,9 +127,8 @@ def test_dual_scalar_mixes_with_rationals_and_ints():
     assert 1 - a == _dual(F(1, 2), F(-3))
     assert a == a + 0
     assert _dual(F(5), 0) == F(5) and _dual(5, 0) == 5
-    assert value_part(a) == F(1, 2) and slope_part(a) == F(3)
-    assert value_part(F(7)) == F(7) and slope_part(F(7)) == 0
-    assert slope_part(7) == 0
+    assert value_part(a) == F(1, 2) and a.slopes.get(0, 0) == F(3)
+    assert value_part(F(7)) == F(7)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,7 @@ def test_jet_mixes_with_rationals_and_ints_on_both_sides():
     assert plain == F(5) and F(5) == plain and plain == 5 and 5 == plain
     assert hash(plain) == hash(F(5))
     assert a != F(1, 2) and F(1, 2) != a
-    assert value_part(a) == F(1, 2) and slope_part(a) == 0
+    assert value_part(a) == F(1, 2) and a.slopes.get(0, 0) == 0
 
 
 def test_jet_prints_as_a_first_order_coefficient():
@@ -278,9 +275,8 @@ def test_rank_and_kernel_against_dense_oracle():
     for _ in range(40):
         n = rng.randint(1, 7)
         sys_, dense, names = _random_system(rng, n, rng.randint(0, 9))
-        assert rank(sys_) == orc.rank_dense([row[:] for row in dense])
         kern = kernel_basis(sys_)
-        assert len(kern) == n - rank(sys_)
+        assert len(kern) == n - orc.rank_dense([row[:] for row in dense])
         # every kernel vector annihilates every original row
         for vec in kern:
             for row in sys_.rows:
@@ -295,7 +291,7 @@ def test_rank_and_kernel_against_dense_oracle():
     sys_ = LinearSystem()
     sys_.add_unknowns(["a", "b"])
     sys_.add_row({})
-    assert rank(sys_) == 0 and len(kernel_basis(sys_)) == 2
+    assert len(kernel_basis(sys_)) == 2
 
 
 def test_solve_affine_consistent_and_inconsistent():
