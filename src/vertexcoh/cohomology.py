@@ -6,11 +6,13 @@ coboundary on degree-zero maps f: V -> W,
     (delta f)(u, n, v) = -f(u_n v) + f(u)_n v + u_n f(v),
 
 where f(u)_n v is a module element acting back on the algebra through
-skew-symmetry (``right_action``).  ``derivation_system`` is its matrix, one
-row per cochain slot, and it has four readers: its kernel is H1, the
-derivations (``compute_der``); its columns at vacuum-killing unknowns span
-B2 (``compute_h2``); ``coboundary`` applies it to one vacuum-killing map;
-and ``is_coboundary`` solves psi = delta g against it.
+skew-symmetry (``right_action``).  ``delta_rows`` builds its rows on
+demand, one per cochain slot.  Its kernel is H1, the derivations
+(``compute_der``, which draws rows only until delta has full column rank).
+``derivation_system`` draws every row for the three full readers: its
+columns at vacuum-killing unknowns span B2 (``compute_h2``); ``coboundary``
+applies it to one vacuum-killing map; and ``is_coboundary`` solves
+psi = delta g against it.
 
 Degree two is deliberately operational.  A candidate 2-cochain psi is a
 degree-zero mode family (V, V) -> W obeying the weight rule; its *residual*
@@ -31,6 +33,7 @@ result is deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -235,6 +238,15 @@ def cochain_slots(V: VertexAlgebra, W: VAModule) -> list[tuple[int, int, int, in
 # degree one
 # ---------------------------------------------------------------------------
 
+def _right_lookup(W: VAModule):
+    """(w, n, v) -> w_n v for basis w of W and v of V, by skew-symmetry.
+
+    Each value is computed on first use and memoised for the lookup's
+    lifetime; callers only read the returned vectors.
+    """
+    return functools.cache(lambda w, n, v: skew_mode(W, {w: 1}, n, {v: 1}))
+
+
 def right_action(W: VAModule) -> dict[tuple[int, int, int], dict]:
     """{(w, n, v): w_n v} by skew-symmetry, nonzero values only.
 
@@ -242,36 +254,38 @@ def right_action(W: VAModule) -> dict[tuple[int, int, int], dict]:
     weight is a weight of W, so it is all the right action any window needs.
     """
     wsp, vsp = W.space, W.algebra_space
+    right = _right_lookup(W)
     table = {}
     for w in range(len(wsp)):
-        wvec = {w: 1}
         for v in range(len(vsp)):
             for tau in wsp.by_weight:
                 n = wsp.weight_of(w) + vsp.weight_of(v) - 1 - tau
-                vec = skew_mode(W, wvec, n, {v: 1})
+                vec = right(w, n, v)
                 if vec:
                     table[(w, n, v)] = vec
     return table
 
 
-def derivation_system(V: VertexAlgebra, W: VAModule) -> LinearSystem:
-    """The matrix of the coboundary delta on degree-zero maps f: V -> W.
+def _delta_unknowns(V: VertexAlgebra, W: VAModule) -> list[tuple[str, int, int]]:
+    """The unknowns ("f", source, target) of delta, flat order, vacuum included."""
+    wt, by_weight = V.space.weight_of, W.space.by_weight
+    return [("f", v, t) for v in range(len(V.space)) for t in by_weight.get(wt(v), ())]
 
-    Unknowns ("f", source, target) in flat order, vacuum included; one row per
-    cochain slot in cochain_slots order, holding the coefficients of
+
+def delta_rows(V: VertexAlgebra, W: VAModule):
+    """The rows of delta as (coefficients, tag) pairs, built as they are drawn.
+
+    One row per cochain slot, in cochain_slots order, over _delta_unknowns:
+    the coefficients of
 
         (delta f)(u, n, v)_t = -f(u_n v) + f(u)_n v + u_n f(v)
 
-    and tagged with the instance it came from.  Its kernel is the space of
-    derivations, coboundary applies it, and is_coboundary solves against it.
+    tagged with the instance it came from.  The rows of one (u, n, v) are
+    built together, and the right action f(u)_n v is looked up on demand.
     """
     vsp, wsp = V.space, W.space
-    wt = vsp.weight_of
-    system = LinearSystem()
-    for v in range(len(vsp)):
-        for t in wsp.by_weight.get(wt(v), ()):
-            system.add_unknown(("f", v, t))
-    right = right_action(W)
+    wt, lab = vsp.weight_of, vsp.label_of
+    right = _right_lookup(W)
 
     for u, n, v in _mode_index_triples(V, W):
         # coefficient dicts per target coordinate, built from the three terms
@@ -288,23 +302,38 @@ def derivation_system(V: VertexAlgebra, W: VAModule) -> LinearSystem:
             for tt in per_target:
                 put(("f", x, tt), {tt: -cx})
         for t in wsp.by_weight.get(wt(u), ()):               # + f(u)_n v
-            put(("f", u, t), right.get((t, n, v), {}))
+            put(("f", u, t), right(t, n, v))
         for t in wsp.by_weight.get(wt(v), ()):               # + u_n f(v)
             put(("f", v, t), W.Y_W.entry(u, n, t) or {})
 
-        lab = vsp.label_of
         for tt, row in per_target.items():
-            system.add_row(
-                row, tag=f"derivation {lab(u)}[{n}]{lab(v)} @ {wsp.label_of(tt)}"
-            )
+            yield row, f"derivation {lab(u)}[{n}]{lab(v)} @ {wsp.label_of(tt)}"
+
+
+def derivation_system(V: VertexAlgebra, W: VAModule) -> LinearSystem:
+    """The matrix of the coboundary delta on degree-zero maps f: V -> W.
+
+    delta_rows, drawn in full into a LinearSystem.  Its kernel is the space
+    of derivations; compute_h2 reads B2 off its columns, coboundary applies
+    it, and is_coboundary solves against it.
+    """
+    system = LinearSystem()
+    system.add_unknowns(_delta_unknowns(V, W))
+    for row, tag in delta_rows(V, W):
+        system.add_row(row, tag)
     return system
 
 
 def compute_der(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
-    """All derivations V -> W, as graded maps, with the kernel as class basis."""
-    system = derivation_system(V, W)
+    """All derivations V -> W, as graded maps, with the kernel as class basis.
+
+    delta_rows feeds Echelon.extend directly: once delta has full column
+    rank the kernel is {0}, and no further row is built.
+    """
+    ech = Echelon(_delta_unknowns(V, W))
+    ech.extend(delta_rows(V, W))
     maps = []
-    for vec in kernel_basis(system):
+    for vec in ech.kernel():
         gmap = GradedMap(V.space, W.space, 0)
         for (_f, v, t), c in vec.items():
             gmap.set_entry(t, v, c)
@@ -405,7 +434,8 @@ def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
     return out
 
 
-def compute_z2(V: VertexAlgebra, W: VAModule) -> list[TwoCochain]:
+def compute_z2(V: VertexAlgebra, W: VAModule,
+               rank_bound: int | None = None) -> list[TwoCochain]:
     """Z2, the kernel of the cocycle residual, from one run of the checker.
 
     Slot i of one symbolic cochain holds the jet unknown t_i (a JetScalar),
@@ -427,6 +457,16 @@ def compute_z2(V: VertexAlgebra, W: VAModule) -> list[TwoCochain]:
       weights of u and w.  So the skipped set is the same for every psi,
       symbolic or rational, and each row holds for all of them.
 
+    ``rank_bound`` is an expected rank of the cocycle matrix (compute_h2
+    passes slots - dim B2, which bounds it from above because B2 lies in Z2).
+    Once the elimination reaches it, the candidate kernel K is read off the
+    echelon, and every remaining row is checked exactly against K instead of
+    being reduced; a row that fails is inserted and elimination goes on
+    (Echelon.extend).  This is exact too: K comes from a subset of the rows,
+    so it contains Z2, and once every row annihilates K the two are equal.
+    The rref is canonical for the row space, so the basis is the one full
+    elimination gives, whatever the bound.
+
     Raises ModuleAxiomsFail when a value part is nonzero: then W breaks its
     own module axioms and no cochain is a cocycle.
     """
@@ -444,7 +484,7 @@ def compute_z2(V: VertexAlgebra, W: VAModule) -> list[TwoCochain]:
         system.add_row(
             {slots[i]: b for i, b in c.slopes.items()}, tag=f"{axiom} {inst} @ {fiber}"
         )
-    return [TwoCochain.from_slots(V, W, vec) for vec in kernel_basis(system)]
+    return [TwoCochain.from_slots(V, W, vec) for vec in kernel_basis(system, rank_bound)]
 
 
 def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
@@ -454,12 +494,13 @@ def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     coboundary candidates are delta of the elementary vacuum-killing maps
     (vacuum_killing_basis order): the columns of delta's matrix at the
     unknowns ("f", v, t) with v not the vacuum.  They go in first, and the
-    independent ones are the B2 basis; the Z2 basis goes in next, and the
-    members independent modulo B2 are the representatives, so h_dim is their
-    count.  B2 lies in Z2 exactly when the two counts add up to dim Z2;
-    SubspaceNotContained is raised otherwise.
+    independent ones are the B2 basis.  B2 lies in Z2, so the cocycle
+    matrix has rank at most slots - dim B2, and compute_z2 gets that bound.
+    The Z2 basis goes in next, and the members independent modulo B2 are the
+    representatives, so h_dim is their count.  B2 lies in Z2 exactly when
+    the two counts add up to dim Z2; SubspaceNotContained is raised
+    otherwise.
     """
-    z_basis = compute_z2(V, W)
     slots = cochain_slots(V, W)
     system = derivation_system(V, W)
     columns: dict = {uid: {} for uid in system.unknowns}
@@ -472,6 +513,7 @@ def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
         for uid in system.unknowns
         if uid[1] != V.vacuum and picked.insert(columns[uid]) is not None
     ]
+    z_basis = compute_z2(V, W, len(slots) - len(b_basis))
     reps = [z for z in z_basis if picked.insert(z.slots()) is not None]
     if len(b_basis) + len(reps) != len(z_basis):
         raise SubspaceNotContained("a coboundary does not lie in the span of Z2")

@@ -88,8 +88,15 @@ def build_extension(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> SquareZer
     """Assemble the total algebra; the weight rule is re-checked on every entry.
 
     Fiber labels get the "w:" prefix, so iterated extensions stay unambiguous.
+    A truncated V knows no weight above its cutoff, so a module reaching
+    above it is refused (ValueError): the total would claim those weights.
     """
     vsp, wsp = V.space, W.space
+    if vsp.tier == "truncated" and wsp.cutoff > vsp.cutoff:
+        raise ValueError(
+            f"the module's cutoff {wsp.cutoff} is above the truncated "
+            f"algebra's cutoff {vsp.cutoff}"
+        )
     tier = "truncated" if "truncated" in (vsp.tier, wsp.tier) else "exact"
     total_space = GradedSpace(
         [(lab, vsp.weight_of(i)) for i, lab in enumerate(vsp.labels)]
@@ -195,9 +202,9 @@ def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
     vacuum-preserved, in that order) go through the checker's own report
     drain, so a failure records its residual by total-space label: for
     vacuum-preserved, the total vacuum minus the lifted base vacuum.  All
-    live inside the window, so they pass or fail — never skip; only a module
-    reaching above a truncated base's cutoff makes the projection raise
-    TruncationBreach.
+    live inside the window, so they pass or fail — never skip, since
+    build_extension refuses a module reaching above a truncated base's
+    cutoff.
     """
     report = check_all(ext.total)
     _record(report, ext.total.space, _gen_structure(ext))

@@ -15,7 +15,9 @@ runs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import takewhile
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .scalars import exact
@@ -89,6 +91,7 @@ class Echelon:
         self.pos: dict[Hashable, int] = {}
         for uid in ids:
             self.pos.setdefault(uid, len(self.pos))
+        self.ids: list[Hashable] = list(self.pos)
         self.pivots: dict[int, tuple[dict[int, Fraction], str]] = {}
 
     def reduce(self, vec: Mapping[Hashable, Fraction]) -> dict[int, Fraction]:
@@ -118,17 +121,100 @@ class Echelon:
         self.pivots[lead] = (work, tag)
         return lead
 
+    def kernel(self) -> list[Row]:
+        """The vectors every row annihilates, read off the rows by id."""
+        ids = self.ids
+        return _kernel(ids, {
+            ids[lead]: {ids[p]: c for p, c in self.pivots[lead][0].items()}
+            for lead in sorted(self.pivots)
+        })
 
-def rref(system: LinearSystem) -> LinearSystem:
+    def extend(self, rows: Iterable[tuple[Row, str]], bound: int | None = None) -> None:
+        """Eliminate (row, tag) pairs, drawing rows only while they can matter.
+
+        Below ``bound`` (default: the number of ids) each row is inserted.
+        Once the rank reaches it, the kernel K of the rows so far is read
+        off, and each further row is checked exactly against K instead: a
+        row that annihilates K is skipped, one that does not is inserted and
+        K is read again.  At full rank K = {0}, so no further row is drawn.
+
+        Exactness: K, read off a subset of the rows, contains the kernel of
+        all of them, and once every row annihilates K the two are equal.  A
+        skipped row annihilates K = R^perp, R the span of the rows inserted,
+        so it lies in R; a row is inserted exactly when it is independent of
+        those before it, as in full elimination.  So the echelon ends with
+        the same row space and the same pivots, each from the same row, and
+        since the rref is canonical for the row space, every basis read off
+        it is identical.  Any bound gives this result; a bound equal to the
+        true rank makes the check pass on every row after it.
+        """
+        bound = len(self.pos) if bound is None else bound
+        rows = iter(rows)
+        columns = None          # K transposed once the rank reaches the bound
+        while True:
+            if columns is None and len(self.pivots) >= bound:
+                columns = _kernel_columns(self.kernel())
+                if columns is None:
+                    return      # full rank: every further row is dependent
+            item = next(rows, None)
+            if item is None:
+                return
+            row, tag = item
+            if columns is None or not _annihilates(row, columns):
+                if self.insert(row, tag) is not None:
+                    columns = None
+
+
+def _kernel(order: list[Hashable], pivot_rows: Mapping[Hashable, Row]) -> list[Row]:
+    """Kernel of fully reduced unit-pivot rows, one vector per free id in order.
+
+    ``pivot_rows`` maps each pivot id to its row, in pivot order.  The vector
+    for free id u has a 1 at u and -coefficient at each pivot id, so the
+    basis is canonical for the row space.
+    """
+    basis: dict[Hashable, Row] = {u: {u: 1} for u in order if u not in pivot_rows}
+    for piv, row in pivot_rows.items():
+        for u, c in row.items():
+            if u != piv:
+                basis[u][piv] = -c
+    return list(basis.values())
+
+
+def _kernel_columns(kernel: list[Row]) -> Optional[tuple[int, dict]]:
+    """K transposed as id -> [(j, entry)], each vector scaled to integers.
+
+    None when K = {0}.  Scaling by the denominators' lcm keeps the check in
+    integer arithmetic and does not change which rows annihilate K.
+    """
+    if not kernel:
+        return None
+    columns: dict[Hashable, list] = {}
+    for j, vec in enumerate(kernel):
+        scale = math.lcm(*(c.denominator for c in vec.values()))
+        for u, c in vec.items():
+            columns.setdefault(u, []).append((j, int(c * scale)))
+    return len(kernel), columns
+
+
+def _annihilates(row: Row, kernel_columns: tuple[int, dict]) -> bool:
+    """Exactly whether row . k = 0 for every vector k of K."""
+    dim, columns = kernel_columns
+    acc = [0] * dim
+    for u, c in row.items():
+        for j, k in columns.get(u, ()):
+            acc[j] += c * k
+    return not any(acc)
+
+
+def rref(system: LinearSystem, bound: int | None = None) -> LinearSystem:
     """Reduced row echelon form: unit pivots, pivot-sorted rows, tags preserved.
 
     The tag of each output row is the tag of the input row that contributed
     its pivot.  rref is idempotent and canonical for the registered unknown
-    order.
+    order.  ``bound`` is Echelon.extend's: the result does not depend on it.
     """
     ech = Echelon(system.unknowns)
-    for row, tag in zip(system.rows, system.tags):
-        ech.insert(row, tag)
+    ech.extend(zip(system.rows, system.tags), bound)
 
     out = LinearSystem()
     out.add_unknowns(system.unknowns)
@@ -138,46 +224,43 @@ def rref(system: LinearSystem) -> LinearSystem:
     return out
 
 
-def kernel_basis(system: LinearSystem) -> list[Row]:
+def kernel_basis(system: LinearSystem, bound: int | None = None) -> list[Row]:
     """Basis of the solution space, one vector per free unknown, in unknown order.
 
-    Read off the (unique) rref: the vector for free unknown u has a 1 at u and
-    -coefficient at each pivot unknown, so the basis is canonical.
+    Read off the (unique) rref, so the basis is canonical.  ``bound`` is an
+    expected rank, passed to Echelon.extend: when the rank reaches it, the
+    remaining rows are checked against the kernel rather than reduced.  The
+    basis is the same for every bound.
     """
-    reduced = rref(system)
-    rows_by_pivot: dict[Hashable, Row] = {}
-    for row in reduced.rows:
-        piv = min(row, key=system._pos.__getitem__)
-        rows_by_pivot[piv] = row
-    basis: list[Row] = []
-    for free in system.unknowns:
-        if free in rows_by_pivot:
-            continue
-        vec: Row = {free: 1}
-        for piv, row in rows_by_pivot.items():
-            c = row.get(free)
-            if c:
-                vec[piv] = -c
-        basis.append(vec)
-    return basis
+    reduced = rref(system, bound)
+    pos = system._pos
+    return _kernel(system.unknowns, {
+        min(row, key=pos.__getitem__): row for row in reduced.rows
+    })
 
 
 def solve_affine(system: LinearSystem, rhs: list[Fraction]) -> Optional[Row]:
     """One solution of system * x = rhs, or None when inconsistent.
 
     ``rhs`` aligns with ``system.rows``.  Free unknowns are set to zero, so
-    the returned solution is the canonical (pivot-supported) one.
+    the returned solution is the canonical (pivot-supported) one.  Once the
+    unknowns all have pivots the solution x is fixed, and each remaining row
+    is only checked, exactly, for row . x = b (Echelon.extend).
     """
     if len(rhs) != len(system.rows):
         raise ValueError("right-hand side length does not match row count")
 
-    # the right-hand side is the last column: a pivot there reads 0 = b != 0
+    # the right-hand side is the last column: a pivot there reads 0 = b != 0,
+    # and no row drawn after it can change that
     b_id = object()
     ech = Echelon([*system.unknowns, b_id])
     b_pos = ech.pos[b_id]
-    for row, b in zip(system.rows, rhs):
-        if ech.insert({**row, b_id: b}) == b_pos:
-            return None
+    augmented = (({**row, b_id: b}, tag)
+                 for row, b, tag in zip(system.rows, rhs, system.tags))
+    ech.extend(takewhile(lambda _item: b_pos not in ech.pivots, augmented),
+               bound=len(system.unknowns))
+    if b_pos in ech.pivots:
+        return None
 
     solution: Row = {}
     for lead, (prow, _tag) in ech.pivots.items():

@@ -412,7 +412,7 @@ def test_h2_raises_when_a_coboundary_leaves_z2(monkeypatch):
     V, W = _setting("free-boson", 2)
     assert compute_h2(V, W).h_dim == 0
     z_basis = compute_z2(V, W)
-    monkeypatch.setattr(cohomology, "compute_z2", lambda V, W: z_basis[1:])
+    monkeypatch.setattr(cohomology, "compute_z2", lambda V, W, rank_bound: z_basis[1:])
     with pytest.raises(SubspaceNotContained):
         compute_h2(V, W)
     with pytest.raises(SubspaceNotContained):

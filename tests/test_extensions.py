@@ -36,7 +36,6 @@ from vertexcoh.spaces import (
     GradedMap,
     GradedSpace,
     ModeFamily,
-    TruncationBreach,
     VAModule,
     mode_window,
     vsub,
@@ -248,20 +247,20 @@ def test_moved_vacuum_records_the_difference_of_the_vacuum_vectors():
     assert res == {"one": -1, "w:one": 1}
 
 
-def test_module_above_a_truncated_base_cutoff_breaks_the_projection():
+def test_build_extension_refuses_a_module_above_a_truncated_base_cutoff():
     # Only a hand-built module can reach above a truncated base's cutoff (a
-    # module file takes the algebra's cutoff).  The total then has weights
-    # the base does not know, the projection onto the base is undefined
-    # there, and verify_extension raises instead of reporting.
+    # module file takes the algebra's cutoff).  The total would claim base
+    # weights the base does not know, so the build is refused, naming both
+    # cutoffs.
     V = truncated_free_boson(1)
     wsp = GradedSpace(list(zip(V.space.labels, V.space.weights)) + [("x", 2)],
                       tier="truncated", cutoff=2)
     W = VAModule(wsp, ModeFamily(V.space, wsp, wsp), GradedMap(wsp, wsp, 1))
-    ext = build_extension(V, W, TwoCochain.zero(V, W))
-    assert ext.proj.undefined_source_weights == frozenset({2})
-    with pytest.raises(TruncationBreach) as err:
-        verify_extension(ext)
-    assert err.value.weight == 2
+    with pytest.raises(ValueError, match="module's cutoff 2 .* algebra's cutoff 1"):
+        build_extension(V, W, TwoCochain.zero(V, W))
+    # a module at the base's cutoff still builds
+    ok = VAModule(V.space, V.Y, translation_map(V))
+    assert build_extension(V, ok, TwoCochain.zero(V, ok)).total.space.cutoff == 1
 
 
 # ---------------------------------------------------------------------------
