@@ -4,7 +4,8 @@ Every check enumerates a finite, deterministic family of instances — one
 identity evaluated between homogeneous basis vectors at one mode index — and
 reports each instance as passed (residual exactly zero), failed (nonzero
 residual, recorded in full), or skipped (the evaluation would need states
-above the cutoff; the reason names the offending weight).
+above the cutoff; the reason names the offending weight).  Passed and skipped
+instances are counted, and listed one by one only in a detail report.
 
 Windows come from the weight rule: a residual of weight rho is enumerated for
 rho between the bottom weight and the cutoff N, and any intermediate state the
@@ -22,7 +23,6 @@ Verdicts: "fail" iff any instance failed; "pass" requires no skips;
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 from .scalars import binom
 from .spaces import (
@@ -46,18 +46,66 @@ class CreationFailed(Exception):
         self.instances = instances
 
 
-@dataclass
+class Tally:
+    """The count-only stand-in for an instance list: counts by key, no instances.
+
+    len() and truth are those of the list a detail report would hold.
+    Iterating raises, since the instances were never kept.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self) -> None:
+        self.counts: dict = {}
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def __iter__(self):
+        raise TypeError("a count-only report keeps no instances; "
+                        "check with detail=True to list them")
+
+
+class InstanceRun:
+    """The Jacobi instances (u, v, w, p, q, r) for p in ``ps``, as one item.
+
+    ``_gen_jacobi`` yields a run in place of an instance where every p of a
+    range breaches at one weight.  Iterating gives the instance tuples in
+    enumeration order.
+    """
+
+    __slots__ = ("lu", "lv", "lw", "ps", "q", "r")
+
+    def __init__(self, lu, lv, lw, ps: range, q: int, r: int) -> None:
+        self.lu, self.lv, self.lw, self.ps, self.q, self.r = lu, lv, lw, ps, q, r
+
+    def __len__(self) -> int:
+        return len(self.ps)
+
+    def __iter__(self):
+        lu, lv, lw, q, r = self.lu, self.lv, self.lw, self.q, self.r
+        return ((lu, lv, lw, p, q, r) for p in self.ps)
+
+
 class AxiomReport:
     """Outcome of a family of instance checks.
 
-    passed:  (axiom, instance)
-    failed:  (axiom, instance, residual keyed by target label)
-    skipped: (axiom, instance, ("TruncationBreach", offending weight))
+    failed:  [(axiom, instance, residual keyed by target label)], always
+    passed:  [(axiom, instance)], under detail=True
+    skipped: [(axiom, instance, ("TruncationBreach", offending weight))],
+             under detail=True
+
+    By default a report counts: ``passed`` is a Tally keyed by axiom and
+    ``skipped`` one keyed by (axiom, offending weight).  In both modes len()
+    and truth of the three attributes, the verdict, passed_counts() and
+    skip_counts() are the same.
     """
 
-    passed: list = field(default_factory=list)
-    failed: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
+    def __init__(self, detail: bool = False) -> None:
+        self.detail = detail
+        self.failed: list = []
+        self.passed: list | Tally = [] if detail else Tally()
+        self.skipped: list | Tally = [] if detail else Tally()
 
     @property
     def verdict(self) -> str:
@@ -68,9 +116,20 @@ class AxiomReport:
         return "pass"
 
     def passed_counts(self) -> dict[str, int]:
+        if not self.detail:
+            return dict(self.passed.counts)
         counts: dict[str, int] = {}
         for axiom, _inst in self.passed:
             counts[axiom] = counts.get(axiom, 0) + 1
+        return counts
+
+    def skip_counts(self) -> dict[tuple[str, int], int]:
+        """Skips per (axiom, offending weight)."""
+        if not self.detail:
+            return dict(self.skipped.counts)
+        counts: dict[tuple[str, int], int] = {}
+        for axiom, _inst, (_kind, weight) in self.skipped:
+            counts[axiom, weight] = counts.get((axiom, weight), 0) + 1
         return counts
 
     def __repr__(self):
@@ -84,25 +143,43 @@ def _record(report: AxiomReport, space, generator) -> None:
     """Drain an instance generator into a report, labeling residuals.
 
     The generator yields (axiom, instance, result) where result is a residual
-    vector (empty = passed) or a TruncationBreach (skipped).  The skips of
-    one offending weight share one immutable reason tuple, so a report does
-    not hold a copy per skip.
+    vector (empty = passed) or a TruncationBreach (skipped); a breach's
+    instance may be an InstanceRun, which stands for each of its instances.
+    A detail report lists every instance, a run expanded in order, and the
+    skips of one offending weight share one immutable reason tuple, so a
+    report does not hold a copy per skip.  A count report adds one pass per
+    axiom, and a skip, or a run's length, per (axiom, offending weight).
     """
-    passed, failed, skipped = (
-        report.passed.append, report.failed.append, report.skipped.append
-    )
-    reasons: dict[int, tuple[str, int]] = {}
+    failed = report.failed.append
+    if report.detail:
+        passed, skipped = report.passed.append, report.skipped.append
+        reasons: dict[int, tuple[str, int]] = {}
+        for axiom, inst, result in generator:
+            if isinstance(result, TruncationBreach):
+                weight = result.weight
+                reason = reasons.get(weight)
+                if reason is None:
+                    reason = reasons[weight] = ("TruncationBreach", weight)
+                if type(inst) is InstanceRun:
+                    for one in inst:
+                        skipped((axiom, one, reason))
+                else:
+                    skipped((axiom, inst, reason))
+            elif result:
+                failed((axiom, inst, space.describe(result)))
+            else:
+                passed((axiom, inst))
+        return
+    passes, skips = report.passed.counts, report.skipped.counts
     for axiom, inst, result in generator:
         if isinstance(result, TruncationBreach):
-            weight = result.weight
-            reason = reasons.get(weight)
-            if reason is None:
-                reason = reasons[weight] = ("TruncationBreach", weight)
-            skipped((axiom, inst, reason))
+            key = (axiom, result.weight)
+            skips[key] = skips.get(key, 0) + (
+                len(inst) if type(inst) is InstanceRun else 1)
         elif result:
             failed((axiom, inst, space.describe(result)))
         else:
-            passed((axiom, inst))
+            passes[axiom] = passes.get(axiom, 0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +329,13 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
     exact ring arithmetic, regrouped.  A breach depends on r, q and p
     separately, so its weight is found without a per-instance list, and the
     fringe shares one TruncationBreach per offending weight.
+
+    When r or q alone already breaches, every p of the (r, q) row breaches
+    too, at that weight, except that the fringe's lowest p, p_lo, may reach
+    weight NW + 1 above it.  Such a row is yielded as at most two items: p_lo on its own when it
+    breaches higher, then one InstanceRun over the remaining p in place of
+    an instance.  The drain lists a run's instances or counts them, so the
+    fringe is not walked p by p.
     """
     vsp = YV.left
     wsp = Y_act.right
@@ -262,7 +346,7 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
     v_pairs = YV.pair_modes
     # below every cap: an intermediate weight above its cap is above this
     floor = min(NV, NW)
-    breaches: dict[int, TruncationBreach] = {}
+    breach_at = functools.cache(TruncationBreach)
     choose = functools.cache(binom)
 
     def products(modes: dict, s: int, entry) -> list:
@@ -302,15 +386,21 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
                     for q in range(q_lo, s_hi - p_lo - r + 1):
                         Aq = wv + ww - 1 - q
                         over_rq = Aq if NW < Aq > over_r else over_r
-                        for p in range(max(p_lo, s_lo - q - r), s_hi - q - r + 1):
+                        p_start, p_stop = max(p_lo, s_lo - q - r), s_hi - q - r + 1
+                        if over_rq > floor:
+                            Ap = wu + ww - 1 - p_start
+                            if p_start < p_stop and NW < Ap > over_rq:
+                                yield axiom, (lu, lv, lw, p_start, q, r), breach_at(Ap)
+                                p_start += 1
+                            if p_start < p_stop:
+                                run = InstanceRun(lu, lv, lw, range(p_start, p_stop), q, r)
+                                yield axiom, run, breach_at(over_rq)
+                            continue
+                        for p in range(p_start, p_stop):
                             inst = (lu, lv, lw, p, q, r)
                             Ap = wu + ww - 1 - p
-                            over = Ap if NW < Ap > over_rq else over_rq
-                            if over > floor:
-                                breach = breaches.get(over)
-                                if breach is None:
-                                    breach = breaches[over] = TruncationBreach(over)
-                                yield axiom, inst, breach
+                            if NW < Ap > floor:
+                                yield axiom, inst, breach_at(Ap)
                                 continue
                             s = p + q + r
                             terms = memo.get(s)
@@ -402,14 +492,15 @@ def check_jacobi(V: VertexAlgebra, report: AxiomReport | None = None) -> AxiomRe
     return report
 
 
-def check_all(V: VertexAlgebra) -> AxiomReport:
+def check_all(V: VertexAlgebra, detail: bool = False) -> AxiomReport:
     """All algebra axioms plus the structural grading restrictions.
 
     Never raises: fragments that depend on the translation map use the
     mode-derived candidate, so a broken creation axiom shows up as failed
-    creation instances rather than an exception.
+    creation instances rather than an exception.  The report lists passed
+    and skipped instances only under ``detail``; otherwise it counts them.
     """
-    report = AxiomReport()
+    report = AxiomReport(detail)
     _record(report, V.space, _gen_grading(V))
     check_identity(V, report)
     check_creation(V, report)
@@ -426,7 +517,8 @@ def check_module(V: VertexAlgebra, W: VAModule,
 
     Assumes V itself has been checked (run check_all first; its verdict is the
     caller's business).  Windows use the module's bottom weight and cutoff for
-    result weights, the algebra's cutoff for algebra-side intermediates.
+    result weights, the algebra's cutoff for algebra-side intermediates.  The
+    instances are listed or counted as the report does.
     """
     report = report if report is not None else AxiomReport()
     wsp = W.space

@@ -262,7 +262,7 @@ def _emit(args, command: str, sources: list[dict], status: str, code: int,
 
 def _cmd_check(args, started: float) -> int:
     V, sources = _load_algebra(args)
-    rep = check_all(V)
+    rep = check_all(V, detail=args.json)
     if getattr(args, "module", None):
         W = _load_module(args, V, sources)
         check_module(V, W, report=rep)
@@ -321,7 +321,7 @@ def _cmd_extend(args, started: float) -> int:
     psi = (_load_cochain(args.psi, V, W, sources) if args.psi
            else TwoCochain.zero(V, W))
     ext = build_extension(V, W, psi)
-    rep = verify_extension(ext)
+    rep = verify_extension(ext, detail=args.json)
     extra = {"total_dims": ext.total.space.dims()}
 
     def data():
@@ -346,7 +346,7 @@ def _cmd_deform(args, started: float) -> int:
         defm = build_deformation(V, psi)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    rep = check_all(defm.deformed)
+    rep = check_all(defm.deformed, detail=args.json)
     code = 1 if rep.verdict == "fail" else 0
     status = rep.verdict if code else "first-order structure verified"
     lines = _verdict_lines(rep)

@@ -195,7 +195,7 @@ def _gen_structure(ext: SquareZeroExtension):
     )
 
 
-def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
+def verify_extension(ext: SquareZeroExtension, detail: bool = False) -> AxiomReport:
     """check_all on the total algebra plus the structural extension checks.
 
     The structural checks (square-zero, projection, inclusion,
@@ -204,9 +204,9 @@ def verify_extension(ext: SquareZeroExtension) -> AxiomReport:
     vacuum-preserved, the total vacuum minus the lifted base vacuum.  All
     live inside the window, so they pass or fail — never skip, since
     build_extension refuses a module reaching above a truncated base's
-    cutoff.
+    cutoff.  Instances are listed only under ``detail``, as in check_all.
     """
-    report = check_all(ext.total)
+    report = check_all(ext.total, detail)
     _record(report, ext.total.space, _gen_structure(ext))
     return report
 

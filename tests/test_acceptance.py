@@ -85,7 +85,7 @@ def test_criterion_01_checker_passes_presets_and_catches_corruptions():
         for name in EXACT_PRESETS:
             started = time.perf_counter()
             V = build_preset(name)
-            rep = check_all(V)
+            rep = check_all(V, detail=True)
             assert rep.verdict == "pass", name
             assert rep.skipped == [], name
 
@@ -302,7 +302,7 @@ def test_criterion_12_truncated_boson_bookkeeping():
     with criterion(12, "truncated free boson: clean pass within its window"):
         started = time.perf_counter()
         V = build_preset("free-boson", cutoff=4)
-        rep = check_all(V)
+        rep = check_all(V, detail=True)
         elapsed = time.perf_counter() - started
         assert rep.verdict == "pass-within-window"
         assert rep.failed == []

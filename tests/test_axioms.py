@@ -9,6 +9,7 @@ import pytest
 from vertexcoh.axioms import (
     AxiomReport,
     CreationFailed,
+    InstanceRun,
     _gen_creation,
     _gen_grading,
     _gen_identity,
@@ -42,7 +43,7 @@ EXACT_PRESETS = ("trivial", "dual-numbers", "split-pair", "graded-nilpotent")
 @pytest.mark.parametrize("name", EXACT_PRESETS)
 def test_exact_presets_pass_with_no_skips(name):
     V = build_preset(name)
-    rep = check_all(V)
+    rep = check_all(V, detail=True)
     assert rep.verdict == "pass"
     assert rep.failed == []
     assert rep.skipped == []
@@ -83,7 +84,7 @@ def test_weight_zero_jacobi_window_is_the_classical_triple():
     # with every weight 0 the admissible (p, q, r) box degenerates to the
     # three points encoding associativity and commutativity of the product
     V = build_preset("dual-numbers")
-    rep = AxiomReport()
+    rep = AxiomReport(detail=True)
     check_jacobi(V, rep)
     windows = {inst[3:] for _a, inst in rep.passed}
     assert windows == {(0, -1, -1), (-1, 0, -1), (-1, -1, 0)}
@@ -200,7 +201,7 @@ def test_derived_undefined_weights_match_the_former_formula():
 def test_boson_level2_passes_within_window():
     V = truncated_free_boson(2)
     assert V.space.dims() == {0: 1, 1: 1, 2: 2}
-    rep = check_all(V)
+    rep = check_all(V, detail=True)
     assert rep.verdict == "pass-within-window"
     assert rep.failed == []
     assert rep.skipped, "fringe instances should be recorded"
@@ -214,8 +215,7 @@ def test_boson_level2_passes_within_window():
 
 
 def test_report_merge_and_verdict_precedence():
-    good = check_all(build_preset("trivial"))
-    rep = AxiomReport(list(good.passed), list(good.failed), list(good.skipped))
+    rep = check_all(build_preset("trivial"), detail=True)
     assert rep.verdict == "pass"
     rep.skipped.append(("jacobi", ("x",), ("TruncationBreach", 9)))
     assert rep.verdict == "pass-within-window"
@@ -223,8 +223,18 @@ def test_report_merge_and_verdict_precedence():
     assert rep.verdict == "fail"
 
 
+def per_instance(stream):
+    """A generator's stream with every InstanceRun expanded, in order."""
+    for axiom, inst, result in stream:
+        if type(inst) is InstanceRun:
+            for one in inst:
+                yield axiom, one, result
+        else:
+            yield axiom, inst, result
+
+
 def _reference_record(report, space, generator):
-    """The drain as first written: one reason tuple per skip."""
+    """The drain as first written: one reason tuple per skip, no runs."""
     for axiom, inst, result in generator:
         if isinstance(result, TruncationBreach):
             report.skipped.append((axiom, inst, ("TruncationBreach", result.weight)))
@@ -249,29 +259,43 @@ def test_record_drains_like_the_reference():
     key = next(k for k in table if vac not in (k[0], k[2]) and k[1] == 0)
     table[key] = {t: 3 * c for t, c in table[key].items()}
     for alg in (V, _rebuild_with(V, table)):
-        new, ref = AxiomReport(), AxiomReport()
+        new, counted, ref = AxiomReport(detail=True), AxiomReport(), AxiomReport(detail=True)
+        runs = 0
         for gen in _fragments(alg):
-            def teed():                      # one pass feeds both drains
-                for item in gen:
-                    _reference_record(ref, alg.space, (item,))
-                    yield item
-            _record(new, alg.space, teed())
+            items = list(gen)                # one enumeration feeds all three drains
+            runs += sum(type(inst) is InstanceRun for _a, inst, _r in items)
+            _reference_record(ref, alg.space, per_instance(items))
+            _record(new, alg.space, iter(items))
+            _record(counted, alg.space, iter(items))
+        assert runs
         assert new.passed == ref.passed
         assert new.failed == ref.failed
         assert new.skipped == ref.skipped
         assert new.skipped and (alg is V) == (not new.failed)
-    # every boson skip breaks at cutoff + 1, so mix offending weights here
+        assert counted.failed == ref.failed
+        assert counted.passed_counts() == ref.passed_counts()
+        assert counted.skip_counts() == ref.skip_counts()
+        assert (len(counted.passed), len(counted.skipped)) == (len(ref.passed), len(ref.skipped))
+    # every boson skip breaks at cutoff + 1, so mix offending weights here,
+    # and a run between single breaches
     mixed = [("jacobi", (i,), TruncationBreach(w)) for i, w in enumerate((5, 6, 5, 7, 6))]
+    mixed.insert(2, ("jacobi", InstanceRun("a", "b", "c", range(-3, 0), 1, 2),
+                     TruncationBreach(6)))
     mixed += [("identity", ("x",), {0: F(1, 2)}), ("identity", ("y",), {})]
-    new, ref = AxiomReport(), AxiomReport()
+    new, counted, ref = AxiomReport(detail=True), AxiomReport(), AxiomReport(detail=True)
     _record(new, V.space, iter(mixed))
-    _reference_record(ref, V.space, mixed)
+    _record(counted, V.space, iter(mixed))
+    _reference_record(ref, V.space, per_instance(mixed))
     assert (new.passed, new.failed, new.skipped) == (ref.passed, ref.failed, ref.skipped)
+    assert [inst for _a, inst, _why in new.skipped[2:5]] == [
+        ("a", "b", "c", p, 1, 2) for p in (-3, -2, -1)]
+    assert counted.skip_counts() == {("jacobi", 5): 2, ("jacobi", 6): 5, ("jacobi", 7): 1}
+    assert (counted.passed_counts(), counted.failed) == ({"identity": 1}, ref.failed)
 
 
 def test_skips_of_one_weight_share_one_reason():
     # one reason tuple per offending weight and check fragment
-    rep = check_all(build_preset("free-boson", 3))
+    rep = check_all(build_preset("free-boson", 3), detail=True)
     shared: dict = {}
     for axiom, _inst, reason in rep.skipped:
         fragment = axiom.split("-")[0]       # translation-shift, -bracket: one
@@ -310,8 +334,8 @@ def test_check_module_on_adjoint_counts_match_check_all(name, cutoff):
     V = build_preset(name, cutoff)
     # the adjoint module is the algebra acting on itself, so each module axiom
     # enumerates exactly the instances of its algebra counterpart
-    mod = _tally(check_module(V, adjoint_module(V)))
-    alg = _tally(check_all(V))
+    mod = _tally(check_module(V, adjoint_module(V), AxiomReport(detail=True)))
+    alg = _tally(check_all(V, detail=True))
     for axiom in ("identity", "translation-shift", "translation-bracket", "jacobi"):
         for kind in ("passed", "skipped", "failed"):
             assert mod.get((f"module-{axiom}", kind), 0) == alg.get((axiom, kind), 0)

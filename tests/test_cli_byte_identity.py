@@ -1,0 +1,235 @@
+"""CLI output pinned byte for byte, in text and in ``--json``.
+
+Axiom reports list their instances only for ``--json`` and count them
+otherwise; neither output may move for that.  Each command runs vertexcoh's
+``main`` in-process from a directory holding seeded cochain files, and its
+exit code, stdout and stderr are compared with a sha256 digest (first 16 hex
+digits) recorded from the program as it was before reports could count.  A
+``--json`` report is compared without its ``elapsed_ms``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import re
+
+import pytest
+
+from test_count_reports import seeded_cochains
+from vertexcoh.cli import main
+from vertexcoh.presets import adjoint_module, build_preset
+from vertexcoh.specfile import SpecFile, dump_spec, spec_from_objects
+
+SETTINGS = {
+    "trivial": ("trivial", None),
+    "dual-numbers": ("dual-numbers", None),
+    "split-pair": ("split-pair", None),
+    "graded-nilpotent": ("graded-nilpotent", None),
+    "boson-2": ("free-boson", 2),
+    "boson-3": ("free-boson", 3),
+}
+ELAPSED = re.compile(r', "elapsed_ms": [0-9.e+-]+\}$')
+
+
+def write_inputs(directory) -> None:
+    """Per setting a coboundary and a cochain on every slot, plus the zero cochain."""
+    (directory / "zero.txt").write_text("[PSI]\n")
+    for tag, (name, cutoff) in SETTINGS.items():
+        V = build_preset(name, cutoff)
+        W = adjoint_module(V)
+        for kind, psi in seeded_cochains(V, W, f"cli:{tag}").items():
+            text = dump_spec(SpecFile(psi=spec_from_objects(V, psi=psi).psi))
+            (directory / f"{tag}-{kind}.txt").write_text(text)
+
+
+def commands(tag: str) -> dict[str, tuple[str, ...]]:
+    name, cutoff = SETTINGS[tag]
+    base = ("--preset", name) + (("--cutoff", str(cutoff)) if cutoff is not None else ())
+    out = {"check": ("check", *base), "extend": ("extend", *base)}
+    for kind in ("cob", "dense"):
+        psi = ("--psi", f"{tag}-{kind}.txt")
+        out[f"extend-{kind}"] = ("extend", *base, *psi)
+        out[f"deform-{kind}"] = ("deform", *base, *psi)
+        for structure in ("extension", "deformation"):
+            out[f"equiv-{structure}-{kind}"] = (
+                "equiv", *base, "--kind", structure, *psi, "--psi2", "zero.txt")
+    return out
+
+
+def run_digest(argv: tuple[str, ...]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    stdout = out.getvalue()
+    if "--json" in argv and stdout:        # a refused input prints no report
+        stdout, n = ELAPSED.subn("}", stdout.rstrip("\n"))
+        assert n == 1, stdout[-200:]
+    blob = f"{code}\n{stdout}\n--stderr--\n{err.getvalue()}"
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-inputs")
+    write_inputs(directory)
+    return directory
+
+
+# (setting, mode): {command: digest of exit code, stdout and stderr}
+DIGESTS: dict = {
+    ('boson-2', 'text'): {
+        'check': 'e44bb90c1d917abb',
+        'extend': 'fc880bef04f3bada',
+        'extend-cob': 'fc880bef04f3bada',
+        'deform-cob': '7a878c5e7fa3a84b',
+        'equiv-extension-cob': '07083bde488a73ac',
+        'equiv-deformation-cob': '90a2e1bcdb0ad1e4',
+        'extend-dense': '1bda125cfe99f09a',
+        'deform-dense': '7cb2c7e640bd9ee1',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': 'f07a980099de4f71',
+    },
+    ('boson-2', 'json'): {
+        'check': '49e7c9bf3eecf15d',
+        'extend': 'f6073d4452446be3',
+        'extend-cob': 'ecfd4703eda26adc',
+        'deform-cob': '2b2b28156d5a9655',
+        'equiv-extension-cob': 'db0c33434a5857a7',
+        'equiv-deformation-cob': '806ac923d70da824',
+        'extend-dense': 'fae31a07750dde01',
+        'deform-dense': '6f640bf4457815a3',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': 'f07a980099de4f71',
+    },
+    ('boson-3', 'text'): {
+        'check': '76fce13b1c7d9dc6',
+        'extend': 'da1f4db6bbdbe3f2',
+        'extend-cob': 'da1f4db6bbdbe3f2',
+        'deform-cob': '8f612be36690295b',
+        'equiv-extension-cob': 'ea65ab20c3c3ca3f',
+        'equiv-deformation-cob': '41698cacfc7aa824',
+        'extend-dense': '07afce2a3f4d18e2',
+        'deform-dense': 'a8cd1fa13f090d35',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': '7bc23217f4083a64',
+    },
+    ('boson-3', 'json'): {
+        'check': 'd55b0da7abf28401',
+        'extend': '6002b5016057443e',
+        'extend-cob': '3dd84bd673e8cc5b',
+        'deform-cob': 'c7d483608458630b',
+        'equiv-extension-cob': 'ab986180ab740320',
+        'equiv-deformation-cob': '930f0e31dae07424',
+        'extend-dense': '7e98101b0fdbc7be',
+        'deform-dense': '8c4a8a199d6c87bc',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': '7bc23217f4083a64',
+    },
+    ('dual-numbers', 'text'): {
+        'check': '9f2695ac5593d3e0',
+        'extend': '000a66066a855fbe',
+        'extend-cob': '000a66066a855fbe',
+        'deform-cob': '6f9bd2d07ea5c63a',
+        'equiv-extension-cob': 'b1e5684360e67153',
+        'equiv-deformation-cob': 'f9b5f377716ea0e3',
+        'extend-dense': '0e5d413d9056272c',
+        'deform-dense': '52c1fe549c82f20e',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': '869ee7f483600ecd',
+    },
+    ('dual-numbers', 'json'): {
+        'check': '538105084d8ba45f',
+        'extend': '17ae7fe2f5490bdb',
+        'extend-cob': 'b677aec9f9537594',
+        'deform-cob': '2bb1208381a8848e',
+        'equiv-extension-cob': 'd28117627c3bb820',
+        'equiv-deformation-cob': '65e11c0c0699e34f',
+        'extend-dense': '2e2765430738f41f',
+        'deform-dense': '3db7d14297977aa7',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': '869ee7f483600ecd',
+    },
+    ('graded-nilpotent', 'text'): {
+        'check': '4b046a63e62a865d',
+        'extend': '4bc372ce24b208b3',
+        'extend-cob': '4bc372ce24b208b3',
+        'deform-cob': '6ec985efd6bc46d1',
+        'equiv-extension-cob': '86845a6b7c415e02',
+        'equiv-deformation-cob': '204dd36ee5187752',
+        'extend-dense': '7f57c6baf4a3fda6',
+        'deform-dense': '5a4a1d24160bd9c9',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': 'd73f6480fb222592',
+    },
+    ('graded-nilpotent', 'json'): {
+        'check': '250ea13c75d1cb69',
+        'extend': '777cfd966ff4d32c',
+        'extend-cob': '666a7af5b46c7167',
+        'deform-cob': '442cb5a48e879ca5',
+        'equiv-extension-cob': '52a3f9fd78bc9711',
+        'equiv-deformation-cob': '9f4d7e0c43b5bfff',
+        'extend-dense': '96e6ab0aeb7ed41c',
+        'deform-dense': '821846f08951c2d6',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': 'd73f6480fb222592',
+    },
+    ('split-pair', 'text'): {
+        'check': '9f2695ac5593d3e0',
+        'extend': '000a66066a855fbe',
+        'extend-cob': '000a66066a855fbe',
+        'deform-cob': '6f9bd2d07ea5c63a',
+        'equiv-extension-cob': 'b8de63502141bc01',
+        'equiv-deformation-cob': '2b059d7b760d0927',
+        'extend-dense': 'e5cc4ee647e0ad15',
+        'deform-dense': 'c2785c39ae8d28cf',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': '544169c17dcbd939',
+    },
+    ('split-pair', 'json'): {
+        'check': 'cd0872a3b063a4c8',
+        'extend': 'c487eb681beebe8d',
+        'extend-cob': '340ce04eb3aa29b7',
+        'deform-cob': 'b5c2235eef80a2de',
+        'equiv-extension-cob': 'c25376666c4bf60e',
+        'equiv-deformation-cob': '00bc6a773d140896',
+        'extend-dense': 'ad50751a1662fb33',
+        'deform-dense': '764b170d0bc370b0',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': '544169c17dcbd939',
+    },
+    ('trivial', 'text'): {
+        'check': 'b0f4573ce200b1cf',
+        'extend': '014e5b9556e18bfd',
+        'extend-cob': '014e5b9556e18bfd',
+        'deform-cob': '0151d47a168b6822',
+        'equiv-extension-cob': '86845a6b7c415e02',
+        'equiv-deformation-cob': '204dd36ee5187752',
+        'extend-dense': 'e8d38429c7488ddd',
+        'deform-dense': '5a42edad10e844af',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': 'dfed838ed960e451',
+    },
+    ('trivial', 'json'): {
+        'check': 'c8e0a96f50980be9',
+        'extend': 'dc3531528c22775b',
+        'extend-cob': '43fba19a8f72f3f1',
+        'deform-cob': '72cb84e6074cd505',
+        'equiv-extension-cob': '5159e44bced086db',
+        'equiv-deformation-cob': 'a3ede2d591f13f06',
+        'extend-dense': '0ca21042f5097396',
+        'deform-dense': 'c2119e0193944372',
+        'equiv-extension-dense': 'b46fd4b066fcd75f',
+        'equiv-deformation-dense': 'dfed838ed960e451',
+    },
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SETTINGS))
+@pytest.mark.parametrize("mode", ("text", "json"))
+def test_output_is_byte_identical(tag, mode, inputs, monkeypatch):
+    monkeypatch.chdir(inputs)
+    flag = ("--json",) if mode == "json" else ()
+    got = {name: run_digest(argv + flag) for name, argv in commands(tag).items()}
+    assert got == DIGESTS[tag, mode]

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
+from test_axioms import per_instance
 from vertexcoh import cohomology
 from vertexcoh.axioms import (
     _gen_creation,
@@ -304,7 +305,7 @@ def _residual_with_the_fringe(V, W, psi):
     for gen in (_gen_identity(total.Y, total.vacuum), _gen_creation(total),
                 _gen_translation(total.Y, tmap, tmap), _gen_skew(total, tmap, tier),
                 _gen_jacobi(total.Y, total.Y, tier)):
-        for axiom, inst, result in gen:
+        for axiom, inst, result in per_instance(gen):
             if isinstance(result, TruncationBreach):
                 breaches += 1
                 continue
@@ -526,7 +527,7 @@ def test_z2_equals_the_probe_oracle(name, cutoff):
 
 def _skipped(V, W, psi):
     """(axiom, instance) of every skipped check of the extension along psi."""
-    report = check_all(build_extension(V, W, psi).total)
+    report = check_all(build_extension(V, W, psi).total, detail=True)
     return {(axiom, inst) for axiom, inst, _why in report.skipped}
 
 

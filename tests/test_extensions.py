@@ -135,7 +135,7 @@ def _reference_verify_extension(ext):
     vacuum-preserved residual: a failure now records the total vacuum minus
     the lifted base vacuum, where the loop recorded an empty residual.
     """
-    report = check_all(ext.total)
+    report = check_all(ext.total, detail=True)
     total, V, W = ext.total, ext.base, ext.fiber
     tsp, vsp, wsp = total.space, V.space, W.space
 
@@ -184,7 +184,7 @@ def _reference_verify_extension(ext):
 
 
 def _assert_same_report(ext):
-    got, want = verify_extension(ext), _reference_verify_extension(ext)
+    got, want = verify_extension(ext, detail=True), _reference_verify_extension(ext)
     assert got.passed == want.passed
     assert got.failed == want.failed
     assert got.skipped == want.skipped

@@ -162,7 +162,7 @@ def _slow_path_cases():
 
 def test_reports_equal_the_fraction_only_tables():
     for name, V in _slow_path_cases():
-        fast, slow = check_all(V), check_all(_fraction_only(V))
+        fast, slow = check_all(V, detail=True), check_all(_fraction_only(V), detail=True)
         assert fast.passed == slow.passed, name
         assert fast.skipped == slow.skipped, name
         assert fast.failed == slow.failed, name

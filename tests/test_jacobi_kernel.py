@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_axioms import per_instance
 from test_cohomology import _random_lawful_algebras
 from test_integral_coefficients import _corrupted, _random_fractional_algebras
 from vertexcoh.axioms import _gen_jacobi
@@ -119,11 +120,12 @@ def reference_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = 
 
 
 def _stream(gen) -> list:
-    """(axiom, instance, breach weight or sorted residual) for every yield."""
+    """(axiom, instance, breach weight or sorted residual) for every instance,
+    runs of breaches expanded."""
     return [
         (axiom, inst, ("breach", res.weight) if isinstance(res, TruncationBreach)
          else sorted(res.items()))
-        for axiom, inst, res in gen
+        for axiom, inst, res in per_instance(gen)
     ]
 
 
