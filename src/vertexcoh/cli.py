@@ -15,9 +15,10 @@ dual-numbers, split-pair, graded-nilpotent, free-boson).  Exit codes: 0 for
 mathematical success (pass, pass-within-window, equivalent, computed,
 artifact written), 1 for mathematical failure (axiom failures, inequivalent,
 not a cocycle, a module that fails its axioms), 2 for unusable input (parse
-errors, unknown preset, bad flags, impossible cutoffs).  A reader that closes
-stdout before the output is written (``| head``, a pager quit early) gets
-exit code 1 and no traceback: the rest of the output goes to os.devnull.
+errors, unknown preset, bad flags, impossible cutoffs, an unwritable
+``--out`` path).  A reader that closes stdout before the output is written
+(``| head``, a pager quit early) gets exit code 1 and no traceback: the rest
+of the output goes to os.devnull.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
+from itertools import islice
 from pathlib import Path
 
 from .axioms import (
@@ -97,6 +99,7 @@ def _coeffs(vec: dict) -> dict:
 
 
 def _report_data(rep: AxiomReport) -> dict:
+    """The report's data; ``skipped`` yields its entries as the writer asks."""
     return {
         "verdict": rep.verdict,
         "passed": rep.passed_counts(),
@@ -104,10 +107,10 @@ def _report_data(rep: AxiomReport) -> dict:
             {"axiom": a, "instance": inst, "residual": _coeffs(res)}
             for a, inst, res in rep.failed
         ],
-        "skipped": [
+        "skipped": (
             {"axiom": a, "instance": inst, "reason": why}
             for a, inst, why in rep.skipped
-        ],
+        ),
     }
 
 
@@ -123,6 +126,13 @@ def _map_data(g: GradedMap) -> dict:
 def _cochain_data(psi: TwoCochain) -> dict:
     return {f"{u} {n} {v}": _coeffs(vec)
             for (u, n, v), vec in psi.entries_by_labels().items()}
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _file_source(path: str) -> dict:
@@ -236,24 +246,57 @@ def _emit(args, command: str, sources: list[dict], status: str, code: int,
     """Print the text lines, or under ``--json`` the report built from ``data()``.
 
     ``data`` is a zero-argument function, so text mode never builds the
-    per-instance data.  The report is one line: CPython's json uses its C
-    encoder only when ``indent`` is None.  json writes tuples as lists and
-    int keys as their decimal text.
+    per-instance data.  ``elapsed_ms`` is read before the report is written,
+    so it leaves out building and encoding the skipped instances' entries.
     """
     if args.json:
-        report = {
+        _write_json({
             "command": command,
             "inputs": sources,
             "status": status,
             "exit_code": code,
             "data": data(),
             "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
-        }
-        print(json.dumps(report))
+        })
     else:
         for line in lines:
             print(line)
     return code
+
+
+# skipped entries encoded per json.dumps call
+_SKIP_BATCH = 4096
+# holds data["skipped"]'s place while the rest of a report is encoded; no
+# label, path, reason or coefficient holds a NUL, so no input encodes to it
+_SKIPPED_MARK = "\0skipped\0"
+
+
+def _write_json(report: dict) -> None:
+    """Write ``json.dumps(report) + "\\n"`` to stdout, byte for byte.
+
+    The report is one line: CPython's json uses its C encoder only when
+    ``indent`` is None.  json writes tuples as lists and int keys as their
+    decimal text.  ``data["skipped"]``, if present, may be any iterable: its
+    entries are encoded ``_SKIP_BATCH`` at a time and each batch is written
+    at once, so neither the list of entries nor the report text is held.
+    """
+    data = report["data"]
+    entries = iter(data.get("skipped", ()))
+    if "skipped" in data:
+        report = {**report, "data": {**data, "skipped": _SKIPPED_MARK}}
+    head, hole, tail = json.dumps(report).partition(json.dumps(_SKIPPED_MARK))
+    write = sys.stdout.write
+    write(head)
+    if hole:
+        write("[")
+        batch = list(islice(entries, _SKIP_BATCH))
+        while batch:
+            write(json.dumps(batch)[1:-1])
+            batch = list(islice(entries, _SKIP_BATCH))
+            if batch:
+                write(", ")
+        write("]")
+    write(tail + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +374,7 @@ def _cmd_extend(args, started: float) -> int:
     if rep.verdict == "fail":
         return _emit(args, "extend", sources, "fail", 1, data, lines, started)
     if args.out:
-        Path(args.out).write_text(dump_spec(spec_from_objects(ext.total)))
+        _write_file(args.out, dump_spec(spec_from_objects(ext.total)))
         extra["out"] = args.out
         lines.append(f"total algebra written to {args.out}")
     return _emit(args, "extend", sources, rep.verdict, 0, data, lines, started)
@@ -388,7 +431,7 @@ def _cmd_dump_preset(args, started: float) -> int:
     text = dump_spec(spec_from_objects(V))
     sources = [{"kind": "preset", "name": args.name, "cutoff": args.cutoff}]
     if args.out:
-        Path(args.out).write_text(text)
+        _write_file(args.out, text)
         return _emit(args, "dump-preset", sources, "written", 0,
                      lambda: {"out": args.out}, [f"written to {args.out}"], started)
     if args.json:

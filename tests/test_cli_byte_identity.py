@@ -6,6 +6,11 @@ otherwise; neither output may move for that.  Each command runs vertexcoh's
 exit code, stdout and stderr are compared with a sha256 digest (first 16 hex
 digits) recorded from the program as it was before reports could count.  A
 ``--json`` report is compared without its ``elapsed_ms``.
+
+A ``--json`` report is written as it is encoded, its skipped instances in
+batches.  The largest reports, many batches long, are also compared in full
+with the one-shot ``json.dumps`` of the report rebuilt from a detail
+``AxiomReport`` as the CLI built it before it streamed.
 """
 
 from __future__ import annotations
@@ -13,14 +18,20 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import re
+from pathlib import Path
 
 import pytest
 
 from test_count_reports import seeded_cochains
+from vertexcoh import cli
+from vertexcoh.axioms import check_all, translation_map
 from vertexcoh.cli import main
+from vertexcoh.extensions import build_deformation, build_extension, verify_extension
 from vertexcoh.presets import adjoint_module, build_preset
-from vertexcoh.specfile import SpecFile, dump_spec, spec_from_objects
+from vertexcoh.spaces import VAModule
+from vertexcoh.specfile import SpecFile, dump_spec, parse_spec, spec_from_objects, to_cochain
 
 SETTINGS = {
     "trivial": ("trivial", None),
@@ -233,3 +244,86 @@ def test_output_is_byte_identical(tag, mode, inputs, monkeypatch):
     flag = ("--json",) if mode == "json" else ()
     got = {name: run_digest(argv + flag) for name, argv in commands(tag).items()}
     assert got == DIGESTS[tag, mode]
+
+
+# ---------------------------------------------------------------------------
+# streamed reports against the one-shot encoding
+# ---------------------------------------------------------------------------
+
+def one_shot_report_data(rep) -> dict:
+    """An axiom report's ``data`` as the CLI built it in full before streaming."""
+    return {
+        "verdict": rep.verdict,
+        "passed": rep.passed_counts(),
+        "failed": [
+            {"axiom": a, "instance": inst, "residual": {k: str(c) for k, c in res.items()}}
+            for a, inst, res in rep.failed
+        ],
+        "skipped": [
+            {"axiom": a, "instance": inst, "reason": why}
+            for a, inst, why in rep.skipped
+        ],
+    }
+
+
+def _boson_3() -> dict:
+    return {"kind": "preset", "name": "free-boson", "cutoff": 3}
+
+
+def _psi_file(path: str, V, W):
+    text = Path(path).read_text()
+    source = {"kind": "file", "path": path,
+              "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return source, to_cochain(parse_spec(text), V, W)
+
+
+def oracle_check():
+    rep = check_all(build_preset("free-boson", 3), detail=True)
+    return [_boson_3()], rep.verdict, 0, one_shot_report_data(rep)
+
+
+def oracle_extend():
+    V = build_preset("free-boson", 3)
+    W = adjoint_module(V)
+    source, psi = _psi_file("boson-3-cob.txt", V, W)
+    ext = build_extension(V, W, psi)
+    rep = verify_extension(ext, detail=True)
+    data = {**one_shot_report_data(rep), "total_dims": ext.total.space.dims()}
+    return [_boson_3(), source], rep.verdict, 0, data
+
+
+def oracle_deform():
+    V = build_preset("free-boson", 3)
+    source, psi = _psi_file("boson-3-dense.txt", V,
+                            VAModule(V.space, V.Y, translation_map(V)))
+    rep = check_all(build_deformation(V, psi).deformed, detail=True)
+    return [_boson_3(), source], rep.verdict, 1, one_shot_report_data(rep)
+
+
+BOSON_3 = ("--preset", "free-boson", "--cutoff", "3")
+# name: (argv without --json, oracle); the deformation fails its axioms
+STREAMED = {
+    "check": (("check", *BOSON_3), oracle_check),
+    "extend-cob": (("extend", *BOSON_3, "--psi", "boson-3-cob.txt"), oracle_extend),
+    "deform-dense": (("deform", *BOSON_3, "--psi", "boson-3-dense.txt"), oracle_deform),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_report_equals_the_one_shot_encoding(name, inputs, monkeypatch):
+    monkeypatch.chdir(inputs)
+    argv, oracle = STREAMED[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--json"])
+    sources, status, want_code, data = oracle()
+    assert code == want_code
+    assert (status == "fail") == (code == 1) == bool(data["failed"])
+    assert len(data["skipped"]) > 4 * cli._SKIP_BATCH
+    report = {"command": argv[0], "inputs": sources, "status": status,
+              "exit_code": code, "data": data, "elapsed_ms": 0.0}
+    got, n = ELAPSED.subn("}", out.getvalue().removesuffix("\n"))
+    assert n == 1
+    # compared as a flag: pytest's diff of two megabyte strings takes minutes
+    same = got == ELAPSED.sub("}", json.dumps(report))
+    assert same

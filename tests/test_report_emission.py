@@ -1,16 +1,25 @@
-"""The ``--json`` report path: one line from json's C encoder, built lazily.
+"""The ``--json`` report path: one line from json's C encoder, streamed.
 
 The reports used to be written by a deep copy (tuples to lists, keys to
 strings) followed by ``json.dumps(..., indent=2)``, which runs json's pure
 Python encoder.  ``legacy_encoding`` keeps that slow path as the oracle: the
-new one-line report must decode to the same object.
+report the CLI hands to its writer, with the skipped instances it yields
+materialised, must decode to the same object.  The writer streams those
+instances in batches, and its text must equal the one-shot
+``json.dumps(report) + "\\n"`` byte for byte, whatever the batch size.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import vertexcoh
 
 from vertexcoh import cli
 from vertexcoh.cli import main
@@ -79,23 +88,104 @@ def _without_elapsed(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "elapsed_ms"}
 
 
+def _run_capturing_the_report(argv, monkeypatch) -> tuple[int, list[dict]]:
+    """Run ``main``: its exit code and the reports it wrote, skips materialised.
+
+    The spy hands the materialised report on to the real writer, so stdout is
+    the writer's text for exactly the object returned.
+    """
+    captured = []
+    write = cli._write_json
+
+    def spy(report):
+        data = report["data"]
+        if "skipped" in data:
+            report = {**report, "data": {**data, "skipped": list(data["skipped"])}}
+        captured.append(report)
+        write(report)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    code = main(argv)
+    monkeypatch.setattr(cli, "_write_json", write)
+    return code, captured
+
+
 @pytest.mark.parametrize("argv, code", [c[1:] for c in JSON_CASES],
                          ids=[c[0] for c in JSON_CASES])
 def test_json_report_equals_the_legacy_encoding(argv, code, tmp_path, capsys,
                                                 monkeypatch):
-    captured = []
-
-    def spy(obj, *a, **kw):
-        captured.append(obj)
-        return _DUMPS(obj, *a, **kw)
-
-    monkeypatch.setattr(cli.json, "dumps", spy)
-    assert main([*argv(_files(tmp_path)), "--json"]) == code
-    monkeypatch.undo()
+    got, captured = _run_capturing_the_report([*argv(_files(tmp_path)), "--json"],
+                                              monkeypatch)
+    assert got == code
     out = capsys.readouterr().out
     assert len(captured) == 1
+    report = captured[0]
     assert _without_elapsed(json.loads(out)) == \
-        _without_elapsed(json.loads(legacy_encoding(captured[0])))
+        _without_elapsed(json.loads(legacy_encoding(report)))
+    # the report holds the elapsed_ms the writer wrote, so nothing is masked
+    # (compared as a flag: pytest's diff of two megabyte strings takes minutes)
+    one_shot = out == _DUMPS(report) + "\n"
+    assert one_shot
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("argv, code", [c[1:] for c in JSON_CASES],
+                         ids=[c[0] for c in JSON_CASES])
+def test_json_report_does_not_depend_on_the_batch_size(argv, code, batch, tmp_path,
+                                                       capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SKIP_BATCH", batch)
+    got, captured = _run_capturing_the_report([*argv(_files(tmp_path)), "--json"],
+                                              monkeypatch)
+    assert got == code
+    out = capsys.readouterr().out
+    assert len(captured) == 1
+    one_shot = out == _DUMPS(captured[0]) + "\n"
+    assert one_shot
+
+
+def test_batch_cases_cover_empty_exact_and_remainder(tmp_path, capsys, monkeypatch):
+    # skip counts of JSON_CASES: an empty list, a multiple of 2 and an odd count
+    counts = set()
+    for _name, argv, _code in JSON_CASES:
+        _, reports = _run_capturing_the_report([*argv(_files(tmp_path)), "--json"],
+                                               monkeypatch)
+        for report in reports:
+            if "skipped" in report["data"]:
+                counts.add(len(report["data"]["skipped"]))
+    capsys.readouterr()
+    assert 0 in counts
+    assert any(n > 2 and n % 2 == 0 for n in counts)
+    assert any(n > 2 and n % 2 == 1 for n in counts)
+
+
+# Runs argv with stdout to os.devnull and prints its exit code and ru_maxrss.
+# Linux carries the peak RSS of the address space a process replaces at exec
+# into its ru_maxrss, and a child forked from the test process starts in a
+# copy of it; started from this small interpreter, the report run does not.
+_PEAK_RSS = """
+import os, subprocess, sys
+with open(os.devnull, "wb") as sink:
+    proc = subprocess.Popen(sys.argv[1:], stdout=sink)
+    _pid, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_streamed_cutoff_4_report_stays_below_90_mb():
+    # the 14.8 MB report used to be held twice, as a list of dicts and as
+    # one string (117.8 MB peak); streamed it peaks at about 65 MB
+    src = Path(vertexcoh.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "vertexcoh.cli",
+         "check", "--preset", "free-boson", "--cutoff", "4", "--json"],
+        capture_output=True, text=True, env=env, check=True)
+    code, kib = map(int, run.stdout.split())
+    assert code == 0
+    assert kib / 1024 < 90
 
 
 @pytest.mark.parametrize("argv, code", [c[1:] for c in JSON_CASES],

@@ -264,6 +264,21 @@ def test_cli_input_problems_exit_two(tmp_path, capsys):
     assert "line 1, col 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dump-preset", "dual-numbers"],
+    ["extend", "--preset", "dual-numbers"],
+], ids=["dump-preset", "extend"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_cli_unwritable_out_path_exits_two(argv, json_flag, tmp_path, capsys):
+    target = tmp_path / "absent" / "x.txt"
+    assert main([*argv, "--out", str(target), *json_flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_cli_cutoff_rules(tmp_path, capsys):
     exact = tmp_path / "graded.txt"
     exact.write_text(_dump("graded-nilpotent"))                # weights 0 and 1
@@ -517,6 +532,23 @@ def test_cli_exits_quietly_when_stdout_closes_early():
          "--cutoff", "3", "--json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.read(80).startswith(b'{"command": "check"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_cli_exits_quietly_when_stdout_closes_amid_the_skipped_instances():
+    # the 2.3 MB cutoff-3 report is written in batches of skipped instances;
+    # the reader leaves after about 1 MB, in the middle of them
+    src = Path(vertexcoh.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "vertexcoh.cli", "check", "--preset", "free-boson",
+         "--cutoff", "3", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(1 << 20)
+        assert len(head) == 1 << 20 and b'"skipped": [{"axiom": ' in head
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 1
