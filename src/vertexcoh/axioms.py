@@ -5,7 +5,7 @@ identity evaluated between homogeneous basis vectors at one mode index — and
 reports each instance as passed (residual exactly zero), failed (nonzero
 residual, recorded in full), or skipped (the evaluation would need states
 above the cutoff; the reason names the offending weight).  Passed and skipped
-instances are counted, and listed one by one only in a detail report.
+instances are counted; a detail report also lists the skipped ones.
 
 Windows come from the weight rule: a residual of weight rho is enumerated for
 rho between the bottom weight and the cutoff N, and any intermediate state the
@@ -47,10 +47,10 @@ class CreationFailed(Exception):
 
 
 class Tally:
-    """The count-only stand-in for an instance list: counts by key, no instances.
+    """Counts of a report's passes or skips by key; the instances are not kept.
 
-    len() and truth are those of the list a detail report would hold.
-    Iterating raises, since the instances were never kept.
+    len() and truth are those of the instance list it counts.  Iterating
+    raises, since there is nothing to iterate.
     """
 
     __slots__ = ("counts",)
@@ -62,8 +62,8 @@ class Tally:
         return sum(self.counts.values())
 
     def __iter__(self):
-        raise TypeError("a count-only report keeps no instances; "
-                        "check with detail=True to list them")
+        raise TypeError("a report counts its passes and skips; check with "
+                        "detail=True to list the skips as skipped_instances")
 
 
 class InstanceRun:
@@ -90,22 +90,18 @@ class InstanceRun:
 class AxiomReport:
     """Outcome of a family of instance checks.
 
-    failed:  [(axiom, instance, residual keyed by target label)], always
-    passed:  [(axiom, instance)], under detail=True
-    skipped: [(axiom, instance, ("TruncationBreach", offending weight))],
-             under detail=True
-
-    By default a report counts: ``passed`` is a Tally keyed by axiom and
-    ``skipped`` one keyed by (axiom, offending weight).  In both modes len()
-    and truth of the three attributes, the verdict, passed_counts() and
-    skip_counts() are the same.
+    failed:            [(axiom, instance, residual keyed by target label)]
+    passed:            Tally keyed by axiom
+    skipped:           Tally keyed by (axiom, offending weight)
+    skipped_instances: [(axiom, instance, ("TruncationBreach", offending
+                       weight))] under detail=True, else None
     """
 
     def __init__(self, detail: bool = False) -> None:
-        self.detail = detail
         self.failed: list = []
-        self.passed: list | Tally = [] if detail else Tally()
-        self.skipped: list | Tally = [] if detail else Tally()
+        self.passed = Tally()
+        self.skipped = Tally()
+        self.skipped_instances: list | None = [] if detail else None
 
     @property
     def verdict(self) -> str:
@@ -116,21 +112,11 @@ class AxiomReport:
         return "pass"
 
     def passed_counts(self) -> dict[str, int]:
-        if not self.detail:
-            return dict(self.passed.counts)
-        counts: dict[str, int] = {}
-        for axiom, _inst in self.passed:
-            counts[axiom] = counts.get(axiom, 0) + 1
-        return counts
+        return dict(self.passed.counts)
 
     def skip_counts(self) -> dict[tuple[str, int], int]:
         """Skips per (axiom, offending weight)."""
-        if not self.detail:
-            return dict(self.skipped.counts)
-        counts: dict[tuple[str, int], int] = {}
-        for axiom, _inst, (_kind, weight) in self.skipped:
-            counts[axiom, weight] = counts.get((axiom, weight), 0) + 1
-        return counts
+        return dict(self.skipped.counts)
 
     def __repr__(self):
         return (
@@ -145,37 +131,29 @@ def _record(report: AxiomReport, space, generator) -> None:
     The generator yields (axiom, instance, result) where result is a residual
     vector (empty = passed) or a TruncationBreach (skipped); a breach's
     instance may be an InstanceRun, which stands for each of its instances.
-    A detail report lists every instance, a run expanded in order, and the
-    skips of one offending weight share one immutable reason tuple, so a
-    report does not hold a copy per skip.  A count report adds one pass per
-    axiom, and a skip, or a run's length, per (axiom, offending weight).
+    Every pass adds one to its axiom's count and every skip one, or a run's
+    length, to its (axiom, offending weight) count.  A detail report also
+    lists each skip, a run expanded in order, and the skips of one offending
+    weight share one immutable reason tuple, so the list does not hold a copy
+    per skip.
     """
     failed = report.failed.append
-    if report.detail:
-        passed, skipped = report.passed.append, report.skipped.append
-        reasons: dict[int, tuple[str, int]] = {}
-        for axiom, inst, result in generator:
-            if isinstance(result, TruncationBreach):
-                weight = result.weight
+    passes, skips = report.passed.counts, report.skipped.counts
+    listed = report.skipped_instances
+    reasons: dict[int, tuple[str, int]] = {}
+    for axiom, inst, result in generator:
+        if isinstance(result, TruncationBreach):
+            weight, run = result.weight, type(inst) is InstanceRun
+            key = (axiom, weight)
+            skips[key] = skips.get(key, 0) + (len(inst) if run else 1)
+            if listed is not None:
                 reason = reasons.get(weight)
                 if reason is None:
                     reason = reasons[weight] = ("TruncationBreach", weight)
-                if type(inst) is InstanceRun:
-                    for one in inst:
-                        skipped((axiom, one, reason))
+                if run:
+                    listed.extend((axiom, one, reason) for one in inst)
                 else:
-                    skipped((axiom, inst, reason))
-            elif result:
-                failed((axiom, inst, space.describe(result)))
-            else:
-                passed((axiom, inst))
-        return
-    passes, skips = report.passed.counts, report.skipped.counts
-    for axiom, inst, result in generator:
-        if isinstance(result, TruncationBreach):
-            key = (axiom, result.weight)
-            skips[key] = skips.get(key, 0) + (
-                len(inst) if type(inst) is InstanceRun else 1)
+                    listed.append((axiom, inst, reason))
         elif result:
             failed((axiom, inst, space.describe(result)))
         else:
@@ -334,8 +312,8 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
     too, at that weight, except that the fringe's lowest p, p_lo, may reach
     weight NW + 1 above it.  Such a row is yielded as at most two items: p_lo on its own when it
     breaches higher, then one InstanceRun over the remaining p in place of
-    an instance.  The drain lists a run's instances or counts them, so the
-    fringe is not walked p by p.
+    an instance.  The drain counts a run by its length, and a detail report
+    lists its instances, so the fringe is not walked p by p.
     """
     vsp = YV.left
     wsp = Y_act.right
@@ -497,8 +475,8 @@ def check_all(V: VertexAlgebra, detail: bool = False) -> AxiomReport:
 
     Never raises: fragments that depend on the translation map use the
     mode-derived candidate, so a broken creation axiom shows up as failed
-    creation instances rather than an exception.  The report lists passed
-    and skipped instances only under ``detail``; otherwise it counts them.
+    creation instances rather than an exception.  The report counts passes
+    and skips; ``detail`` also lists the skips.
     """
     report = AxiomReport(detail)
     _record(report, V.space, _gen_grading(V))
@@ -518,7 +496,7 @@ def check_module(V: VertexAlgebra, W: VAModule,
     Assumes V itself has been checked (run check_all first; its verdict is the
     caller's business).  Windows use the module's bottom weight and cutoff for
     result weights, the algebra's cutoff for algebra-side intermediates.  The
-    instances are listed or counted as the report does.
+    skips are listed if the report lists them.
     """
     report = report if report is not None else AxiomReport()
     wsp = W.space

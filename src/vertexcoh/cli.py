@@ -109,7 +109,7 @@ def _report_data(rep: AxiomReport) -> dict:
         ],
         "skipped": (
             {"axiom": a, "instance": inst, "reason": why}
-            for a, inst, why in rep.skipped
+            for a, inst, why in rep.skipped_instances
         ),
     }
 

@@ -148,9 +148,11 @@ class TwoCochain:
         }
 
     def _combine(self, other: "TwoCochain", sign: int) -> "TwoCochain":
-        if other.V.space is not self.V.space and \
-                other.V.space.labels != self.V.space.labels:
-            raise ValueError("cochains live over different algebras")
+        spaces = ((self.V.space, other.V.space, "live over different algebras"),
+                  (self.W.space, other.W.space, "take values in different modules"))
+        for mine, theirs, what in spaces:
+            if theirs is not mine and theirs.labels != mine.labels:
+                raise ValueError(f"cochains {what}")
         out = TwoCochain(self.V, self.W)
         keys = set(self.psi.entries) | set(other.psi.entries)
         for (u, n, v) in sorted(keys):

@@ -87,9 +87,11 @@ class SquareZeroExtension:
 def build_extension(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> SquareZeroExtension:
     """Assemble the total algebra; the weight rule is re-checked on every entry.
 
-    Fiber labels get the "w:" prefix, so iterated extensions stay unambiguous.
-    A truncated V knows no weight above its cutoff, so a module reaching
-    above it is refused (ValueError): the total would claim those weights.
+    Fiber labels get the prefix "w:", or "w:w:" and so on, the shortest
+    one that no prefixed fiber label shares with a base label, so the total
+    of an extension can itself be extended.  A truncated V knows no weight
+    above its cutoff, so a module reaching above it is refused (ValueError):
+    the total would claim those weights.
     """
     vsp, wsp = V.space, W.space
     if vsp.tier == "truncated" and wsp.cutoff > vsp.cutoff:
@@ -97,16 +99,19 @@ def build_extension(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> SquareZer
             f"the module's cutoff {wsp.cutoff} is above the truncated "
             f"algebra's cutoff {vsp.cutoff}"
         )
+    prefix = FIBER_PREFIX
+    while any(prefix + lab in vsp.index for lab in wsp.labels):
+        prefix += FIBER_PREFIX
     tier = "truncated" if "truncated" in (vsp.tier, wsp.tier) else "exact"
     total_space = GradedSpace(
         [(lab, vsp.weight_of(i)) for i, lab in enumerate(vsp.labels)]
-        + [(FIBER_PREFIX + lab, wsp.weight_of(i)) for i, lab in enumerate(wsp.labels)],
+        + [(prefix + lab, wsp.weight_of(i)) for i, lab in enumerate(wsp.labels)],
         tier=tier,
         cutoff=max(vsp.cutoff, wsp.cutoff),
         min_weight=min(vsp.min_weight, wsp.min_weight),
     )
     v_to_total = tuple(total_space.index[lab] for lab in vsp.labels)
-    w_to_total = tuple(total_space.index[FIBER_PREFIX + lab] for lab in wsp.labels)
+    w_to_total = tuple(total_space.index[prefix + lab] for lab in wsp.labels)
 
     def lift_v(vec: dict) -> dict:
         return {v_to_total[i]: c for i, c in vec.items()}
@@ -204,7 +209,7 @@ def verify_extension(ext: SquareZeroExtension, detail: bool = False) -> AxiomRep
     vacuum-preserved, the total vacuum minus the lifted base vacuum.  All
     live inside the window, so they pass or fail — never skip, since
     build_extension refuses a module reaching above a truncated base's
-    cutoff.  Instances are listed only under ``detail``, as in check_all.
+    cutoff.  ``detail`` lists the skips, as in check_all.
     """
     report = check_all(ext.total, detail)
     _record(report, ext.total.space, _gen_structure(ext))

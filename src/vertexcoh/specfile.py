@@ -225,7 +225,7 @@ def parse_spec(text: str) -> SpecFile:
 def _check_no_duplicates(rows: Sequence, where: Sequence, what: str) -> None:
     seen: dict = {}
     for row, pos in zip(rows, where):
-        key = row[0] if what == "basis label" else row[:3]
+        key = row[:3] if what == "mode row" else row[0]
         lineno = pos[0] if isinstance(pos, tuple) else pos
         col = pos[1] if isinstance(pos, tuple) and len(pos) > 1 and isinstance(pos[1], int) else 1
         if key in seen:
@@ -283,7 +283,7 @@ def _assemble(raw: dict, positions: dict, header_line: dict) -> SpecFile:
         _check_no_duplicates(raw["MODULE_MODES"], positions["MODULE_MODES"], "mode row")
         spec.module_modes = tuple(raw["MODULE_MODES"])
     if "TW" in raw:
-        _check_no_duplicates(raw["TW"], positions["TW"], "basis label")
+        _check_no_duplicates(raw["TW"], positions["TW"], "TW row")
         spec.tw = tuple(raw["TW"])
     if "PSI" in raw:
         _check_no_duplicates(raw["PSI"], positions["PSI"], "mode row")

@@ -87,7 +87,7 @@ def test_criterion_01_checker_passes_presets_and_catches_corruptions():
             V = build_preset(name)
             rep = check_all(V, detail=True)
             assert rep.verdict == "pass", name
-            assert rep.skipped == [], name
+            assert not rep.skipped and rep.skipped_instances == [], name
 
             # A corruption must actually break an axiom to be detectable:
             # bumping the plain product of two non-vacuum elements can land
@@ -307,7 +307,7 @@ def test_criterion_12_truncated_boson_bookkeeping():
         assert rep.verdict == "pass-within-window"
         assert rep.failed == []
         assert rep.skipped
-        for _axiom, _inst, reason in rep.skipped:
+        for _axiom, _inst, reason in rep.skipped_instances:
             assert reason[0] == "TruncationBreach"
             assert reason[1] > 4, reason
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

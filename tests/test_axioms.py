@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import listing
 from vertexcoh.axioms import (
     AxiomReport,
     CreationFailed,
@@ -46,7 +48,7 @@ def test_exact_presets_pass_with_no_skips(name):
     rep = check_all(V, detail=True)
     assert rep.verdict == "pass"
     assert rep.failed == []
-    assert rep.skipped == []
+    assert not rep.skipped and rep.skipped_instances == []
     counts = rep.passed_counts()
     for axiom in ("grading", "identity", "creation", "translation-shift",
                   "translation-bracket", "skew-symmetry", "jacobi"):
@@ -80,15 +82,16 @@ def test_individual_checkers_agree_with_check_all():
         assert full[axiom] == count
 
 
-def test_weight_zero_jacobi_window_is_the_classical_triple():
+def test_weight_zero_jacobi_window_is_the_classical_triple(monkeypatch):
     # with every weight 0 the admissible (p, q, r) box degenerates to the
     # three points encoding associativity and commutativity of the product
+    lists = listing.install(monkeypatch)
     V = build_preset("dual-numbers")
-    rep = AxiomReport(detail=True)
-    check_jacobi(V, rep)
-    windows = {inst[3:] for _a, inst in rep.passed}
+    rep = check_jacobi(V, AxiomReport(detail=True))
+    passed, _skipped = lists(rep)
+    windows = {inst[3:] for _a, inst in passed}
     assert windows == {(0, -1, -1), (-1, 0, -1), (-1, -1, 0)}
-    assert len(rep.passed) == 8 * 3   # all label triples times the three points
+    assert len(passed) == len(rep.passed) == 8 * 3   # label triples times the points
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +208,20 @@ def test_boson_level2_passes_within_window():
     assert rep.verdict == "pass-within-window"
     assert rep.failed == []
     assert rep.skipped, "fringe instances should be recorded"
-    for _axiom, _inst, (kind, weight) in rep.skipped:
+    for _axiom, _inst, (kind, weight) in rep.skipped_instances:
         assert kind == "TruncationBreach"
         assert weight > V.space.cutoff
-    skipped_axioms = {a for a, _i, _why in rep.skipped}
+    skipped_axioms = {a for a, _i, _why in rep.skipped_instances}
     assert "identity" not in skipped_axioms
     assert "creation" not in skipped_axioms
     assert {"skew-symmetry", "jacobi"} <= skipped_axioms
 
 
 def test_report_merge_and_verdict_precedence():
-    rep = check_all(build_preset("trivial"), detail=True)
+    V = build_preset("trivial")
+    rep = check_all(V, detail=True)
     assert rep.verdict == "pass"
-    rep.skipped.append(("jacobi", ("x",), ("TruncationBreach", 9)))
+    _record(rep, V.space, iter([("jacobi", ("x",), TruncationBreach(9))]))
     assert rep.verdict == "pass-within-window"
     rep.failed.append(("jacobi", ("x",), {"one": F(1)}))
     assert rep.verdict == "fail"
@@ -233,7 +237,20 @@ def per_instance(stream):
             yield axiom, inst, result
 
 
-def _reference_record(report, space, generator):
+class _Listed:
+    """A report as the drain first wrote it, every instance listed."""
+
+    def __init__(self):
+        self.passed, self.failed, self.skipped = [], [], []
+
+    def passed_counts(self):
+        return Counter(axiom for axiom, _inst in self.passed)
+
+    def skip_counts(self):
+        return Counter((axiom, weight) for axiom, _inst, (_kind, weight) in self.skipped)
+
+
+def _reference_record(report: _Listed, space, generator):
     """The drain as first written: one reason tuple per skip, no runs."""
     for axiom, inst, result in generator:
         if isinstance(result, TruncationBreach):
@@ -259,7 +276,7 @@ def test_record_drains_like_the_reference():
     key = next(k for k in table if vac not in (k[0], k[2]) and k[1] == 0)
     table[key] = {t: 3 * c for t, c in table[key].items()}
     for alg in (V, _rebuild_with(V, table)):
-        new, counted, ref = AxiomReport(detail=True), AxiomReport(), AxiomReport(detail=True)
+        new, counted, ref = AxiomReport(detail=True), AxiomReport(), _Listed()
         runs = 0
         for gen in _fragments(alg):
             items = list(gen)                # one enumeration feeds all three drains
@@ -268,36 +285,36 @@ def test_record_drains_like_the_reference():
             _record(new, alg.space, iter(items))
             _record(counted, alg.space, iter(items))
         assert runs
-        assert new.passed == ref.passed
-        assert new.failed == ref.failed
-        assert new.skipped == ref.skipped
+        assert new.skipped_instances == ref.skipped
         assert new.skipped and (alg is V) == (not new.failed)
-        assert counted.failed == ref.failed
-        assert counted.passed_counts() == ref.passed_counts()
-        assert counted.skip_counts() == ref.skip_counts()
-        assert (len(counted.passed), len(counted.skipped)) == (len(ref.passed), len(ref.skipped))
+        for rep in (new, counted):
+            assert rep.failed == ref.failed
+            assert rep.passed_counts() == ref.passed_counts()
+            assert rep.skip_counts() == ref.skip_counts()
+            assert (len(rep.passed), len(rep.skipped)) == (len(ref.passed), len(ref.skipped))
     # every boson skip breaks at cutoff + 1, so mix offending weights here,
     # and a run between single breaches
     mixed = [("jacobi", (i,), TruncationBreach(w)) for i, w in enumerate((5, 6, 5, 7, 6))]
     mixed.insert(2, ("jacobi", InstanceRun("a", "b", "c", range(-3, 0), 1, 2),
                      TruncationBreach(6)))
     mixed += [("identity", ("x",), {0: F(1, 2)}), ("identity", ("y",), {})]
-    new, counted, ref = AxiomReport(detail=True), AxiomReport(), AxiomReport(detail=True)
+    new, counted, ref = AxiomReport(detail=True), AxiomReport(), _Listed()
     _record(new, V.space, iter(mixed))
     _record(counted, V.space, iter(mixed))
     _reference_record(ref, V.space, per_instance(mixed))
-    assert (new.passed, new.failed, new.skipped) == (ref.passed, ref.failed, ref.skipped)
-    assert [inst for _a, inst, _why in new.skipped[2:5]] == [
+    assert (new.failed, new.skipped_instances) == (ref.failed, ref.skipped)
+    assert [inst for _a, inst, _why in new.skipped_instances[2:5]] == [
         ("a", "b", "c", p, 1, 2) for p in (-3, -2, -1)]
-    assert counted.skip_counts() == {("jacobi", 5): 2, ("jacobi", 6): 5, ("jacobi", 7): 1}
-    assert (counted.passed_counts(), counted.failed) == ({"identity": 1}, ref.failed)
+    for rep in (new, counted):
+        assert rep.skip_counts() == {("jacobi", 5): 2, ("jacobi", 6): 5, ("jacobi", 7): 1}
+        assert (rep.passed_counts(), rep.failed) == ({"identity": 1}, ref.failed)
 
 
 def test_skips_of_one_weight_share_one_reason():
     # one reason tuple per offending weight and check fragment
     rep = check_all(build_preset("free-boson", 3), detail=True)
     shared: dict = {}
-    for axiom, _inst, reason in rep.skipped:
+    for axiom, _inst, reason in rep.skipped_instances:
         fragment = axiom.split("-")[0]       # translation-shift, -bracket: one
         assert shared.setdefault((fragment, reason[1]), reason) is reason
     assert set(shared) == {("jacobi", 4), ("skew", 4), ("translation", 4)}
@@ -320,11 +337,10 @@ def test_check_module_on_adjoint_passes():
 
 
 def _tally(report):
-    counts = {}
-    for kind, entries in (("passed", report.passed), ("skipped", report.skipped),
-                          ("failed", report.failed)):
-        for axiom, *_rest in entries:
-            counts[axiom, kind] = counts.get((axiom, kind), 0) + 1
+    counts = Counter({(axiom, "passed"): n for axiom, n in report.passed_counts().items()})
+    for (axiom, _weight), n in report.skip_counts().items():
+        counts[axiom, "skipped"] += n
+    counts.update((axiom, "failed") for axiom, _inst, _res in report.failed)
     return counts
 
 
@@ -334,8 +350,8 @@ def test_check_module_on_adjoint_counts_match_check_all(name, cutoff):
     V = build_preset(name, cutoff)
     # the adjoint module is the algebra acting on itself, so each module axiom
     # enumerates exactly the instances of its algebra counterpart
-    mod = _tally(check_module(V, adjoint_module(V), AxiomReport(detail=True)))
-    alg = _tally(check_all(V, detail=True))
+    mod = _tally(check_module(V, adjoint_module(V)))
+    alg = _tally(check_all(V))
     for axiom in ("identity", "translation-shift", "translation-bracket", "jacobi"):
         for kind in ("passed", "skipped", "failed"):
             assert mod.get((f"module-{axiom}", kind), 0) == alg.get((axiom, kind), 0)

@@ -1,7 +1,7 @@
 """CLI output pinned byte for byte, in text and in ``--json``.
 
-Axiom reports list their instances only for ``--json`` and count them
-otherwise; neither output may move for that.  Each command runs vertexcoh's
+Axiom reports count their passes and skips, and list the skips only for
+``--json``; neither output may move for that.  Each command runs vertexcoh's
 ``main`` in-process from a directory holding seeded cochain files, and its
 exit code, stdout and stderr are compared with a sha256 digest (first 16 hex
 digits) recorded from the program as it was before reports could count.  A
@@ -261,7 +261,7 @@ def one_shot_report_data(rep) -> dict:
         ],
         "skipped": [
             {"axiom": a, "instance": inst, "reason": why}
-            for a, inst, why in rep.skipped
+            for a, inst, why in rep.skipped_instances
         ],
     }
 

@@ -1,14 +1,17 @@
-"""Count-only axiom reports against detail reports.
+"""Axiom reports: the counts against the instances they count.
 
-``check_all``, ``check_module`` and ``verify_extension`` count passed and
-skipped instances unless the report is made with ``detail=True``, and
-``_gen_jacobi`` yields a run of fringe breaches as one item.  On every case
-below the two modes must agree on the verdict, the per-axiom pass counts,
-the failures with their residuals and the skips per (axiom, offending
-weight), and len() and truth of ``passed``, ``failed`` and ``skipped`` must
-agree too.  The detail lists themselves are pinned by sha256 digests (first
-16 hex digits) recorded from the checker as it was before reports could
-count, so the lists ``--json`` prints have not moved.
+``check_all``, ``check_module`` and ``verify_extension`` count passes per
+axiom and skips per (axiom, offending weight); ``detail=True`` adds only
+``skipped_instances``, the skips ``--json`` prints, and ``_gen_jacobi``
+yields a run of fringe breaches as one item.  Every case below runs under
+the lister of tests/listing.py, which lists each passed and skipped
+instance as the drain sees it.  The report's counts must equal those lists
+counted, the detail report's ``skipped_instances`` must equal the listed
+skips, and a report made without ``detail`` must agree with it on all else.
+The listed passes, the failures and the skips are pinned by sha256 digests
+(first 16 hex digits) recorded from the checker as it was before reports
+could count, so neither the instances checked nor the skips ``--json``
+prints have moved.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import importlib.util
 import random
 import tempfile
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from vertexcoh.axioms import AxiomReport, check_all, check_module
+import listing
+from vertexcoh.axioms import AxiomReport, Tally, check_all, check_module
 from vertexcoh.cohomology import TwoCochain, coboundary, cochain_slots, vacuum_killing_basis
 from vertexcoh.extensions import build_deformation, build_extension, verify_extension
 from vertexcoh.presets import adjoint_module, build_preset
@@ -112,13 +117,13 @@ def report(kind: str, obj, detail: bool) -> AxiomReport:
     return check_all(obj, detail=detail)
 
 
-def digests(rep) -> tuple[str, str, str]:
-    """sha256 prefixes of a detail report's passed, failed and skipped lists;
-    residual coefficients as their exact text, sorted by label."""
+def digests(passed: list, failed: list, skipped: list) -> tuple[str, str, str]:
+    """sha256 prefixes of the passed, failed and skipped lists; residual
+    coefficients as their exact text, sorted by label."""
     failed = [(a, inst, sorted((t, str(c)) for t, c in res.items()))
-              for a, inst, res in rep.failed]
+              for a, inst, res in failed]
     return tuple(hashlib.sha256(repr(entries).encode()).hexdigest()[:16]
-                 for entries in (list(rep.passed), failed, list(rep.skipped)))
+                 for entries in (passed, failed, skipped))
 
 
 # case: (verdict, passed, failed, skipped digests)
@@ -215,25 +220,37 @@ DETAIL_DIGESTS = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_count_report_equals_the_detail_report(case):
+def test_count_report_equals_the_detail_report(case, monkeypatch):
+    lists = listing.install(monkeypatch)
     kind, obj = CASES[case]()
     detail, counted = report(kind, obj, True), report(kind, obj, False)
-    assert (detail.verdict, *digests(detail)) == DETAIL_DIGESTS[case]
+    passed, skipped = lists(detail)
+    assert (detail.verdict, *digests(passed, detail.failed, skipped)) == DETAIL_DIGESTS[case]
+    assert detail.skipped_instances == skipped
+    assert lists(counted) == (passed, skipped)
+    assert counted.skipped_instances is None
+    # the tallies are the listed instances, counted
+    assert detail.passed_counts() == Counter(a for a, _inst in passed)
+    assert detail.skip_counts() == Counter(
+        (a, weight) for a, _inst, (_kind, weight) in detail.skipped_instances)
+    for attr, listed in (("passed", passed), ("failed", detail.failed), ("skipped", skipped)):
+        for rep in (detail, counted):
+            got = getattr(rep, attr)
+            assert (len(got), bool(got)) == (len(listed), bool(listed)), attr
     assert counted.verdict == detail.verdict
     assert counted.passed_counts() == detail.passed_counts()
     assert counted.failed == detail.failed
     assert counted.skip_counts() == detail.skip_counts()
-    for attr in ("passed", "failed", "skipped"):
-        got, want = getattr(counted, attr), getattr(detail, attr)
-        assert (len(got), bool(got)) == (len(want), bool(want)), attr
-    assert sum(counted.skip_counts().values()) == len(detail.skipped)
 
 
 def test_count_only_lists_refuse_to_be_read():
-    rep = check_all(build_preset("free-boson", 2))
-    assert rep.passed and rep.skipped and not rep.failed
-    for attr in ("passed", "skipped"):
-        with pytest.raises(TypeError):
-            list(getattr(rep, attr))
-    assert rep.failed == []
-    assert weakref.ref(rep)() is rep
+    for detail in (False, True):
+        rep = check_all(build_preset("free-boson", 2), detail)
+        assert rep.passed and rep.skipped and not rep.failed
+        for attr in ("passed", "skipped"):
+            assert type(getattr(rep, attr)) is Tally
+            with pytest.raises(TypeError):
+                list(getattr(rep, attr))
+        assert rep.failed == []
+        assert (rep.skipped_instances is None) == (not detail)
+        assert weakref.ref(rep)() is rep

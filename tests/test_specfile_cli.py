@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles as orc
 import vertexcoh
 from vertexcoh.cli import main
 from vertexcoh.cohomology import TwoCochain
@@ -119,6 +120,7 @@ def test_parse_error_locations():
         ("[MODES]\na x b -> 1*c\n", 2, 3, "must be an integer"),
         ("[MODES]\na -1 b -> 1.5*c\n", 2, 11, "expected 'coeff*label'"),
         ("[MODES]\na -1 b -> 1*c\na -1 b -> 2*c\n", 3, 1, "duplicate mode row"),
+        ("[TW]\nx -> 1*y\nx -> 2*y\n", 3, 1, "duplicate TW row 'x'"),
     ]
     for text, line, col, fragment in cases:
         err = _err(text)
@@ -359,6 +361,33 @@ def test_cli_extend_writes_a_checkable_artifact(tmp_path, capsys):
     capsys.readouterr()
     V = to_algebra(parse_spec(total.read_text()))
     assert V.space.labels == ("one", "eps", "w:one", "w:eps")
+
+
+def test_cli_extends_the_total_of_an_extension(tmp_path, capsys, monkeypatch):
+    # the total of the README's extension is Q[x]/(x^4) and has labels
+    # starting with "w:", so the fiber of its own extensions takes "w:w:"
+    monkeypatch.chdir(tmp_path)
+    Path("psi.txt").write_text("[PSI]\neps -1 eps -> 1*one\n")
+    Path("zero.txt").write_text("[PSI]\n")
+    assert main(["extend", "--preset", "dual-numbers", "--psi", "psi.txt",
+                 "--out", "total.txt"]) == 0
+    assert main(["extend", "total.txt", "--out", "total2.txt"]) == 0
+    assert main(["equiv", "total.txt", "--psi", "zero.txt", "--psi2", "zero.txt"]) == 0
+    assert capsys.readouterr().err == ""
+    labels = ("one", "eps", "w:one", "w:eps")
+    total2 = to_algebra(parse_spec(Path("total2.txt").read_text()))
+    assert total2.space.labels == labels + tuple("w:w:" + lab for lab in labels)
+
+    index = {lab: i for i, lab in enumerate(labels)}
+    x4 = orc.AlgebraTable("x4", labels, (0,) * 4, 0, {
+        (index[a], index[b]): {index[t]: c for t, c in vec.items()}
+        for (a, b), vec in orc.EXPECTED_X4_TABLE.items()})
+    assert main(["h1", "total.txt", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["h1_dim"] == orc.derivation_dim(x4) == 3
+    assert main(["h2", "total.txt", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert (data["z2_dim"], data["b2_dim"], data["h2_dim"]) \
+        == orc.classical_h2_dims(x4) == (12, 9, 3)
 
 
 def test_cli_extend_refuses_non_cocycles(tmp_path, capsys):
