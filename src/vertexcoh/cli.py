@@ -15,17 +15,16 @@ dual-numbers, split-pair, graded-nilpotent, free-boson).  Exit codes: 0 for
 mathematical success (pass, pass-within-window, equivalent, computed,
 artifact written), 1 for mathematical failure (axiom failures, inequivalent,
 not a cocycle, a module that fails its axioms), 2 for unusable input (parse
-errors, unknown preset, bad flags, impossible cutoffs, an unwritable
-``--out`` path).  A reader that closes stdout before the output is written
-(``| head``, a pager quit early) gets exit code 1 and no traceback: the rest
-of the output goes to os.devnull.
+errors, an unreadable or undecodable file, unknown preset, bad flags,
+impossible cutoffs, an unwritable ``--out`` path).  A reader that closes
+stdout before the output is written (``| head``, a pager quit early) gets
+exit code 1 and no traceback: the rest of the output goes to os.devnull.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import io
 import os
 import sys
 import time
@@ -135,14 +134,6 @@ def _write_file(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _file_source(path: str) -> dict:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return {"kind": "file", "path": path, "sha256": hashlib.sha256(data).hexdigest()}
-
-
 def _verdict_lines(rep: AxiomReport) -> list[str]:
     counts = " ".join(f"{k}={v}" for k, v in sorted(rep.passed_counts().items()))
     lines = [f"verdict: {rep.verdict}", f"passed: {counts or 'none'}"]
@@ -159,11 +150,24 @@ def _verdict_lines(rep: AxiomReport) -> list[str]:
 # input loading
 # ---------------------------------------------------------------------------
 
-def _read_spec(path: str) -> SpecFile:
+def _read_spec(args, path: str, sources: list[dict]) -> SpecFile:
+    """Parse the file at ``path`` and add its provenance entry to ``sources``.
+
+    The file is read once.  Its text is what ``Path.read_text()`` gives
+    (locale decoding, universal newlines).  Only ``--json`` reports print the
+    entry, so only they get a digest: the sha256 of the bytes parsed.  A text
+    run never imports hashlib.
+    """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        data = Path(path).read_bytes()
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    source = {"kind": "file", "path": path}
+    if args.json:
+        import hashlib
+        source["sha256"] = hashlib.sha256(data).hexdigest()
+    sources.append(source)
     return parse_spec(text)
 
 
@@ -190,8 +194,8 @@ def _load_algebra(args) -> tuple[VertexAlgebra, list[dict]]:
         return algebra, [{"kind": "preset", "name": preset, "cutoff": cutoff}]
     if not path:
         raise InputError("an input file or --preset is required")
-    source = _file_source(path)
-    spec = _read_spec(path)
+    sources: list[dict] = []
+    spec = _read_spec(args, path, sources)
     if cutoff is not None:
         top = max((w for _, w in spec.basis), default=0)
         stated = spec.cutoff if spec.cutoff is not None else top
@@ -209,14 +213,13 @@ def _load_algebra(args) -> tuple[VertexAlgebra, list[dict]]:
         algebra = to_algebra(spec)
     except (NoVacuum, VacuumWrongWeight, WeightRuleViolation, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    return algebra, [source]
+    return algebra, sources
 
 
 def _load_module(args, V: VertexAlgebra, sources: list[dict]) -> VAModule:
     path = getattr(args, "module", None)
     if path:
-        sources.append(_file_source(path))
-        spec = _read_spec(path)
+        spec = _read_spec(args, path, sources)
         try:
             return to_module(spec, V)
         except (WeightRuleViolation, ValueError) as exc:
@@ -227,10 +230,9 @@ def _load_module(args, V: VertexAlgebra, sources: list[dict]) -> VAModule:
         raise MathError(str(exc)) from exc
 
 
-def _load_cochain(path: str, V: VertexAlgebra, W: VAModule,
+def _load_cochain(args, path: str, V: VertexAlgebra, W: VAModule,
                   sources: list[dict]) -> TwoCochain:
-    sources.append(_file_source(path))
-    spec = _read_spec(path)
+    spec = _read_spec(args, path, sources)
     try:
         return to_cochain(spec, V, W)
     except (WeightRuleViolation, ValueError) as exc:
@@ -246,8 +248,10 @@ def _emit(args, command: str, sources: list[dict], status: str, code: int,
     """Print the text lines, or under ``--json`` the report built from ``data()``.
 
     ``data`` is a zero-argument function, so text mode never builds the
-    per-instance data.  ``elapsed_ms`` is read before the report is written,
-    so it leaves out building and encoding the skipped instances' entries.
+    per-instance data.  File digests exist only in ``--json`` reports: a text
+    run's ``sources`` carry none (see ``_read_spec``).  ``elapsed_ms`` is
+    read before the report is written, so it leaves out building and
+    encoding the skipped instances' entries.
     """
     if args.json:
         _write_json({
@@ -280,6 +284,8 @@ def _write_json(report: dict) -> None:
     entries are encoded ``_SKIP_BATCH`` at a time and each batch is written
     at once, so neither the list of entries nor the report text is held.
     """
+    import json
+
     data = report["data"]
     entries = iter(data.get("skipped", ()))
     if "skipped" in data:
@@ -361,7 +367,7 @@ def _cmd_h2(args, started: float) -> int:
 def _cmd_extend(args, started: float) -> int:
     V, sources = _load_algebra(args)
     W = _load_module(args, V, sources)
-    psi = (_load_cochain(args.psi, V, W, sources) if args.psi
+    psi = (_load_cochain(args, args.psi, V, W, sources) if args.psi
            else TwoCochain.zero(V, W))
     ext = build_extension(V, W, psi)
     rep = verify_extension(ext, detail=args.json)
@@ -384,7 +390,7 @@ def _cmd_deform(args, started: float) -> int:
     V, sources = _load_algebra(args)
     # W only parses psi: the deformed table's own check covers V's axioms
     W = VAModule(V.space, V.Y, translation_map(V))
-    psi = _load_cochain(args.psi, V, W, sources)
+    psi = _load_cochain(args, args.psi, V, W, sources)
     try:
         defm = build_deformation(V, psi)
     except ValueError as exc:
@@ -405,8 +411,8 @@ def _cmd_equiv(args, started: float) -> int:
                          "algebra itself and takes no --module")
     V, sources = _load_algebra(args)
     W = _load_module(args, V, sources)
-    psi1 = _load_cochain(args.psi, V, W, sources)
-    psi2 = _load_cochain(args.psi2, V, W, sources)
+    psi1 = _load_cochain(args, args.psi, V, W, sources)
+    psi2 = _load_cochain(args, args.psi2, V, W, sources)
     if args.kind == "extension":
         res = check_equivalence_extensions(psi1, psi2)
     else:

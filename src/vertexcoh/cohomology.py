@@ -148,11 +148,10 @@ class TwoCochain:
         }
 
     def _combine(self, other: "TwoCochain", sign: int) -> "TwoCochain":
-        spaces = ((self.V.space, other.V.space, "live over different algebras"),
-                  (self.W.space, other.W.space, "take values in different modules"))
-        for mine, theirs, what in spaces:
-            if theirs is not mine and theirs.labels != mine.labels:
-                raise ValueError(f"cochains {what}")
+        if other.V is not self.V and not self.V.same_content(other.V):
+            raise ValueError("cochains live over different algebras")
+        if other.W is not self.W and not self.W.same_content(other.W):
+            raise ValueError("cochains take values in different modules")
         out = TwoCochain(self.V, self.W)
         keys = set(self.psi.entries) | set(other.psi.entries)
         for (u, n, v) in sorted(keys):

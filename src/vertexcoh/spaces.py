@@ -421,6 +421,13 @@ class VAModule:
     def algebra_space(self) -> GradedSpace:
         return self.Y_W.left
 
+    def same_content(self, other: "VAModule") -> bool:
+        """Same basis labels and action table (not object identity)."""
+        return (
+            self.space.labels == other.space.labels
+            and self.Y_W.entries == other.Y_W.entries
+        )
+
 
 def build_vertex_algebra(space: GradedSpace, vacuum: str, entries: Mapping) -> VertexAlgebra:
     """Assemble an algebra from a label-keyed mode table.

@@ -62,7 +62,7 @@ from vertexcoh.spaces import (
     viadd,
     vsub,
 )
-from vertexcoh.specfile import parse_spec, to_module
+from vertexcoh.specfile import parse_spec, to_algebra, to_module
 
 F = Fraction
 
@@ -205,6 +205,24 @@ def test_cochains_valued_in_different_modules_do_not_combine():
         with pytest.raises(ValueError, match="different modules"):
             combine(b)
     assert not a - TwoCochain.from_entries(V, adjoint_module(V), {("u", -1, "u"): {"one": F(1)}})
+
+
+def test_cochains_over_same_labelled_but_different_tables_do_not_combine():
+    # same labels as split-pair's adjoint module, but u acts as zero
+    V = build_preset("split-pair")
+    module = "[MODULE_BASIS]\none 0\nu 0\n[MODULE_MODES]\none -1 one -> 1*one\none -1 u -> 1*u\n"
+    entry = {("u", -1, "u"): {"one": F(1)}}
+    a = TwoCochain.from_entries(V, adjoint_module(V), entry)
+    b = TwoCochain.from_entries(V, to_module(parse_spec(module), V), entry)
+    with pytest.raises(ValueError, match="different modules"):
+        a - b
+    # same labels as split-pair, but u squares to zero
+    dual = to_algebra(parse_spec(
+        "[BASIS]\none 0\nu 0\n[VACUUM]\none\n[MODES]\n"
+        "one -1 one -> 1*one\none -1 u -> 1*u\nu -1 one -> 1*u\n"))
+    c = TwoCochain.from_entries(dual, adjoint_module(dual), entry)
+    with pytest.raises(ValueError, match="different algebras"):
+        a - c
 
 
 def test_cochain_slots_enumeration_order_and_count():

@@ -281,6 +281,22 @@ def test_cli_unwritable_out_path_exits_two(argv, json_flag, tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    lambda bad: ["check", bad],
+    lambda bad: ["check", "--preset", "dual-numbers", "--module", bad],
+    lambda bad: ["extend", "--preset", "dual-numbers", "--psi", bad],
+], ids=["algebra", "module", "psi"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_cli_undecodable_input_exits_two(argv, json_flag, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    assert main([*argv(str(bad)), *json_flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {bad}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_cutoff_rules(tmp_path, capsys):
     exact = tmp_path / "graded.txt"
     exact.write_text(_dump("graded-nilpotent"))                # weights 0 and 1
