@@ -68,9 +68,9 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, names", [c[1:] for c in CASES],
+@pytest.mark.parametrize("argv, code", [c[1:3] for c in CASES],
                          ids=[c[0] for c in CASES])
-def test_text_runs_load_neither_hashlib_nor_json(argv, code, names, tmp_path):
+def test_text_runs_load_neither_hashlib_nor_json(argv, code, tmp_path):
     out, got, loaded = _probe(argv(_files(tmp_path)))
     assert got == code
     assert out and not out.startswith("{")
