@@ -9,12 +9,13 @@ instances are counted; a detail report also lists the skipped ones.
 
 Windows come from the weight rule: a residual of weight rho is enumerated for
 rho between the bottom weight and the cutoff N, and any intermediate state the
-identity routes through is bounded by N as well.  On the exact tier the
-windows cover everything that can be nonzero, so there are never skips; on the
-truncated tier the enumeration additionally includes the depth-1 fringe —
-instances that would become verifiable at cutoff N+1 — and records those as
-skipped, making the truncation visible in the report without chasing the
-infinite tail of deeper ones.
+identity routes through is bounded by N as well.  Skew-symmetry and Jacobi
+also enumerate ``fringe`` weights above N, a depth set by the tier
+(``_fringe``).  On the exact tier it is 0: the windows cover everything that
+can be nonzero, so there are never skips.  On the truncated tier it is 1:
+instances that would become verifiable at cutoff N+1 are recorded as skipped,
+making the truncation visible in the report without chasing the infinite tail
+of deeper ones.
 
 Verdicts: "fail" iff any instance failed; "pass" requires no skips;
 "pass-within-window" is the best a truncated algebra can do.
@@ -32,6 +33,7 @@ from .spaces import (
     VAModule,
     VertexAlgebra,
     mode_apply,
+    mode_triples,
     mode_window,
     skew_mode,
     viadd,
@@ -231,59 +233,43 @@ def _gen_translation(Y: ModeFamily, T: GradedMap, T_act: GradedMap,
     (translated by T_act).
     """
     usp, sp = Y.left, Y.right
-    for u in range(len(usp)):
-        wu = usp.weight_of(u)
-        lu = usp.label_of(u)
-        uvec = {u: 1}
-        for w in range(len(sp)):
-            ww = sp.weight_of(w)
-            lw = sp.label_of(w)
-            wvec = {w: 1}
-            for n in mode_window(sp, wu + ww + 1):
-                inst = (lu, n, lw)
-                shifted = Y.entry(u, n - 1, w)
-                try:
-                    residual = mode_apply(Y, T.apply(uvec), n, wvec)
-                    if shifted:
-                        viadd(residual, n, shifted)
-                    yield f"{axiom}-shift", inst, residual
-                except TruncationBreach as breach:
-                    yield f"{axiom}-shift", inst, breach
-                try:
-                    residual = T_act.apply(Y.entry(u, n, w) or {})
-                    viadd(residual, -1, mode_apply(Y, uvec, n, T_act.apply(wvec)))
-                    if shifted:
-                        viadd(residual, n, shifted)
-                    yield f"{axiom}-bracket", inst, residual
-                except TruncationBreach as breach:
-                    yield f"{axiom}-bracket", inst, breach
+    for u, n, w in mode_triples(usp, sp, sp, shift=1):
+        inst = (usp.label_of(u), n, sp.label_of(w))
+        uvec, wvec = {u: 1}, {w: 1}
+        shifted = Y.entry(u, n - 1, w)
+        try:
+            residual = mode_apply(Y, T.apply(uvec), n, wvec)
+            if shifted:
+                viadd(residual, n, shifted)
+            yield f"{axiom}-shift", inst, residual
+        except TruncationBreach as breach:
+            yield f"{axiom}-shift", inst, breach
+        try:
+            residual = T_act.apply(Y.entry(u, n, w) or {})
+            viadd(residual, -1, mode_apply(Y, uvec, n, T_act.apply(wvec)))
+            if shifted:
+                viadd(residual, n, shifted)
+            yield f"{axiom}-bracket", inst, residual
+        except TruncationBreach as breach:
+            yield f"{axiom}-bracket", inst, breach
 
 
-def _gen_skew(V: VertexAlgebra, tmap: GradedMap, tier: str):
-    """u_n v against the skew expansion, plus the depth-1 fringe when ``tier``
-    is truncated."""
+def _gen_skew(V: VertexAlgebra, tmap: GradedMap, fringe: int):
+    """u_n v against the skew expansion, the window reaching ``fringe``
+    weights above the cutoff."""
     sp, Y = V.space, V.Y
     adjoint = VAModule(sp, Y, tmap)
-    fringe = 1 if tier == "truncated" else 0
-    for u in range(len(sp)):
-        wu = sp.weight_of(u)
-        lu = sp.label_of(u)
-        uvec = {u: 1}
-        for v in range(len(sp)):
-            wv = sp.weight_of(v)
-            lv = sp.label_of(v)
-            vvec = {v: 1}
-            for n in mode_window(sp, wu + wv, fringe):
-                inst = (lu, n, lv)
-                try:
-                    residual = dict(Y.entry(u, n, v) or {})
-                    viadd(residual, -1, skew_mode(adjoint, uvec, n, vvec))
-                    yield "skew-symmetry", inst, residual
-                except TruncationBreach as breach:
-                    yield "skew-symmetry", inst, breach
+    for u, n, v in mode_triples(sp, sp, sp, fringe=fringe):
+        inst = (sp.label_of(u), n, sp.label_of(v))
+        try:
+            residual = dict(Y.entry(u, n, v) or {})
+            viadd(residual, -1, skew_mode(adjoint, {u: 1}, n, {v: 1}))
+            yield "skew-symmetry", inst, residual
+        except TruncationBreach as breach:
+            yield "skew-symmetry", inst, breach
 
 
-def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jacobi"):
+def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, fringe: int, axiom: str = "jacobi"):
     """The component identity
 
         sum_i C(p,i) (u_{r+i} v)_{p+q-i} w
@@ -293,7 +279,7 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
     with u, v in the algebra and w in the acted-on space (the algebra itself
     for the adjoint case).  Enumerates the finite window where every
     intermediate fits under its cutoff and the result weight is admissible,
-    plus — on truncated tiers — the depth-1 fringe, yielded as breaches.
+    plus the ``fringe`` weights above the cutoff, yielded as breaches.
 
     For fixed (u, v, w) write s = p + q + r.  With m the inner mode index,
     the three sums read only the vectors
@@ -306,7 +292,9 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
     instances come in the same order with the same residuals: the sums are
     exact ring arithmetic, regrouped.  A breach depends on r, q and p
     separately, so its weight is found without a per-instance list, and the
-    fringe shares one TruncationBreach per offending weight.
+    fringe shares one TruncationBreach per offending weight.  r, q and p
+    start where the mode windows of u_r v, v_q w and u_p w do; s runs over
+    the mode window at weight wt u + wt v + wt w - 1, which bounds the result.
 
     When r or q alone already breaches, every p of the (r, q) row breaches
     too, at that weight, except that the fringe's lowest p, p_lo, may reach
@@ -317,8 +305,7 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
     """
     vsp = YV.left
     wsp = Y_act.right
-    NV, NW, mwW = vsp.cutoff, wsp.cutoff, wsp.min_weight
-    fringe = 1 if tier == "truncated" else 0
+    NV, NW = vsp.cutoff, wsp.cutoff
     act = Y_act.entries.get
     act_pairs = Y_act.pair_modes
     v_pairs = YV.pair_modes
@@ -347,16 +334,16 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = "jaco
             wv = vsp.weight_of(v)
             lv = vsp.label_of(v)
             pm_uv = v_pairs.get((u, v), {})
-            r_lo = wu + wv - 1 - NV - fringe
+            r_lo = mode_window(vsp, wu + wv, fringe).start
             for w in range(len(wsp)):
                 ww = wsp.weight_of(w)
                 lw = wsp.label_of(w)
                 pm_vw = act_pairs.get((v, w), {})
                 pm_uw = act_pairs.get((u, w), {})
-                q_lo = wv + ww - 1 - NW - fringe
-                p_lo = wu + ww - 1 - NW - fringe
-                s_hi = wu + wv + ww - 2 - mwW
-                s_lo = wu + wv + ww - 2 - NW
+                q_lo = mode_window(wsp, wv + ww, fringe).start
+                p_lo = mode_window(wsp, wu + ww, fringe).start
+                s_window = mode_window(wsp, wu + wv + ww - 1)
+                s_lo, s_hi = s_window.start, s_window.stop - 1
                 memo: dict[int, tuple[list, list, list]] = {}
                 for r in range(r_lo, s_hi - q_lo - p_lo + 1):
                     Ar = wu + wv - 1 - r
@@ -454,19 +441,24 @@ def check_translation(V: VertexAlgebra, report: AxiomReport | None = None,
     return report
 
 
+def _fringe(space) -> int:
+    """The depth a check's window reaches above the cutoff, by the tier."""
+    return 1 if space.tier == "truncated" else 0
+
+
 def check_skew_symmetry(V: VertexAlgebra, report: AxiomReport | None = None,
                         tmap: GradedMap | None = None) -> AxiomReport:
     """u_n v agrees with the skew expansion of v acting back on u."""
     report = report if report is not None else AxiomReport()
     tmap = tmap if tmap is not None else translation_map(V)
-    _record(report, V.space, _gen_skew(V, tmap, V.space.tier))
+    _record(report, V.space, _gen_skew(V, tmap, _fringe(V.space)))
     return report
 
 
 def check_jacobi(V: VertexAlgebra, report: AxiomReport | None = None) -> AxiomReport:
     """The component identity over its finite window (plus fringe when truncated)."""
     report = report if report is not None else AxiomReport()
-    _record(report, V.space, _gen_jacobi(V.Y, V.Y, V.space.tier))
+    _record(report, V.space, _gen_jacobi(V.Y, V.Y, _fringe(V.space)))
     return report
 
 
@@ -503,5 +495,5 @@ def check_module(V: VertexAlgebra, W: VAModule,
     _record(report, wsp, _gen_identity(W.Y_W, V.vacuum, "module-identity"))
     _record(report, wsp, _gen_translation(W.Y_W, translation_map(V), W.T_W,
                                           "module-translation"))
-    _record(report, wsp, _gen_jacobi(V.Y, W.Y_W, wsp.tier, axiom="module-jacobi"))
+    _record(report, wsp, _gen_jacobi(V.Y, W.Y_W, _fringe(wsp), axiom="module-jacobi"))
     return report

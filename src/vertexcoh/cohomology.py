@@ -47,6 +47,7 @@ from .spaces import (
     TruncationBreach,
     VAModule,
     VertexAlgebra,
+    mode_triples,
     skew_mode,
     viadd,
 )
@@ -251,19 +252,16 @@ def _right_lookup(W: VAModule):
 def right_action(W: VAModule) -> dict[tuple[int, int, int], dict]:
     """{(w, n, v): w_n v} by skew-symmetry, nonzero values only.
 
-    Covers every module basis w, algebra basis v and mode n whose result
-    weight is a weight of W, so it is all the right action any window needs.
+    Covers every module basis w, algebra basis v and mode n in W's window,
+    so it is all the right action any window needs.
     """
-    wsp, vsp = W.space, W.algebra_space
+    wsp = W.space
     right = _right_lookup(W)
     table = {}
-    for w in range(len(wsp)):
-        for v in range(len(vsp)):
-            for tau in wsp.by_weight:
-                n = wsp.weight_of(w) + vsp.weight_of(v) - 1 - tau
-                vec = right(w, n, v)
-                if vec:
-                    table[(w, n, v)] = vec
+    for w, n, v in mode_triples(wsp, W.algebra_space, wsp):
+        vec = right(w, n, v)
+        if vec:
+            table[(w, n, v)] = vec
     return table
 
 
@@ -393,11 +391,11 @@ def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
     deterministic instance enumeration; empty means the extension passes
     within its window.  Instances the truncation makes unverifiable are
     breaches, i.e. skipped — they contribute no coordinates.  So the pass
-    covers the window only: skew-symmetry and Jacobi are enumerated as on an
-    exact tier, without check_all's depth-1 fringe, whose instances all need
-    a state of weight cutoff + 1 and always breach.  The instances evaluated,
-    and their order, are those of the full enumeration.  Linearity in psi
-    holds because the fiber squares to zero.
+    covers the window only: skew-symmetry and Jacobi are enumerated with
+    fringe 0 on either tier, so a truncated total omits check_all's depth-1
+    fringe, whose instances all need a state of weight cutoff + 1 and always
+    breach.  The instances evaluated, and their order, are those of
+    check_all.  Linearity in psi holds because the fiber squares to zero.
     """
     from .axioms import (
         _gen_creation,
@@ -421,8 +419,8 @@ def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
         _gen_identity(total.Y, total.vacuum),
         _gen_creation(total),
         _gen_translation(total.Y, tmap, tmap),
-        _gen_skew(total, tmap, "exact"),
-        _gen_jacobi(total.Y, total.Y, "exact"),
+        _gen_skew(total, tmap, 0),
+        _gen_jacobi(total.Y, total.Y, 0),
     )
     for gen in generators:
         for axiom, inst, result in gen:

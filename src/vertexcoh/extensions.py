@@ -45,7 +45,7 @@ from .spaces import (
     VAModule,
     VertexAlgebra,
     mode_apply,
-    mode_window,
+    mode_triples,
     skew_mode,  # unused; perfbench/tracer.py wraps extensions.skew_mode
     viadd,
     vsub,
@@ -154,14 +154,11 @@ def _homomorphism_residuals(f, src: ModeFamily, dst: ModeFamily):
     ``f`` maps sparse vectors of the source space to the target space; n runs
     over the target's mode window.
     """
-    sp, tsp = src.left, dst.target
-    for a in range(len(sp)):
-        fa = f({a: 1})
-        for b in range(len(sp)):
-            fb = f({b: 1})
-            for n in mode_window(tsp, sp.weight_of(a) + sp.weight_of(b)):
-                lhs = f(src.entry(a, n, b) or {})
-                yield a, n, b, vsub(lhs, mode_apply(dst, fa, n, fb))
+    sp = src.left
+    images = [f({a: 1}) for a in range(len(sp))]
+    for a, n, b in mode_triples(sp, sp, dst.target):
+        lhs = f(src.entry(a, n, b) or {})
+        yield a, n, b, vsub(lhs, mode_apply(dst, images[a], n, images[b]))
 
 
 def _gen_structure(ext: SquareZeroExtension):
@@ -172,28 +169,21 @@ def _gen_structure(ext: SquareZeroExtension):
     total, V, W = ext.total, ext.base, ext.fiber
     tsp, vsp, wsp = total.space, V.space, W.space
 
-    for wi, w1 in enumerate(ext.fiber_to_total):     # square-zero ideal
-        lw1 = tsp.label_of(w1)
-        for wj, w2 in enumerate(ext.fiber_to_total):
-            lw2 = tsp.label_of(w2)
-            for n in mode_window(tsp, wsp.weight_of(wi) + wsp.weight_of(wj)):
-                yield "square-zero", (lw1, n, lw2), total.Y.entry(w1, n, w2) or {}
+    fiber = ext.fiber_to_total
+    for wi, n, wj in mode_triples(wsp, wsp, tsp):     # square-zero ideal
+        w1, w2 = fiber[wi], fiber[wj]
+        inst = (tsp.label_of(w1), n, tsp.label_of(w2))
+        yield "square-zero", inst, total.Y.entry(w1, n, w2) or {}
 
     # projection homomorphism; base labels are the same in the total space
     for a, n, b, residual in _homomorphism_residuals(ext.proj.apply, total.Y, V.Y):
         inst = (tsp.label_of(a), n, tsp.label_of(b))
         yield "projection", inst, ext.lift_base(residual)
 
-    for v in range(len(vsp)):                        # inclusion intertwines Y_W
-        lv = vsp.label_of(v)
-        vt = ext.base_to_total[v]
-        for w in range(len(wsp)):
-            lw = wsp.label_of(w)
-            wt = ext.fiber_to_total[w]
-            for n in mode_window(wsp, vsp.weight_of(v) + wsp.weight_of(w)):
-                lhs = total.Y.entry(vt, n, wt) or {}
-                rhs = ext.lift_fiber(W.Y_W.entry(v, n, w) or {})
-                yield "inclusion", (lv, n, lw), vsub(lhs, rhs)
+    for v, n, w in mode_triples(vsp, wsp, wsp):      # inclusion intertwines Y_W
+        lhs = total.Y.entry(ext.base_to_total[v], n, fiber[w]) or {}
+        rhs = ext.lift_fiber(W.Y_W.entry(v, n, w) or {})
+        yield "inclusion", (vsp.label_of(v), n, wsp.label_of(w)), vsub(lhs, rhs)
 
     yield "vacuum-preserved", ("vacuum",), vsub(
         total.vacuum_vec(), ext.lift_base(V.vacuum_vec())

@@ -28,7 +28,7 @@ from .spaces import (
     VAModule,
     VertexAlgebra,
     build_vertex_algebra,
-    mode_window,
+    mode_triples,
     viadd,
 )
 
@@ -303,14 +303,12 @@ def truncated_free_boson(cutoff: int = 4) -> VertexAlgebra:
         tier="truncated", cutoff=cutoff, min_weight=0,
     )
     entries: dict[tuple[str, int, str], dict[str, int]] = {}
-    for u in parts:
-        for w in parts:
-            for n in mode_window(space, sum(u) + sum(w)):
-                vec = _boson_mode(u, n, w)
-                if vec:
-                    entries[(boson_label(u), n, boson_label(w))] = {
-                        boson_label(p): c for p, c in vec.items()
-                    }
+    for a, n, b in mode_triples(space, space, space):   # space index i is parts[i]
+        vec = _boson_mode(parts[a], n, parts[b])
+        if vec:
+            entries[(space.label_of(a), n, space.label_of(b))] = {
+                boson_label(p): c for p, c in vec.items()
+            }
     return build_vertex_algebra(space, "one", entries)
 
 

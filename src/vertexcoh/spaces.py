@@ -10,7 +10,10 @@ u_n v as sparse entries keyed by (u, n, v) and enforces the weight rule
     wt(u_n v) = wt(u) + wt(v) - n - 1
 
 on every entry, which together with the bottom weight bounds all mode indices;
-nothing below the bottom weight or above the cutoff is ever stored.
+nothing below the bottom weight or above the cutoff is ever stored.  That
+bound is the one window: ``mode_window`` gives the mode indices of one weight,
+and ``mode_triples`` the (a, n, b) of two bases, which every check, table and
+extension loop over basis pairs reads.
 
 Two tiers of space exist.  On the ``exact`` tier the listed weights are all
 there is: absent entries are genuinely zero.  On the ``truncated`` tier
@@ -163,6 +166,17 @@ def mode_window(space: GradedSpace, weight: int, fringe: int = 0) -> range:
     weights above the cutoff.
     """
     return range(weight - 1 - space.cutoff - fringe, weight - 1 - space.min_weight + 1)
+
+
+def mode_triples(left: GradedSpace, right: GradedSpace, space: GradedSpace,
+                 shift: int = 0, fringe: int = 0):
+    """(a, n, b) for bases a of ``left``, b of ``right`` and n in the mode
+    window of ``space`` at weight wt a + wt b + shift, so that a_{n-shift} b
+    lands in the window; ordered by a, then b, then n ascending."""
+    for a, wa in enumerate(left.weights):
+        for b, wb in enumerate(right.weights):
+            for n in mode_window(space, wa + wb + shift, fringe):
+                yield a, n, b
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +436,13 @@ class VAModule:
         return self.Y_W.left
 
     def same_content(self, other: "VAModule") -> bool:
-        """Same basis labels and action table (not object identity)."""
+        """Same labeled basis, weights, action table and translation (not
+        object identity)."""
         return (
             self.space.labels == other.space.labels
+            and self.space.weights == other.space.weights
             and self.Y_W.entries == other.Y_W.entries
+            and self.T_W == other.T_W
         )
 
 

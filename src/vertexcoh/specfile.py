@@ -119,7 +119,10 @@ def _parse_terms(fields: list[tuple[str, int]], lineno: int) -> tuple[Terms, lis
             m = _TERM_RE.match(text)
             if not m:
                 raise ParseError(f"expected 'coeff*label' or 'label', got {text!r}", lineno, col)
-            coeff = parse_rational(m.group("coeff")) if m.group("coeff") else 1
+            try:
+                coeff = parse_rational(m.group("coeff")) if m.group("coeff") else 1
+            except ValueError as exc:                # a zero denominator
+                raise ParseError(str(exc), lineno, col) from None
             terms.append((coeff, m.group("label")))
             cols.append(col)
             expect_term = False

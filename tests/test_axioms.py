@@ -263,10 +263,10 @@ def _reference_record(report: _Listed, space, generator):
 
 def _fragments(V):
     """check_all's generators, in check_all's order."""
-    tmap, tier = translation_map(V), V.space.tier
+    tmap, fringe = translation_map(V), 1 if V.space.tier == "truncated" else 0
     return (_gen_grading(V), _gen_identity(V.Y, V.vacuum), _gen_creation(V),
-            _gen_translation(V.Y, tmap, tmap), _gen_skew(V, tmap, tier),
-            _gen_jacobi(V.Y, V.Y, tier))
+            _gen_translation(V.Y, tmap, tmap), _gen_skew(V, tmap, fringe),
+            _gen_jacobi(V.Y, V.Y, fringe))
 
 
 def test_record_drains_like_the_reference():

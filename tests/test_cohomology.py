@@ -332,12 +332,12 @@ def _residual_with_the_fringe(V, W, psi):
     ext = build_extension(V, W, psi)
     total = ext.total
     tmap = translation_map(total)
-    tier = total.space.tier
+    fringe = 1 if total.space.tier == "truncated" else 0
     fiber_of_total = {ti: wi for wi, ti in enumerate(ext.fiber_to_total)}
     out, breaches = {}, 0
     for gen in (_gen_identity(total.Y, total.vacuum), _gen_creation(total),
-                _gen_translation(total.Y, tmap, tmap), _gen_skew(total, tmap, tier),
-                _gen_jacobi(total.Y, total.Y, tier)):
+                _gen_translation(total.Y, tmap, tmap), _gen_skew(total, tmap, fringe),
+                _gen_jacobi(total.Y, total.Y, fringe)):
         for axiom, inst, result in per_instance(gen):
             if isinstance(result, TruncationBreach):
                 breaches += 1

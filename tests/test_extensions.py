@@ -10,12 +10,13 @@ import pytest
 import listing
 import oracles as orc
 from vertexcoh import cohomology, extensions
-from vertexcoh.axioms import check_all, translation_map
+from vertexcoh.axioms import check_all, check_module, translation_map
 from vertexcoh.cohomology import (
     NotACocycle,
     TwoCochain,
     coboundary,
     cochain_slots,
+    compute_der,
     compute_z2,
     is_coboundary,
     vacuum_killing_basis,
@@ -393,6 +394,34 @@ def test_equivalence_rejects_mismatched_inputs():
         check_equivalence_extensions(z1, z2)
     with pytest.raises(ValueError):
         check_equivalence_deformations(z1, z2)
+
+
+def _two_state_module(V, c, top_weight=1):
+    """m0 (weight 0) and m1 over the dual numbers: one acts as the identity,
+    eps as zero, and T_W m0 = c m1."""
+    wsp = GradedSpace([("m0", 0), ("m1", top_weight)])
+    Y_W = ModeFamily(V.space, wsp, wsp)
+    for m in range(len(wsp)):
+        Y_W.set_entry(V.space.index["one"], -1, m, {m: 1})
+    T_W = GradedMap(wsp, wsp, 1)
+    if c:
+        T_W.set_entry(wsp.index["m1"], wsp.index["m0"], c)
+    return VAModule(wsp, Y_W, T_W)
+
+
+def test_modules_differing_in_translation_or_weights_do_not_mix():
+    V = build_preset("dual-numbers")
+    W0, W1 = _two_state_module(V, 0), _two_state_module(V, 1)
+    for W in (W0, W1):
+        assert check_module(V, W).verdict == "pass"
+    assert [compute_der(V, W).h_dim for W in (W0, W1)] == [1, 0]
+    assert not W0.same_content(W1)
+    assert not W0.same_content(_two_state_module(V, 0, top_weight=2))
+    z0, z1 = TwoCochain.zero(V, W0), TwoCochain.zero(V, W1)
+    with pytest.raises(ValueError):
+        z0 - z1
+    with pytest.raises(ValueError):
+        check_equivalence_extensions(z0, z1)
 
 
 def test_unverified_extensions_cannot_be_compared():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from vertexcoh.spaces import (
     build_vertex_algebra,
     exp_T,
     mode_apply,
+    mode_triples,
     skew_mode,
     viadd,
     vscale,
@@ -66,6 +68,35 @@ def test_graded_space_helpers():
     assert sp.describe({1: F(2), 0: F(-1)}) == {"a": F(-1), "b": F(2)}
     wider = sp.with_cutoff(4)
     assert wider.cutoff == 4 and wider.labels == sp.labels
+
+
+def _gapped_space(rng, prefix: str, tier: str) -> GradedSpace:
+    """A random space whose weights span [lo, lo + 6] with lo < 0, one
+    interior weight left out, and bounds at or beyond the populated ones."""
+    lo = rng.randint(-3, -1)
+    gap = rng.randint(lo + 1, lo + 5)
+    weights = [lo, lo + 6] + [rng.choice([w for w in range(lo, lo + 7) if w != gap])
+                              for _ in range(rng.randint(0, 4))]
+    return GradedSpace([(f"{prefix}{i}", w) for i, w in enumerate(weights)], tier=tier,
+                       min_weight=lo - rng.randint(0, 1), cutoff=lo + 6 + rng.randint(0, 2))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mode_triples_match_a_brute_force_window(seed):
+    rng = random.Random(seed)
+    for tier in ("exact", "truncated"):
+        left, right, space = (_gapped_space(rng, p, tier) for p in "abc")
+        for shift, fringe in itertools.product((0, 1), (0, 1)):
+            lo, hi = space.min_weight, space.cutoff + fringe
+            want = [
+                (a, n, b)
+                for a, wa in enumerate(left.weights)
+                for b, wb in enumerate(right.weights)
+                for n in range(-60, 60)
+                if lo <= wa + wb + shift - n - 1 <= hi
+            ]
+            assert want
+            assert list(mode_triples(left, right, space, shift, fringe)) == want
 
 
 def test_vector_helpers():

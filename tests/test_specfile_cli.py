@@ -119,6 +119,7 @@ def test_parse_error_locations():
         ("[MODES]\na -1 b 1*c\n", 2, 1, "expected 'u n v ->"),
         ("[MODES]\na x b -> 1*c\n", 2, 3, "must be an integer"),
         ("[MODES]\na -1 b -> 1.5*c\n", 2, 11, "expected 'coeff*label'"),
+        ("[MODES]\na -1 b -> c + 1/0*c\n", 2, 15, "zero denominator"),
         ("[MODES]\na -1 b -> 1*c\na -1 b -> 2*c\n", 3, 1, "duplicate mode row"),
         ("[TW]\nx -> 1*y\nx -> 2*y\n", 3, 1, "duplicate TW row 'x'"),
     ]
@@ -281,12 +282,16 @@ def test_cli_unwritable_out_path_exits_two(argv, json_flag, tmp_path, capsys):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("argv", [
+_EACH_FILE_ROLE = pytest.mark.parametrize("argv", [
     lambda bad: ["check", bad],
     lambda bad: ["check", "--preset", "dual-numbers", "--module", bad],
     lambda bad: ["extend", "--preset", "dual-numbers", "--psi", bad],
 ], ids=["algebra", "module", "psi"])
-@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+_TEXT_OR_JSON = pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+
+
+@_EACH_FILE_ROLE
+@_TEXT_OR_JSON
 def test_cli_undecodable_input_exits_two(argv, json_flag, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe\x00bad")
@@ -295,6 +300,17 @@ def test_cli_undecodable_input_exits_two(argv, json_flag, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {bad}: ")
     assert captured.err.count("\n") == 1
+
+
+@_EACH_FILE_ROLE
+@_TEXT_OR_JSON
+def test_cli_zero_denominator_is_a_located_parse_error(argv, json_flag, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("[PSI]\neps -1 eps -> eps + 1/0*one\n")
+    assert main([*argv(str(bad)), *json_flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2, col 21: zero denominator: '1/0'\n"
 
 
 def test_cli_cutoff_rules(tmp_path, capsys):
