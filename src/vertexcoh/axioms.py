@@ -72,8 +72,10 @@ class InstanceRun:
     """The Jacobi instances (u, v, w, p, q, r) for p in ``ps``, as one item.
 
     ``_gen_jacobi`` yields a run in place of an instance where every p of a
-    range breaches at one weight.  Iterating gives the instance tuples in
-    enumeration order.
+    range breaches at one weight, and a detail report keeps it whole in
+    ``skipped_instances``.  len() is the number of instances; iterating
+    gives the instance tuples in enumeration order.  Runs compare by
+    identity: compare their instances instead.
     """
 
     __slots__ = ("lu", "lv", "lw", "ps", "q", "r")
@@ -88,6 +90,10 @@ class InstanceRun:
         lu, lv, lw, q, r = self.lu, self.lv, self.lw, self.q, self.r
         return ((lu, lv, lw, p, q, r) for p in self.ps)
 
+    def __repr__(self) -> str:
+        return (f"InstanceRun({self.lu!r}, {self.lv!r}, {self.lw!r}, {self.ps!r}, "
+                f"q={self.q!r}, r={self.r!r})")
+
 
 class AxiomReport:
     """Outcome of a family of instance checks.
@@ -96,7 +102,9 @@ class AxiomReport:
     passed:            Tally keyed by axiom
     skipped:           Tally keyed by (axiom, offending weight)
     skipped_instances: [(axiom, instance, ("TruncationBreach", offending
-                       weight))] under detail=True, else None
+                       weight))] under detail=True, else None; an instance
+                       may be an InstanceRun, which stands for each of its
+                       instances in order and is kept whole
     """
 
     def __init__(self, detail: bool = False) -> None:
@@ -135,9 +143,9 @@ def _record(report: AxiomReport, space, generator) -> None:
     instance may be an InstanceRun, which stands for each of its instances.
     Every pass adds one to its axiom's count and every skip one, or a run's
     length, to its (axiom, offending weight) count.  A detail report also
-    lists each skip, a run expanded in order, and the skips of one offending
-    weight share one immutable reason tuple, so the list does not hold a copy
-    per skip.
+    lists each skip as the generator yielded it, a run as one item, and the
+    skips of one offending weight share one immutable reason tuple, so the
+    list does not hold a copy per skip.
     """
     failed = report.failed.append
     passes, skips = report.passed.counts, report.skipped.counts
@@ -152,10 +160,7 @@ def _record(report: AxiomReport, space, generator) -> None:
                 reason = reasons.get(weight)
                 if reason is None:
                     reason = reasons[weight] = ("TruncationBreach", weight)
-                if run:
-                    listed.extend((axiom, one, reason) for one in inst)
-                else:
-                    listed.append((axiom, inst, reason))
+                listed.append((axiom, inst, reason))
         elif result:
             failed((axiom, inst, space.describe(result)))
         else:
@@ -301,7 +306,7 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, fringe: int, axiom: str = "ja
     weight NW + 1 above it.  Such a row is yielded as at most two items: p_lo on its own when it
     breaches higher, then one InstanceRun over the remaining p in place of
     an instance.  The drain counts a run by its length, and a detail report
-    lists its instances, so the fringe is not walked p by p.
+    keeps it whole, so the fringe is not walked p by p.
     """
     vsp = YV.left
     wsp = Y_act.right

@@ -34,6 +34,7 @@ from pathlib import Path
 
 from .axioms import (
     AxiomReport,
+    InstanceRun,
     check_all,
     check_module,
     translation_map,
@@ -98,7 +99,12 @@ def _coeffs(vec: dict) -> dict:
 
 
 def _report_data(rep: AxiomReport) -> dict:
-    """The report's data; ``skipped`` yields its entries as the writer asks."""
+    """The report's data; ``skipped`` yields its entries as the writer asks.
+
+    A detail report keeps each run of fringe skips as one InstanceRun; the
+    entries expand it here, one per instance in order, so a run's instances
+    exist only while the writer encodes their batch.
+    """
     return {
         "verdict": rep.verdict,
         "passed": rep.passed_counts(),
@@ -107,8 +113,9 @@ def _report_data(rep: AxiomReport) -> dict:
             for a, inst, res in rep.failed
         ],
         "skipped": (
-            {"axiom": a, "instance": inst, "reason": why}
+            {"axiom": a, "instance": one, "reason": why}
             for a, inst, why in rep.skipped_instances
+            for one in (inst if type(inst) is InstanceRun else (inst,))
         ),
     }
 

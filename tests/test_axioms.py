@@ -227,16 +227,6 @@ def test_report_merge_and_verdict_precedence():
     assert rep.verdict == "fail"
 
 
-def per_instance(stream):
-    """A generator's stream with every InstanceRun expanded, in order."""
-    for axiom, inst, result in stream:
-        if type(inst) is InstanceRun:
-            for one in inst:
-                yield axiom, one, result
-        else:
-            yield axiom, inst, result
-
-
 class _Listed:
     """A report as the drain first wrote it, every instance listed."""
 
@@ -281,11 +271,11 @@ def test_record_drains_like_the_reference():
         for gen in _fragments(alg):
             items = list(gen)                # one enumeration feeds all three drains
             runs += sum(type(inst) is InstanceRun for _a, inst, _r in items)
-            _reference_record(ref, alg.space, per_instance(items))
+            _reference_record(ref, alg.space, listing.expand(items))
             _record(new, alg.space, iter(items))
             _record(counted, alg.space, iter(items))
         assert runs
-        assert new.skipped_instances == ref.skipped
+        assert list(listing.expand(new.skipped_instances)) == ref.skipped
         assert new.skipped and (alg is V) == (not new.failed)
         for rep in (new, counted):
             assert rep.failed == ref.failed
@@ -301,13 +291,22 @@ def test_record_drains_like_the_reference():
     new, counted, ref = AxiomReport(detail=True), AxiomReport(), _Listed()
     _record(new, V.space, iter(mixed))
     _record(counted, V.space, iter(mixed))
-    _reference_record(ref, V.space, per_instance(mixed))
-    assert (new.failed, new.skipped_instances) == (ref.failed, ref.skipped)
-    assert [inst for _a, inst, _why in new.skipped_instances[2:5]] == [
+    _reference_record(ref, V.space, listing.expand(mixed))
+    assert (new.failed, list(listing.expand(new.skipped_instances))) == \
+        (ref.failed, ref.skipped)
+    assert new.skipped_instances[2][1] is mixed[2][1]
+    assert [inst for _a, inst, _why in ref.skipped[2:5]] == [
         ("a", "b", "c", p, 1, 2) for p in (-3, -2, -1)]
     for rep in (new, counted):
         assert rep.skip_counts() == {("jacobi", 5): 2, ("jacobi", 6): 5, ("jacobi", 7): 1}
         assert (rep.passed_counts(), rep.failed) == ({"identity": 1}, ref.failed)
+
+
+def test_instance_run_repr_names_its_instances():
+    run = InstanceRun("a1", "a1", "a2", range(2, 5), 0, 5)
+    assert repr(run) == "InstanceRun('a1', 'a1', 'a2', range(2, 5), q=0, r=5)"
+    assert list(run) == [("a1", "a1", "a2", p, 0, 5) for p in (2, 3, 4)]
+    assert run != InstanceRun("a1", "a1", "a2", range(2, 5), 0, 5)   # no __eq__
 
 
 def test_skips_of_one_weight_share_one_reason():

@@ -24,14 +24,22 @@ from pathlib import Path
 
 import pytest
 
+import listing
 from test_count_reports import seeded_cochains
 from vertexcoh import cli
-from vertexcoh.axioms import check_all, translation_map
+from vertexcoh.axioms import check_all, check_module, translation_map
 from vertexcoh.cli import main
 from vertexcoh.extensions import build_deformation, build_extension, verify_extension
 from vertexcoh.presets import adjoint_module, build_preset
 from vertexcoh.spaces import VAModule
-from vertexcoh.specfile import SpecFile, dump_spec, parse_spec, spec_from_objects, to_cochain
+from vertexcoh.specfile import (
+    SpecFile,
+    dump_spec,
+    parse_spec,
+    spec_from_objects,
+    to_cochain,
+    to_module,
+)
 
 SETTINGS = {
     "trivial": ("trivial", None),
@@ -45,11 +53,15 @@ ELAPSED = re.compile(r', "elapsed_ms": [0-9.e+-]+\}$')
 
 
 def write_inputs(directory) -> None:
-    """Per setting a coboundary and a cochain on every slot, plus the zero cochain."""
+    """Per setting a coboundary and a cochain on every slot, plus the zero
+    cochain, and the free boson's cutoff-3 adjoint module."""
     (directory / "zero.txt").write_text("[PSI]\n")
     for tag, (name, cutoff) in SETTINGS.items():
         V = build_preset(name, cutoff)
         W = adjoint_module(V)
+        if tag == "boson-3":
+            (directory / "boson-3-adjoint.txt").write_text(
+                dump_spec(spec_from_objects(V, W)))
         for kind, psi in seeded_cochains(V, W, f"cli:{tag}").items():
             text = dump_spec(SpecFile(psi=spec_from_objects(V, psi=psi).psi))
             (directory / f"{tag}-{kind}.txt").write_text(text)
@@ -246,12 +258,25 @@ def test_output_is_byte_identical(tag, mode, inputs, monkeypatch):
     assert got == DIGESTS[tag, mode]
 
 
+# check --module on a truncated algebra: the module-Jacobi fringe runs reach
+# the writer, which no exact setting above exercises
+MODULE_CHECK = ("check", "--preset", "free-boson", "--cutoff", "3",
+                "--module", "boson-3-adjoint.txt", "--json")
+MODULE_CHECK_DIGEST = "e67792d0e2ff3881"
+
+
+def test_module_check_on_a_truncated_algebra_is_byte_identical(inputs, monkeypatch):
+    monkeypatch.chdir(inputs)
+    assert run_digest(MODULE_CHECK) == MODULE_CHECK_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # streamed reports against the one-shot encoding
 # ---------------------------------------------------------------------------
 
 def one_shot_report_data(rep) -> dict:
-    """An axiom report's ``data`` as the CLI built it in full before streaming."""
+    """An axiom report's ``data`` as the CLI built it in full before streaming,
+    its runs of fringe skips listed one instance at a time."""
     return {
         "verdict": rep.verdict,
         "passed": rep.passed_counts(),
@@ -261,7 +286,7 @@ def one_shot_report_data(rep) -> dict:
         ],
         "skipped": [
             {"axiom": a, "instance": inst, "reason": why}
-            for a, inst, why in rep.skipped_instances
+            for a, inst, why in listing.expand(rep.skipped_instances)
         ],
     }
 
@@ -270,16 +295,28 @@ def _boson_3() -> dict:
     return {"kind": "preset", "name": "free-boson", "cutoff": 3}
 
 
-def _psi_file(path: str, V, W):
+def _file(path: str):
     text = Path(path).read_text()
     source = {"kind": "file", "path": path,
               "sha256": hashlib.sha256(text.encode()).hexdigest()}
-    return source, to_cochain(parse_spec(text), V, W)
+    return source, parse_spec(text)
+
+
+def _psi_file(path: str, V, W):
+    source, spec = _file(path)
+    return source, to_cochain(spec, V, W)
 
 
 def oracle_check():
     rep = check_all(build_preset("free-boson", 3), detail=True)
     return [_boson_3()], rep.verdict, 0, one_shot_report_data(rep)
+
+
+def oracle_check_module():
+    V = build_preset("free-boson", 3)
+    source, spec = _file("boson-3-adjoint.txt")
+    rep = check_module(V, to_module(spec, V), check_all(V, detail=True))
+    return [_boson_3(), source], rep.verdict, 0, one_shot_report_data(rep)
 
 
 def oracle_extend():
@@ -304,6 +341,7 @@ BOSON_3 = ("--preset", "free-boson", "--cutoff", "3")
 # name: (argv without --json, oracle); the deformation fails its axioms
 STREAMED = {
     "check": (("check", *BOSON_3), oracle_check),
+    "check-module": (MODULE_CHECK[:-1], oracle_check_module),
     "extend-cob": (("extend", *BOSON_3, "--psi", "boson-3-cob.txt"), oracle_extend),
     "deform-dense": (("deform", *BOSON_3, "--psi", "boson-3-dense.txt"), oracle_deform),
 }

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import listing
 import oracles as orc
-from test_axioms import per_instance
 from vertexcoh import cohomology
 from vertexcoh.axioms import (
     _gen_creation,
@@ -338,7 +338,7 @@ def _residual_with_the_fringe(V, W, psi):
     for gen in (_gen_identity(total.Y, total.vacuum), _gen_creation(total),
                 _gen_translation(total.Y, tmap, tmap), _gen_skew(total, tmap, fringe),
                 _gen_jacobi(total.Y, total.Y, fringe)):
-        for axiom, inst, result in per_instance(gen):
+        for axiom, inst, result in listing.expand(gen):
             if isinstance(result, TruncationBreach):
                 breaches += 1
                 continue
@@ -561,7 +561,8 @@ def test_z2_equals_the_probe_oracle(name, cutoff):
 def _skipped(V, W, psi):
     """(axiom, instance) of every skipped check of the extension along psi."""
     report = check_all(build_extension(V, W, psi).total, detail=True)
-    return {(axiom, inst) for axiom, inst, _why in report.skipped_instances}
+    return {(axiom, inst)
+            for axiom, inst, _why in listing.expand(report.skipped_instances)}
 
 
 @pytest.mark.parametrize("name, cutoff",

@@ -6,8 +6,9 @@ axiom and skips per (axiom, offending weight); ``detail=True`` adds only
 yields a run of fringe breaches as one item.  Every case below runs under
 the lister of tests/listing.py, which lists each passed and skipped
 instance as the drain sees it.  The report's counts must equal those lists
-counted, the detail report's ``skipped_instances`` must equal the listed
-skips, and a report made without ``detail`` must agree with it on all else.
+counted, the detail report's ``skipped_instances``, which keeps each run
+whole, must expand to the listed skips, and a report made without
+``detail`` must agree with it on all else.
 The listed passes, the failures and the skips are pinned by sha256 digests
 (first 16 hex digits) recorded from the checker as it was before reports
 could count, so neither the instances checked nor the skips ``--json``
@@ -28,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import listing
-from vertexcoh.axioms import AxiomReport, Tally, check_all, check_module
+from vertexcoh.axioms import AxiomReport, InstanceRun, Tally, check_all, check_module
 from vertexcoh.cohomology import TwoCochain, coboundary, cochain_slots, vacuum_killing_basis
 from vertexcoh.extensions import build_deformation, build_extension, verify_extension
 from vertexcoh.presets import adjoint_module, build_preset
@@ -226,13 +227,13 @@ def test_count_report_equals_the_detail_report(case, monkeypatch):
     detail, counted = report(kind, obj, True), report(kind, obj, False)
     passed, skipped = lists(detail)
     assert (detail.verdict, *digests(passed, detail.failed, skipped)) == DETAIL_DIGESTS[case]
-    assert detail.skipped_instances == skipped
+    assert list(listing.expand(detail.skipped_instances)) == skipped
     assert lists(counted) == (passed, skipped)
     assert counted.skipped_instances is None
     # the tallies are the listed instances, counted
     assert detail.passed_counts() == Counter(a for a, _inst in passed)
     assert detail.skip_counts() == Counter(
-        (a, weight) for a, _inst, (_kind, weight) in detail.skipped_instances)
+        (a, weight) for a, _inst, (_kind, weight) in skipped)
     for attr, listed in (("passed", passed), ("failed", detail.failed), ("skipped", skipped)):
         for rep in (detail, counted):
             got = getattr(rep, attr)
@@ -241,6 +242,29 @@ def test_count_report_equals_the_detail_report(case, monkeypatch):
     assert counted.passed_counts() == detail.passed_counts()
     assert counted.failed == detail.failed
     assert counted.skip_counts() == detail.skip_counts()
+
+
+# case: (items in skipped_instances, skips) of the detail report
+STORED = {
+    "free-boson-4": (67397, 143429),
+    "module-free-boson-3": (11487, 22806),
+    "free-boson-3-extension-cob": (91420, 181972),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORED))
+def test_detail_report_keeps_fringe_runs_whole(case, monkeypatch):
+    lists = listing.install(monkeypatch)
+    kind, obj = CASES[case]()
+    rep = report(kind, obj, True)
+    _passed, skipped = lists(rep)
+    items = rep.skipped_instances
+    assert (len(items), len(rep.skipped)) == STORED[case]
+    assert any(type(inst) is InstanceRun for _a, inst, _why in items)
+    expanded = list(listing.expand(items))
+    assert expanded == skipped
+    assert Counter((a, weight) for a, _inst, (_kind, weight) in expanded) == \
+        rep.skip_counts()
 
 
 def test_count_only_lists_refuse_to_be_read():

@@ -166,7 +166,8 @@ def test_reports_equal_the_fraction_only_tables(monkeypatch):
     for name, V in _slow_path_cases():
         fast, slow = check_all(V, detail=True), check_all(_fraction_only(V), detail=True)
         assert lists(fast) == lists(slow), name
-        assert fast.skipped_instances == slow.skipped_instances, name
+        assert list(listing.expand(fast.skipped_instances)) == \
+            list(listing.expand(slow.skipped_instances)), name
         assert fast.failed == slow.failed, name
         # and every residual prints the same text
         assert [{t: str(c) for t, c in res.items()} for _a, _i, res in fast.failed] == \

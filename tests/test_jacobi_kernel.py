@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_axioms import per_instance
+import listing
 from test_cohomology import _random_lawful_algebras
 from test_integral_coefficients import _corrupted, _random_fractional_algebras
 from vertexcoh.axioms import _gen_jacobi
@@ -125,7 +125,7 @@ def _stream(gen) -> list:
     return [
         (axiom, inst, ("breach", res.weight) if isinstance(res, TruncationBreach)
          else sorted(res.items()))
-        for axiom, inst, res in per_instance(gen)
+        for axiom, inst, res in listing.expand(gen)
     ]
 
 

@@ -20,11 +20,12 @@ from pathlib import Path
 import pytest
 
 import vertexcoh
+from test_count_reports import seeded_cochains
 
 from vertexcoh import cli
 from vertexcoh.cli import main
-from vertexcoh.presets import build_preset
-from vertexcoh.specfile import dump_spec, spec_from_objects
+from vertexcoh.presets import adjoint_module, build_preset
+from vertexcoh.specfile import SpecFile, dump_spec, spec_from_objects
 
 _DUMPS = json.dumps
 
@@ -172,20 +173,44 @@ print(proc.returncode, usage.ru_maxrss)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux only")
-def test_streamed_cutoff_4_report_stays_below_90_mb():
-    # the 14.8 MB report used to be held twice, as a list of dicts and as
-    # one string (117.8 MB peak); streamed it peaks at about 65 MB
+def _peak_rss_mb(argv, cwd=None) -> float:
+    """Peak RSS of ``python -m vertexcoh.cli *argv`` in a fresh interpreter,
+    which must exit 0."""
     src = Path(vertexcoh.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "vertexcoh.cli",
-         "check", "--preset", "free-boson", "--cutoff", "4", "--json"],
-        capture_output=True, text=True, env=env, check=True)
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "vertexcoh.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, check=True)
     code, kib = map(int, run.stdout.split())
     assert code == 0
-    assert kib / 1024 < 90
+    return kib / 1024
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="ru_maxrss is in KiB on Linux only")
+
+
+@linux_only
+def test_streamed_cutoff_4_report_stays_below_40_mb():
+    # the 14.8 MB report used to be held twice, as a list of dicts and as
+    # one string (117.8 MB peak).  Streamed, with every fringe skip listed
+    # in the detail report, it peaked at about 45 MB; with each run of
+    # fringe skips kept whole until the writer encodes it, about 34 MB
+    assert _peak_rss_mb(["check", "--preset", "free-boson", "--cutoff", "4",
+                         "--json"]) < 40
+
+
+@linux_only
+def test_streamed_cutoff_3_extension_report_stays_below_48_mb(tmp_path):
+    # with every fringe skip of the total listed, about 55 MB; with the runs
+    # kept whole, about 42 MB
+    V = build_preset("free-boson", 3)
+    W = adjoint_module(V)
+    psi = seeded_cochains(V, W, "report-emission:boson-3")["cob"]
+    (tmp_path / "cob.txt").write_text(
+        dump_spec(SpecFile(psi=spec_from_objects(V, psi=psi).psi)))
+    assert _peak_rss_mb(["extend", "--preset", "free-boson", "--cutoff", "3",
+                         "--psi", "cob.txt", "--json"], cwd=tmp_path) < 48
 
 
 @pytest.mark.parametrize("argv, code", [c[1:] for c in JSON_CASES],
