@@ -89,222 +89,262 @@ class SpecFile:
 # parsing
 # ---------------------------------------------------------------------------
 
+class _Fault(Exception):
+    """A fault in field ``field`` of line ``line`` (``field`` None: column 1).
+
+    Rows keep only their line number, so ``parse_spec`` works out the column
+    from the line's text only when it turns a fault into a ParseError.
+    """
+
+    def __init__(self, message: str, field: int | None = None, line: int = 0):
+        super().__init__(message)
+        self.message, self.field, self.line = message, field, line
+
+
 def _fields(line: str) -> list[tuple[str, int]]:
     """Whitespace-separated fields with 1-based column positions."""
     return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
-def _parse_int(text: str, lineno: int, col: int, what: str) -> int:
+def _parse_int(text: str, field: int, what: str) -> int:
     if not _INT_RE.match(text):
-        raise ParseError(f"{what} must be an integer, got {text!r}", lineno, col)
+        raise _Fault(f"{what} must be an integer, got {text!r}", field)
     return int(text)
 
-def _parse_label(text: str, lineno: int, col: int, what: str) -> str:
-    if not _LABEL_RE.match(text):
-        raise ParseError(f"{what} is not a valid label: {text!r}", lineno, col)
-    return text
 
-def _parse_terms(fields: list[tuple[str, int]], lineno: int) -> tuple[Terms, list[int]]:
-    """The right-hand side after '->': '0' alone, or terms joined by '+'."""
-    if not fields:
-        raise ParseError("missing right-hand side after '->'", lineno)
-    if fields[0][0] == "0":
-        if len(fields) > 1:
-            raise ParseError("'0' must stand alone", lineno, fields[1][1])
-        return (), []
-    terms: list[tuple[int | Fraction, str]] = []
-    cols: list[int] = []
-    expect_term = True
-    for text, col in fields:
-        if expect_term:
+class _Reader:
+    """Reads the fields of one file's rows, keeping one object per distinct
+    label and per distinct term.
+
+    A label or term seen before is looked up, not matched again, and every
+    row that names it shares the string or ``(coeff, label)`` tuple kept here.
+    """
+
+    def __init__(self) -> None:
+        self.labels: dict[str, str] = {}
+        self.terms: dict[str, tuple[int | Fraction, str]] = {}
+
+    def label(self, text: str, field: int, what: str) -> str:
+        lab = self.labels.get(text)
+        if lab is None:
+            if not _LABEL_RE.match(text):
+                raise _Fault(f"{what} is not a valid label: {text!r}", field)
+            lab = self.labels[text] = text
+        return lab
+
+    def term(self, text: str, field: int) -> tuple[int | Fraction, str]:
+        term = self.terms.get(text)
+        if term is None:
             m = _TERM_RE.match(text)
             if not m:
-                raise ParseError(f"expected 'coeff*label' or 'label', got {text!r}", lineno, col)
+                raise _Fault(f"expected 'coeff*label' or 'label', got {text!r}", field)
             try:
                 coeff = parse_rational(m.group("coeff")) if m.group("coeff") else 1
             except ValueError as exc:                # a zero denominator
-                raise ParseError(str(exc), lineno, col) from None
-            terms.append((coeff, m.group("label")))
-            cols.append(col)
-            expect_term = False
-        else:
-            if text != "+":
-                raise ParseError(f"expected '+' between terms, got {text!r}", lineno, col)
-            expect_term = True
-    if expect_term:
-        raise ParseError("dangling '+' at end of line", lineno, fields[-1][1])
-    return tuple(terms), cols
+                raise _Fault(str(exc), field) from None
+            lab = m.group("label")
+            term = self.terms[text] = (coeff, self.labels.setdefault(lab, lab))
+        return term
 
-def _parse_mode_row(fields: list[tuple[str, int]], lineno: int, left_what: str,
-                    right_what: str) -> tuple[tuple[str, int, str, Terms], tuple]:
-    """A row 'u n v -> terms'; returns the row plus field positions for checks."""
-    if len(fields) < 4 or fields[3][0] != "->":
-        raise ParseError(f"expected '{left_what} n {right_what} -> ...'", lineno,
-                         fields[0][1] if fields else 1)
-    (ut, uc), (nt, nc), (vt, vc) = fields[0], fields[1], fields[2]
-    u = _parse_label(ut, lineno, uc, left_what)
-    n = _parse_int(nt, lineno, nc, "mode index")
-    v = _parse_label(vt, lineno, vc, right_what)
-    terms, tcols = _parse_terms(fields[4:], lineno)
-    return (u, n, v, terms), (uc, vc, tcols)
+    def rhs(self, fields: list[str], start: int) -> Terms:
+        """The right-hand side in ``fields[start:]``: '0' alone, or terms
+        joined by '+'.  Term k is field ``start + 2k``."""
+        if start == len(fields):
+            raise _Fault("missing right-hand side after '->'")
+        if fields[start] == "0":
+            if len(fields) > start + 1:
+                raise _Fault("'0' must stand alone", start + 1)
+            return ()
+        terms = []
+        for i in range(start, len(fields), 2):
+            terms.append(self.term(fields[i], i))
+            if i + 1 < len(fields) and fields[i + 1] != "+":
+                raise _Fault(f"expected '+' between terms, got {fields[i + 1]!r}", i + 1)
+        if (len(fields) - start) % 2 == 0:
+            raise _Fault("dangling '+' at end of line", len(fields) - 1)
+        return tuple(terms)
+
+    def mode_row(self, fields: list[str], left_what: str,
+                 right_what: str) -> tuple[str, int, str, Terms]:
+        """A row 'u n v -> terms': u is field 0, v field 2, term k field 4 + 2k."""
+        if len(fields) < 4 or fields[3] != "->":
+            raise _Fault(f"expected '{left_what} n {right_what} -> ...'", 0)
+        u = self.label(fields[0], 0, left_what)
+        n = _parse_int(fields[1], 1, "mode index")
+        v = self.label(fields[2], 2, right_what)
+        return u, n, v, self.rhs(fields, 4)
 
 
 def parse_spec(text: str) -> SpecFile:
-    """Parse and validate; cross-section checks run when both sides are present."""
+    """Parse and validate; cross-section checks run when both sides are present.
+
+    One leading byte-order mark (U+FEFF) is ignored, and columns on line 1
+    count from after it.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    try:
+        return _assemble(*_read_sections(text))
+    except _Fault as fault:
+        col = 1
+        if fault.field is not None:
+            line = text.splitlines()[fault.line - 1].split("#", 1)[0]
+            col = _fields(line)[fault.field][1]
+        raise ParseError(fault.message, fault.line, col) from None
+
+
+def _read_sections(text: str) -> tuple[dict, dict, dict]:
+    """Each section's rows, each row's line number, each header's line."""
     raw: dict[str, list] = {}
-    positions: dict[str, list] = {}
+    linenos: dict[str, list[int]] = {}
     header_line: dict[str, int] = {}
     section = None
+    reader = _Reader()
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0]
-        fields = _fields(line)
+        fields = rawline.split("#", 1)[0].split()
         if not fields:
             continue
-        first, fcol = fields[0]
-        if first.startswith("["):
-            if len(fields) > 1:
-                raise ParseError("a section header must stand alone", lineno, fields[1][1])
-            name = first[1:-1] if first.endswith("]") else None
-            if name not in _SECTIONS:
-                raise ParseError(f"unknown section {first!r}", lineno, fcol)
-            if name in raw:
-                raise ParseError(f"duplicate section [{name}]", lineno, fcol)
-            raw[name] = []
-            positions[name] = []
-            header_line[name] = lineno
-            section = name
-            continue
-        if section is None:
-            raise ParseError("content before the first section header", lineno, fcol)
+        try:
+            first = fields[0]
+            if first.startswith("["):
+                if len(fields) > 1:
+                    raise _Fault("a section header must stand alone", 1)
+                name = first[1:-1] if first.endswith("]") else None
+                if name not in _SECTIONS:
+                    raise _Fault(f"unknown section {first!r}", 0)
+                if name in raw:
+                    raise _Fault(f"duplicate section [{name}]", 0)
+                raw[name] = []
+                linenos[name] = []
+                header_line[name] = lineno
+                section = name
+                continue
+            if section is None:
+                raise _Fault("content before the first section header", 0)
 
-        if section == "WEIGHTS":
-            if first == "tier":
-                if len(fields) != 2 or fields[1][0] not in ("exact", "truncated"):
-                    raise ParseError("expected 'tier exact' or 'tier truncated'", lineno, fcol)
-                raw[section].append(("tier", fields[1][0]))
-            elif first == "cutoff":
+            rows = raw[section]
+            if section == "WEIGHTS":
+                if first == "tier":
+                    if len(fields) != 2 or fields[1] not in ("exact", "truncated"):
+                        raise _Fault("expected 'tier exact' or 'tier truncated'", 0)
+                    rows.append(("tier", fields[1]))
+                elif first == "cutoff":
+                    if len(fields) != 2:
+                        raise _Fault("expected 'cutoff N'", 0)
+                    rows.append(("cutoff", _parse_int(fields[1], 1, "cutoff")))
+                else:
+                    if len(fields) != 2:
+                        raise _Fault("expected 'weight dim'", 0)
+                    w = _parse_int(first, 0, "weight")
+                    d = _parse_int(fields[1], 1, "dimension")
+                    if d < 0:
+                        raise _Fault("dimension must be nonnegative", 1)
+                    rows.append(("dim", w, d))
+            elif section in ("BASIS", "MODULE_BASIS"):
                 if len(fields) != 2:
-                    raise ParseError("expected 'cutoff N'", lineno, fcol)
-                raw[section].append(("cutoff", _parse_int(fields[1][0], lineno, fields[1][1], "cutoff")))
-            else:
-                if len(fields) != 2:
-                    raise ParseError("expected 'weight dim'", lineno, fcol)
-                w = _parse_int(first, lineno, fcol, "weight")
-                d = _parse_int(fields[1][0], lineno, fields[1][1], "dimension")
-                if d < 0:
-                    raise ParseError("dimension must be nonnegative", lineno, fields[1][1])
-                raw[section].append(("dim", w, d))
-            positions[section].append(lineno)
-        elif section in ("BASIS", "MODULE_BASIS"):
-            if len(fields) != 2:
-                raise ParseError("expected 'label weight'", lineno, fcol)
-            lab = _parse_label(first, lineno, fcol, "basis label")
-            w = _parse_int(fields[1][0], lineno, fields[1][1], "weight")
-            raw[section].append((lab, w))
-            positions[section].append((lineno, fcol))
-        elif section == "VACUUM":
-            if raw[section]:
-                raise ParseError("multiple vacuum rows", lineno, fcol)
-            if len(fields) != 1:
-                raise ParseError("expected a single label", lineno, fields[1][1])
-            raw[section].append(_parse_label(first, lineno, fcol, "vacuum"))
-            positions[section].append((lineno, fcol))
-        elif section in ("MODES", "MODULE_MODES", "PSI"):
-            right = "w" if section == "MODULE_MODES" else "v"
-            row, pos = _parse_mode_row(fields, lineno, "u", right)
-            raw[section].append(row)
-            positions[section].append((lineno,) + pos)
-        else:  # TW
-            if len(fields) < 2 or fields[1][0] != "->":
-                raise ParseError("expected 'w -> ...'", lineno, fcol)
-            lab = _parse_label(first, lineno, fcol, "module label")
-            terms, tcols = _parse_terms(fields[2:], lineno)
-            raw[section].append((lab, terms))
-            positions[section].append((lineno, fcol, tcols))
+                    raise _Fault("expected 'label weight'", 0)
+                lab = reader.label(first, 0, "basis label")
+                rows.append((lab, _parse_int(fields[1], 1, "weight")))
+            elif section == "VACUUM":
+                if rows:
+                    raise _Fault("multiple vacuum rows", 0)
+                if len(fields) != 1:
+                    raise _Fault("expected a single label", 1)
+                rows.append(reader.label(first, 0, "vacuum"))
+            elif section in ("MODES", "MODULE_MODES", "PSI"):
+                right = "w" if section == "MODULE_MODES" else "v"
+                rows.append(reader.mode_row(fields, "u", right))
+            else:  # TW: 'w -> terms', term k is field 2 + 2k
+                if len(fields) < 2 or fields[1] != "->":
+                    raise _Fault("expected 'w -> ...'", 0)
+                lab = reader.label(first, 0, "module label")
+                rows.append((lab, reader.rhs(fields, 2)))
+        except _Fault as fault:
+            fault.line = lineno
+            raise
+        linenos[section].append(lineno)
 
-    return _assemble(raw, positions, header_line)
+    return raw, linenos, header_line
 
 
-def _check_no_duplicates(rows: Sequence, where: Sequence, what: str) -> None:
-    seen: dict = {}
-    for row, pos in zip(rows, where):
+def _check_no_duplicates(rows: Sequence, linenos: Sequence[int], what: str) -> None:
+    seen: set = set()
+    for row, lineno in zip(rows, linenos):
         key = row[:3] if what == "mode row" else row[0]
-        lineno = pos[0] if isinstance(pos, tuple) else pos
-        col = pos[1] if isinstance(pos, tuple) and len(pos) > 1 and isinstance(pos[1], int) else 1
         if key in seen:
-            raise ParseError(f"duplicate {what} {key!r}", lineno, col)
-        seen[key] = lineno
+            raise _Fault(f"duplicate {what} {key!r}", 0, lineno)
+        seen.add(key)
 
-def _check_labels(rows, where, known: set, slot: str) -> None:
+def _check_labels(rows, linenos, known: set, slot: str) -> None:
     """Resolve u/v/target labels of mode-shaped rows against a basis."""
-    for (u, _n, v, terms), (lineno, uc, vc, tcols) in zip(rows, where):
+    for (u, _n, v, terms), lineno in zip(rows, linenos):
         if slot in ("left", "both") and u not in known:
-            raise ParseError(f"unknown basis label {u!r}", lineno, uc)
+            raise _Fault(f"unknown basis label {u!r}", 0, lineno)
         if slot in ("right", "both") and v not in known:
-            raise ParseError(f"unknown basis label {v!r}", lineno, vc)
+            raise _Fault(f"unknown basis label {v!r}", 2, lineno)
         if slot == "targets":
-            for (_c, t), col in zip(terms, tcols):
+            for k, (_c, t) in enumerate(terms):
                 if t not in known:
-                    raise ParseError(f"unknown basis label {t!r}", lineno, col)
+                    raise _Fault(f"unknown basis label {t!r}", 4 + 2 * k, lineno)
 
-def _assemble(raw: dict, positions: dict, header_line: dict) -> SpecFile:
+def _assemble(raw: dict, linenos: dict, header_line: dict) -> SpecFile:
     spec = SpecFile()
     if "WEIGHTS" in raw:
         dims = []
         tier = cutoff = None
-        for item, lineno in zip(raw["WEIGHTS"], positions["WEIGHTS"]):
+        for item, lineno in zip(raw["WEIGHTS"], linenos["WEIGHTS"]):
             if item[0] == "tier":
                 if tier is not None:
-                    raise ParseError("duplicate 'tier' directive", lineno)
+                    raise _Fault("duplicate 'tier' directive", None, lineno)
                 tier = item[1]
             elif item[0] == "cutoff":
                 if cutoff is not None:
-                    raise ParseError("duplicate 'cutoff' directive", lineno)
+                    raise _Fault("duplicate 'cutoff' directive", None, lineno)
                 cutoff = item[1]
             else:
                 dims.append((item[1], item[2]))
         if [w for w, _ in dims] != sorted({w for w, _ in dims}):
-            raise ParseError("weight rows must be sorted and distinct",
-                             header_line["WEIGHTS"])
+            raise _Fault("weight rows must be sorted and distinct", None,
+                         header_line["WEIGHTS"])
         spec.tier = tier or "exact"
         spec.cutoff = cutoff
         spec.weight_dims = tuple(dims)
     if "BASIS" in raw:
-        _check_no_duplicates(raw["BASIS"], positions["BASIS"], "basis label")
+        _check_no_duplicates(raw["BASIS"], linenos["BASIS"], "basis label")
         spec.basis = tuple(raw["BASIS"])
     if "VACUUM" in raw:
         if not raw["VACUUM"]:
-            raise ParseError("empty [VACUUM] section", header_line["VACUUM"])
+            raise _Fault("empty [VACUUM] section", None, header_line["VACUUM"])
         spec.vacuum = raw["VACUUM"][0]
     if "MODES" in raw:
-        _check_no_duplicates(raw["MODES"], positions["MODES"], "mode row")
+        _check_no_duplicates(raw["MODES"], linenos["MODES"], "mode row")
         spec.modes = tuple(raw["MODES"])
     if "MODULE_BASIS" in raw:
-        _check_no_duplicates(raw["MODULE_BASIS"], positions["MODULE_BASIS"], "basis label")
+        _check_no_duplicates(raw["MODULE_BASIS"], linenos["MODULE_BASIS"], "basis label")
         spec.module_basis = tuple(raw["MODULE_BASIS"])
     if "MODULE_MODES" in raw:
-        _check_no_duplicates(raw["MODULE_MODES"], positions["MODULE_MODES"], "mode row")
+        _check_no_duplicates(raw["MODULE_MODES"], linenos["MODULE_MODES"], "mode row")
         spec.module_modes = tuple(raw["MODULE_MODES"])
     if "TW" in raw:
-        _check_no_duplicates(raw["TW"], positions["TW"], "TW row")
+        _check_no_duplicates(raw["TW"], linenos["TW"], "TW row")
         spec.tw = tuple(raw["TW"])
     if "PSI" in raw:
-        _check_no_duplicates(raw["PSI"], positions["PSI"], "mode row")
+        _check_no_duplicates(raw["PSI"], linenos["PSI"], "mode row")
         spec.psi = tuple(raw["PSI"])
 
     # cross-section checks, wherever both sides are in the file
     if spec.basis:
         labels = {lab for lab, _ in spec.basis}
         if spec.vacuum is not None and spec.vacuum not in labels:
-            lineno, col = positions["VACUUM"][0]
-            raise ParseError(f"vacuum {spec.vacuum!r} is not a basis label", lineno, col)
+            raise _Fault(f"vacuum {spec.vacuum!r} is not a basis label", 0,
+                         linenos["VACUUM"][0])
         if "MODES" in raw:
-            _check_labels(spec.modes, positions["MODES"], labels, "both")
-            _check_labels(spec.modes, positions["MODES"], labels, "targets")
+            _check_labels(spec.modes, linenos["MODES"], labels, "both")
+            _check_labels(spec.modes, linenos["MODES"], labels, "targets")
         if "MODULE_MODES" in raw:
-            _check_labels(spec.module_modes, positions["MODULE_MODES"], labels, "left")
+            _check_labels(spec.module_modes, linenos["MODULE_MODES"], labels, "left")
         if "PSI" in raw:
-            _check_labels(spec.psi, positions["PSI"], labels, "both")
+            _check_labels(spec.psi, linenos["PSI"], labels, "both")
         if spec.weight_dims:
             have = {}
             for lab, w in spec.basis:
@@ -313,30 +353,30 @@ def _assemble(raw: dict, positions: dict, header_line: dict) -> SpecFile:
             lo, hi = min(stated), max(stated)
             for w, d in have.items():
                 if not lo <= w <= hi:
-                    raise ParseError(
+                    raise _Fault(
                         f"basis weight {w} is outside the weight table range",
-                        header_line["BASIS"])
+                        None, header_line["BASIS"])
             for w in range(lo, hi + 1):
                 if stated.get(w, 0) != have.get(w, 0):
-                    raise ParseError(
+                    raise _Fault(
                         f"weight table says dim {stated.get(w, 0)} at weight {w}, "
-                        f"basis has {have.get(w, 0)}", header_line["WEIGHTS"])
+                        f"basis has {have.get(w, 0)}", None, header_line["WEIGHTS"])
     if spec.module_basis:
         wlabels = {lab for lab, _ in spec.module_basis}
         if "MODULE_MODES" in raw:
-            _check_labels(spec.module_modes, positions["MODULE_MODES"], wlabels, "right")
-            _check_labels(spec.module_modes, positions["MODULE_MODES"], wlabels, "targets")
-        for (lab, terms), (lineno, col, tcols) in zip(spec.tw, positions.get("TW", ())):
+            _check_labels(spec.module_modes, linenos["MODULE_MODES"], wlabels, "right")
+            _check_labels(spec.module_modes, linenos["MODULE_MODES"], wlabels, "targets")
+        for (lab, terms), lineno in zip(spec.tw, linenos.get("TW", ())):
             if lab not in wlabels:
-                raise ParseError(f"unknown basis label {lab!r}", lineno, col)
-            for (_c, t), tcol in zip(terms, tcols):
+                raise _Fault(f"unknown basis label {lab!r}", 0, lineno)
+            for k, (_c, t) in enumerate(terms):
                 if t not in wlabels:
-                    raise ParseError(f"unknown basis label {t!r}", lineno, tcol)
+                    raise _Fault(f"unknown basis label {t!r}", 2 + 2 * k, lineno)
         if "PSI" in raw:
-            _check_labels(spec.psi, positions["PSI"], wlabels, "targets")
+            _check_labels(spec.psi, linenos["PSI"], wlabels, "targets")
     elif spec.basis and "PSI" in raw:
         # no module in the file: psi targets land in the algebra itself
-        _check_labels(spec.psi, positions["PSI"], {lab for lab, _ in spec.basis}, "targets")
+        _check_labels(spec.psi, linenos["PSI"], {lab for lab, _ in spec.basis}, "targets")
     return spec
 
 
