@@ -209,21 +209,12 @@ def _window_label(V: VertexAlgebra) -> str | None:
 # cochain slot enumeration (the slot order everything shares)
 # ---------------------------------------------------------------------------
 
-def _mode_index_triples(V: VertexAlgebra, W: VAModule):
-    """(u, n, v) windows where a degree-zero cochain may be nonzero."""
-    vsp, wsp = V.space, W.space
-    target_weights = sorted(wsp.by_weight)
-    for u in range(len(vsp)):
-        wu = vsp.weight_of(u)
-        ns = sorted({
-            wu + vsp.weight_of(v) - 1 - tau
-            for v in range(len(vsp))
-            for tau in target_weights
-        })
-        for n in ns:
-            for v in range(len(vsp)):
-                if (wu + vsp.weight_of(v) - n - 1) in wsp.by_weight:
-                    yield u, n, v
+def _mode_index_triples(V: VertexAlgebra, W: VAModule) -> list[tuple[int, int, int]]:
+    """(u, n, v) windows where a degree-zero cochain may be nonzero: those
+    whose target weight W populates, in slot order (u, then n, then v)."""
+    wt, populated = V.space.weights, W.space.by_weight
+    return sorted((u, n, v) for u, n, v in mode_triples(V.space, V.space, W.space)
+                  if wt[u] + wt[v] - n - 1 in populated)
 
 
 def cochain_slots(V: VertexAlgebra, W: VAModule) -> list[tuple[int, int, int, int]]:

@@ -19,12 +19,10 @@ The format is line-oriented with ``[SECTION]`` headers and ``#`` comments:
     one -1 one -> 1*one
     eps -1 one -> 1*eps
 
-Optional sections carry a module (``MODULE_BASIS``, ``MODULE_MODES`` with
-rows "u n w -> ...", ``TW`` with rows "w -> ..."), and a 2-cochain (``PSI``
-with the same row shape as MODES but targets in the module basis).  A file
-may hold any subset — e.g. a bare [PSI] file resolved against an algebra
-loaded elsewhere; label resolution that cannot happen at parse time happens
-in the converters instead.
+Optional sections carry a module and a 2-cochain; ``_ROW_SECTIONS`` gives
+each row section's shape and the basis its labels resolve in.  A file may
+hold any subset — e.g. a bare [PSI] file, whose labels the converters
+resolve against an algebra loaded elsewhere.
 
 ``dump_spec`` emits a canonical form (sections in fixed order, rows in flat
 basis order, every coefficient spelled ``c*label``), and parsing a canonical
@@ -34,6 +32,7 @@ dump reproduces the SpecFile exactly.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -50,10 +49,23 @@ from .spaces import (
 
 Terms = tuple[tuple[int | Fraction, str], ...]
 
-_SECTIONS = (
-    "WEIGHTS", "BASIS", "VACUUM", "MODES",
-    "MODULE_BASIS", "MODULE_MODES", "TW", "PSI",
-)
+
+# The row sections in file and dump order ([VACUUM] follows [BASIS]), each
+# with its SpecFile field, its row shape as "expected" faults spell it, what
+# a repeated row is called, and for each label slot (u, v, targets / w,
+# targets) the basis sections it resolves in, the first one the file fills
+# ([PSI] targets: the module if the file has one, else the algebra).
+_RowSection = namedtuple("_RowSection", "field kind repeat bases")
+_V, _W = ("BASIS",), ("MODULE_BASIS",)
+_ROW_SECTIONS = {
+    "BASIS": _RowSection("basis", "label weight", "basis label", ()),
+    "MODES": _RowSection("modes", "u n v -> ...", "mode row", (_V, _V, _V)),
+    "MODULE_BASIS": _RowSection("module_basis", "label weight", "basis label", ()),
+    "MODULE_MODES": _RowSection("module_modes", "u n w -> ...", "mode row", (_V, _W, _W)),
+    "TW": _RowSection("tw", "w -> ...", "TW row", (_W, _W)),
+    "PSI": _RowSection("psi", "u n v -> ...", "mode row", (_V, _V, _W + _V)),
+}
+_SECTIONS = ("WEIGHTS", "VACUUM", *_ROW_SECTIONS)
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.:]*$")
 _TERM_RE = re.compile(r"^(?:(?P<coeff>[+-]?\d+(?:/\d+)?)\*)?(?P<label>[A-Za-z_][A-Za-z0-9_.:]*)$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -163,22 +175,24 @@ class _Reader:
             raise _Fault("dangling '+' at end of line", len(fields) - 1)
         return tuple(terms)
 
-    def mode_row(self, fields: list[str], left_what: str,
-                 right_what: str) -> tuple[str, int, str, Terms]:
-        """A row 'u n v -> terms': u is field 0, v field 2, term k field 4 + 2k."""
-        if len(fields) < 4 or fields[3] != "->":
-            raise _Fault(f"expected '{left_what} n {right_what} -> ...'", 0)
-        u = self.label(fields[0], 0, left_what)
-        n = _parse_int(fields[1], 1, "mode index")
-        v = self.label(fields[2], 2, right_what)
-        return u, n, v, self.rhs(fields, 4)
+
+def _lines(text: str) -> list[str]:
+    r"""Lines end at '\n', '\r\n' or '\r' only, as with universal newlines and
+    ``grep -n``; any other Unicode line separator is whitespace in a line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def parse_spec(text: str) -> SpecFile:
     """Parse and validate; cross-section checks run when both sides are present.
 
     One leading byte-order mark (U+FEFF) is ignored, and columns on line 1
-    count from after it.
+    count from after it.  Line numbers are those of ``grep -n`` (``_lines``).
+    Of several faults the first met while reading is reported; else a
+    repeated row or empty [VACUUM], in section order; else an unknown label:
+    the vacuum's, then the earliest row's in the first section that has one,
+    leftmost field first; else a weight table that disagrees with the basis.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
@@ -187,7 +201,7 @@ def parse_spec(text: str) -> SpecFile:
     except _Fault as fault:
         col = 1
         if fault.field is not None:
-            line = text.splitlines()[fault.line - 1].split("#", 1)[0]
+            line = _lines(text)[fault.line - 1].split("#", 1)[0]
             col = _fields(line)[fault.field][1]
         raise ParseError(fault.message, fault.line, col) from None
 
@@ -197,10 +211,10 @@ def _read_sections(text: str) -> tuple[dict, dict, dict]:
     raw: dict[str, list] = {}
     linenos: dict[str, list[int]] = {}
     header_line: dict[str, int] = {}
-    section = None
+    section = kind = None
     reader = _Reader()
 
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
+    for lineno, rawline in enumerate(_lines(text), start=1):
         fields = rawline.split("#", 1)[0].split()
         if not fields:
             continue
@@ -218,12 +232,13 @@ def _read_sections(text: str) -> tuple[dict, dict, dict]:
                 linenos[name] = []
                 header_line[name] = lineno
                 section = name
+                kind = _ROW_SECTIONS[name].kind if name in _ROW_SECTIONS else name
                 continue
             if section is None:
                 raise _Fault("content before the first section header", 0)
 
             rows = raw[section]
-            if section == "WEIGHTS":
+            if kind == "WEIGHTS":
                 if first == "tier":
                     if len(fields) != 2 or fields[1] not in ("exact", "truncated"):
                         raise _Fault("expected 'tier exact' or 'tier truncated'", 0)
@@ -240,25 +255,29 @@ def _read_sections(text: str) -> tuple[dict, dict, dict]:
                     if d < 0:
                         raise _Fault("dimension must be nonnegative", 1)
                     rows.append(("dim", w, d))
-            elif section in ("BASIS", "MODULE_BASIS"):
-                if len(fields) != 2:
-                    raise _Fault("expected 'label weight'", 0)
-                lab = reader.label(first, 0, "basis label")
-                rows.append((lab, _parse_int(fields[1], 1, "weight")))
-            elif section == "VACUUM":
+            elif kind == "VACUUM":
                 if rows:
                     raise _Fault("multiple vacuum rows", 0)
                 if len(fields) != 1:
                     raise _Fault("expected a single label", 1)
                 rows.append(reader.label(first, 0, "vacuum"))
-            elif section in ("MODES", "MODULE_MODES", "PSI"):
-                right = "w" if section == "MODULE_MODES" else "v"
-                rows.append(reader.mode_row(fields, "u", right))
-            else:  # TW: 'w -> terms', term k is field 2 + 2k
+            elif kind == "label weight":
+                if len(fields) != 2:
+                    raise _Fault(f"expected '{kind}'", 0)
+                lab = reader.label(first, 0, "basis label")
+                rows.append((lab, _parse_int(fields[1], 1, "weight")))
+            elif kind == "w -> ...":  # term k is field 2 + 2k
                 if len(fields) < 2 or fields[1] != "->":
-                    raise _Fault("expected 'w -> ...'", 0)
+                    raise _Fault(f"expected '{kind}'", 0)
                 lab = reader.label(first, 0, "module label")
                 rows.append((lab, reader.rhs(fields, 2)))
+            else:  # 'u n v -> terms': u is field 0, v field 2, term k field 4 + 2k
+                if len(fields) < 4 or fields[3] != "->":
+                    raise _Fault(f"expected '{kind}'", 0)
+                u = reader.label(first, 0, "u")
+                n = _parse_int(fields[1], 1, "mode index")
+                v = reader.label(fields[2], 2, kind[4])    # "v" or "w"
+                rows.append((u, n, v, reader.rhs(fields, 4)))
         except _Fault as fault:
             fault.line = lineno
             raise
@@ -267,25 +286,27 @@ def _read_sections(text: str) -> tuple[dict, dict, dict]:
     return raw, linenos, header_line
 
 
-def _check_no_duplicates(rows: Sequence, linenos: Sequence[int], what: str) -> None:
-    seen: set = set()
+def _check_slots(rows: Sequence, linenos: Sequence[int], sec: _RowSection,
+                 known: dict) -> None:
+    """Raise for the first label missing from its slot's basis, row by row
+    and leftmost field first (``known``: each basis section's labels).  A
+    slot whose basis sections are all empty is not checked."""
+    bases = [next((known[b] for b in slot if known[b]), None) for slot in sec.bases]
+    mode = sec.kind.startswith("u n")
+    left = bases[0] if bases else None
+    right = bases[1] if mode else None
+    targets = bases[-1] if bases else None
+    start = 4 if mode else 2
     for row, lineno in zip(rows, linenos):
-        key = row[:3] if what == "mode row" else row[0]
-        if key in seen:
-            raise _Fault(f"duplicate {what} {key!r}", 0, lineno)
-        seen.add(key)
+        if left is not None and row[0] not in left:
+            raise _Fault(f"unknown basis label {row[0]!r}", 0, lineno)
+        if right is not None and row[2] not in right:
+            raise _Fault(f"unknown basis label {row[2]!r}", 2, lineno)
+        if targets is not None:
+            for k, (_c, t) in enumerate(row[-1]):
+                if t not in targets:
+                    raise _Fault(f"unknown basis label {t!r}", start + 2 * k, lineno)
 
-def _check_labels(rows, linenos, known: set, slot: str) -> None:
-    """Resolve u/v/target labels of mode-shaped rows against a basis."""
-    for (u, _n, v, terms), lineno in zip(rows, linenos):
-        if slot in ("left", "both") and u not in known:
-            raise _Fault(f"unknown basis label {u!r}", 0, lineno)
-        if slot in ("right", "both") and v not in known:
-            raise _Fault(f"unknown basis label {v!r}", 2, lineno)
-        if slot == "targets":
-            for k, (_c, t) in enumerate(terms):
-                if t not in known:
-                    raise _Fault(f"unknown basis label {t!r}", 4 + 2 * k, lineno)
 
 def _assemble(raw: dict, linenos: dict, header_line: dict) -> SpecFile:
     spec = SpecFile()
@@ -309,74 +330,42 @@ def _assemble(raw: dict, linenos: dict, header_line: dict) -> SpecFile:
         spec.tier = tier or "exact"
         spec.cutoff = cutoff
         spec.weight_dims = tuple(dims)
-    if "BASIS" in raw:
-        _check_no_duplicates(raw["BASIS"], linenos["BASIS"], "basis label")
-        spec.basis = tuple(raw["BASIS"])
-    if "VACUUM" in raw:
-        if not raw["VACUUM"]:
-            raise _Fault("empty [VACUUM] section", None, header_line["VACUUM"])
-        spec.vacuum = raw["VACUUM"][0]
-    if "MODES" in raw:
-        _check_no_duplicates(raw["MODES"], linenos["MODES"], "mode row")
-        spec.modes = tuple(raw["MODES"])
-    if "MODULE_BASIS" in raw:
-        _check_no_duplicates(raw["MODULE_BASIS"], linenos["MODULE_BASIS"], "basis label")
-        spec.module_basis = tuple(raw["MODULE_BASIS"])
-    if "MODULE_MODES" in raw:
-        _check_no_duplicates(raw["MODULE_MODES"], linenos["MODULE_MODES"], "mode row")
-        spec.module_modes = tuple(raw["MODULE_MODES"])
-    if "TW" in raw:
-        _check_no_duplicates(raw["TW"], linenos["TW"], "TW row")
-        spec.tw = tuple(raw["TW"])
-    if "PSI" in raw:
-        _check_no_duplicates(raw["PSI"], linenos["PSI"], "mode row")
-        spec.psi = tuple(raw["PSI"])
-
-    # cross-section checks, wherever both sides are in the file
-    if spec.basis:
-        labels = {lab for lab, _ in spec.basis}
-        if spec.vacuum is not None and spec.vacuum not in labels:
-            raise _Fault(f"vacuum {spec.vacuum!r} is not a basis label", 0,
-                         linenos["VACUUM"][0])
-        if "MODES" in raw:
-            _check_labels(spec.modes, linenos["MODES"], labels, "both")
-            _check_labels(spec.modes, linenos["MODES"], labels, "targets")
-        if "MODULE_MODES" in raw:
-            _check_labels(spec.module_modes, linenos["MODULE_MODES"], labels, "left")
-        if "PSI" in raw:
-            _check_labels(spec.psi, linenos["PSI"], labels, "both")
-        if spec.weight_dims:
-            have = {}
-            for lab, w in spec.basis:
-                have[w] = have.get(w, 0) + 1
-            stated = dict(spec.weight_dims)
-            lo, hi = min(stated), max(stated)
-            for w, d in have.items():
-                if not lo <= w <= hi:
-                    raise _Fault(
-                        f"basis weight {w} is outside the weight table range",
-                        None, header_line["BASIS"])
-            for w in range(lo, hi + 1):
-                if stated.get(w, 0) != have.get(w, 0):
-                    raise _Fault(
-                        f"weight table says dim {stated.get(w, 0)} at weight {w}, "
-                        f"basis has {have.get(w, 0)}", None, header_line["WEIGHTS"])
-    if spec.module_basis:
-        wlabels = {lab for lab, _ in spec.module_basis}
-        if "MODULE_MODES" in raw:
-            _check_labels(spec.module_modes, linenos["MODULE_MODES"], wlabels, "right")
-            _check_labels(spec.module_modes, linenos["MODULE_MODES"], wlabels, "targets")
-        for (lab, terms), lineno in zip(spec.tw, linenos.get("TW", ())):
-            if lab not in wlabels:
-                raise _Fault(f"unknown basis label {lab!r}", 0, lineno)
-            for k, (_c, t) in enumerate(terms):
-                if t not in wlabels:
-                    raise _Fault(f"unknown basis label {t!r}", 2 + 2 * k, lineno)
-        if "PSI" in raw:
-            _check_labels(spec.psi, linenos["PSI"], wlabels, "targets")
-    elif spec.basis and "PSI" in raw:
-        # no module in the file: psi targets land in the algebra itself
-        _check_labels(spec.psi, linenos["PSI"], {lab for lab, _ in spec.basis}, "targets")
+    known: dict[str, set] = {}   # each basis section's labels
+    for name, sec in _ROW_SECTIONS.items():
+        rows = tuple(raw.get(name, ()))
+        setattr(spec, sec.field, rows)
+        mode, seen = sec.kind.startswith("u n"), set()
+        for row, lineno in zip(rows, linenos.get(name, ())):
+            key = row[:3] if mode else row[0]
+            if key in seen:
+                raise _Fault(f"duplicate {sec.repeat} {key!r}", 0, lineno)
+            seen.add(key)
+        if sec.kind == "label weight":
+            known[name] = seen
+        if name == "BASIS" and "VACUUM" in raw:  # [VACUUM] follows [BASIS]
+            if not raw["VACUUM"]:
+                raise _Fault("empty [VACUUM] section", None, header_line["VACUUM"])
+            spec.vacuum = raw["VACUUM"][0]
+    if known["BASIS"] and spec.vacuum is not None and spec.vacuum not in known["BASIS"]:
+        raise _Fault(f"vacuum {spec.vacuum!r} is not a basis label", 0, linenos["VACUUM"][0])
+    for name, sec in _ROW_SECTIONS.items():
+        _check_slots(getattr(spec, sec.field), linenos.get(name, ()), sec, known)
+    if spec.basis and spec.weight_dims:
+        have = {}
+        for lab, w in spec.basis:
+            have[w] = have.get(w, 0) + 1
+        stated = dict(spec.weight_dims)
+        lo, hi = min(stated), max(stated)
+        for w, d in have.items():
+            if not lo <= w <= hi:
+                raise _Fault(
+                    f"basis weight {w} is outside the weight table range",
+                    None, header_line["BASIS"])
+        for w in range(lo, hi + 1):
+            if stated.get(w, 0) != have.get(w, 0):
+                raise _Fault(
+                    f"weight table says dim {stated.get(w, 0)} at weight {w}, "
+                    f"basis has {have.get(w, 0)}", None, header_line["WEIGHTS"])
     return spec
 
 
@@ -516,22 +505,16 @@ def dump_spec(spec: SpecFile) -> str:
             lines.append(f"cutoff {spec.cutoff}")
         lines += [f"{w} {d}" for w, d in spec.weight_dims]
         blocks.append("[WEIGHTS]\n" + "\n".join(lines))
-        blocks.append("[BASIS]\n" + "\n".join(f"{lab} {w}" for lab, w in spec.basis))
-    if spec.vacuum is not None:
-        blocks.append(f"[VACUUM]\n{spec.vacuum}")
-    if spec.modes:
-        blocks.append("[MODES]\n" + "\n".join(
-            f"{u} {n} {v} -> {_format_terms(t)}" for u, n, v, t in spec.modes))
-    if spec.module_basis:
-        blocks.append("[MODULE_BASIS]\n" + "\n".join(
-            f"{lab} {w}" for lab, w in spec.module_basis))
-    if spec.module_modes:
-        blocks.append("[MODULE_MODES]\n" + "\n".join(
-            f"{u} {n} {w} -> {_format_terms(t)}" for u, n, w, t in spec.module_modes))
-    if spec.tw:
-        blocks.append("[TW]\n" + "\n".join(
-            f"{lab} -> {_format_terms(t)}" for lab, t in spec.tw))
-    if spec.psi:
-        blocks.append("[PSI]\n" + "\n".join(
-            f"{u} {n} {v} -> {_format_terms(t)}" for u, n, v, t in spec.psi))
+    for name, sec in _ROW_SECTIONS.items():
+        rows = getattr(spec, sec.field)
+        if rows:
+            if sec.kind == "label weight":
+                lines = [f"{lab} {w}" for lab, w in rows]
+            elif sec.kind == "w -> ...":
+                lines = [f"{lab} -> {_format_terms(t)}" for lab, t in rows]
+            else:
+                lines = [f"{u} {n} {v} -> {_format_terms(t)}" for u, n, v, t in rows]
+            blocks.append(f"[{name}]\n" + "\n".join(lines))
+        if name == "BASIS" and spec.vacuum is not None:
+            blocks.append(f"[VACUUM]\n{spec.vacuum}")
     return "\n\n".join(blocks) + "\n"

@@ -54,6 +54,7 @@ from vertexcoh.presets import (
 from vertexcoh.scalars import JetScalar
 from vertexcoh.spaces import (
     GradedMap,
+    GradedSpace,
     ModeFamily,
     TruncationBreach,
     VAModule,
@@ -236,6 +237,46 @@ def test_cochain_slots_enumeration_order_and_count():
     for u, n, v, t in cochain_slots(V2, W2):
         want = V2.space.weight_of(u) + V2.space.weight_of(v) - n - 1
         assert W2.space.weight_of(t) == want
+
+
+def _reference_mode_index_triples(V, W):
+    """The hand-written window loop that mode_triples replaced."""
+    vsp, wsp = V.space, W.space
+    target_weights = sorted(wsp.by_weight)
+    for u in range(len(vsp)):
+        wu = vsp.weight_of(u)
+        ns = sorted({
+            wu + vsp.weight_of(v) - 1 - tau
+            for v in range(len(vsp))
+            for tau in target_weights
+        })
+        for n in ns:
+            for v in range(len(vsp)):
+                if (wu + vsp.weight_of(v) - n - 1) in wsp.by_weight:
+                    yield u, n, v
+
+
+def _module_on(V, space):
+    """A module of V on ``space`` with no action; the slots read only weights."""
+    return VAModule(space, ModeFamily(V.space, space, space), GradedMap(space, space, 1))
+
+
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, c) for p in EXACT_PRESETS for c in (None, 3)]
+                         + [("free-boson", c) for c in range(7)])
+def test_mode_index_triples_equal_the_reference_loop(name, cutoff):
+    V = build_preset(name, cutoff)
+    rng = random.Random(f"{name}/{cutoff}")
+    modules = [_module_on(V, V.space)]
+    for _ in range(4):   # weights unlike V's: gaps, shifts, other bounds
+        weights = sorted(rng.sample(range(-2, 6), rng.randint(1, 4)))
+        lo = min(weights) - rng.randint(0, 1)
+        space = GradedSpace([(f"w{i}", w) for i, w in enumerate(weights)],
+                            tier=rng.choice(("exact", "truncated")),
+                            cutoff=max(weights) + rng.randint(0, 2), min_weight=lo)
+        modules.append(_module_on(V, space))
+    for W in modules:
+        assert _mode_index_triples(V, W) == list(_reference_mode_index_triples(V, W))
 
 
 def test_vacuum_killing_basis_dims_match_oracle():

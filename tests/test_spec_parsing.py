@@ -172,9 +172,11 @@ def test_every_planted_dump_parses_unplanted():
 # whitespace and the byte-order mark
 # ---------------------------------------------------------------------------
 
-# str.isspace and re's \s agree on these; U+001F is an information separator
-# that, unlike U+001C..U+001E, does not end a line for str.splitlines.
-SEPARATORS = ("\t", "\xa0", "\u2003", "\x1f", " \t\u2003")
+# str.isspace and re's \s agree on these.  A line ends only at \n, \r\n and
+# \r, so the line separators that str.splitlines also breaks at are
+# whitespace inside a line.
+LINE_SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SEPARATORS = ("\t", "\xa0", "\u2003", "\x1f", " \t\u2003", *LINE_SEPARATORS)
 
 
 @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
@@ -184,18 +186,67 @@ def test_unicode_whitespace_separates_fields(sep):
 
     bad = f"[MODES]\n{sep}a{sep}x{sep}b{sep}->{sep}1*c\n"
     err = pytest.raises(ParseError, parse_spec, bad).value
-    assert (err.line, err.col) == (2, bad.splitlines()[1].index("x") + 1)
+    assert (err.line, err.col) == (2, bad.split("\n")[1].index("x") + 1)
     assert "mode index must be an integer" in err.message
 
     bad = f"[PSI]\na{sep}-1{sep}b{sep}->{sep}1*c{sep}+{sep}\n"
     err = pytest.raises(ParseError, parse_spec, bad).value
-    assert (err.line, err.col) == (2, bad.splitlines()[1].rindex("+") + 1)
+    assert (err.line, err.col) == (2, bad.split("\n")[1].rindex("+") + 1)
 
 
-def test_information_separators_that_end_a_line():
-    # str.splitlines ends a line at U+001C, so its two sides are two rows.
-    err = pytest.raises(ParseError, parse_spec, "[BASIS]\none\x1c0\n").value
-    assert (err.line, err.col, err.message) == (2, 1, "expected 'label weight'")
+def test_information_separators_do_not_end_a_line():
+    # U+001C ends a line for str.splitlines, not for the file format
+    assert parse_spec("[BASIS]\none\x1c0\n").basis == (("one", 0),)
+
+
+def _grep_n(text: str, line: str) -> int:
+    """The number ``grep -n`` gives the first line of ``text`` equal to ``line``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n").index(line) + 1
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS, ids=repr)
+def test_line_numbers_are_those_of_grep(sep, tmp_path, capsys):
+    trivial = "[BASIS]\none 0\n[VACUUM]\none\n[MODES]\none -1 one -> 1*one\n"
+    for text in (f"[BASIS]\n{sep}\none 0\none 1\n",                # a blank line
+                 f"# a comment{sep}[BASIS]\n[BASIS]\none 0\none 1\n",  # in a comment
+                 f"[BASIS]\n# one{sep}two\none 0\n\n{sep}\none 1\n"):
+        err = pytest.raises(ParseError, parse_spec, text).value
+        assert (err.line, err.col) == (_grep_n(text, "one 1"), 1), repr(text)
+        assert err.message == "duplicate basis label 'one'"
+
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode())
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line {err.line}, col 1: {err.message}\n"
+
+    # a trivial algebra saved with CRLF endings, a separator in its comment
+    path.write_bytes(f"# trivial algebra{sep} with CRLF endings\n{trivial}"
+                     .replace("\n", "\r\n").encode())
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=repr)
+def test_crlf_and_lone_cr_files_parse_as_lf_files(newline):
+    text = _dump("split-pair")
+    assert parse_spec(text.replace("\n", newline)) == parse_spec(text)
+    bad = "[BASIS]\n\none 0\n# x\none 1\n"
+    err = pytest.raises(ParseError, parse_spec, bad.replace("\n", newline)).value
+    assert (err.line, err.col) == (_grep_n(bad, "one 1"), 1) == (5, 1)
+
+
+@pytest.mark.parametrize("text, line, col, label", [
+    # faults on two rows: the earlier row's target, not the later row's u
+    ("one -1 one -> 1*zz\nyy -1 one -> 1*one\n", 6, 15, "zz"),
+    # one bad label, a target on an earlier row and a u on a later one
+    ("one -1 one -> 1*zz\nzz -1 one -> 1*one\n", 6, 15, "zz"),
+    # within a row, the leftmost field first
+    ("one -1 yy -> 1*zz\n", 6, 8, "yy"),
+], ids=["two-faults", "one-label-twice", "leftmost"])
+def test_the_earliest_unknown_label_of_a_section_is_reported(text, line, col, label):
+    spec = "[BASIS]\none 0\n[VACUUM]\none\n[MODES]\n" + text
+    err = pytest.raises(ParseError, parse_spec, spec).value
+    assert (err.line, err.col, err.message) == (line, col, f"unknown basis label {label!r}")
 
 
 def test_a_leading_byte_order_mark_is_ignored():
