@@ -99,11 +99,11 @@ def _coeffs(vec: dict) -> dict:
 
 
 def _report_data(rep: AxiomReport) -> dict:
-    """The report's data; ``skipped`` yields its entries as the writer asks.
+    """The report's data; ``skipped`` yields its entries' texts as the writer asks.
 
     A detail report keeps each run of fringe skips as one InstanceRun; the
-    entries expand it here, one per instance in order, so a run's instances
-    exist only while the writer encodes their batch.
+    entries expand it here, one text per instance in order (see
+    ``_skip_texts``), so no entry exists before the writer asks for it.
     """
     return {
         "verdict": rep.verdict,
@@ -112,12 +112,65 @@ def _report_data(rep: AxiomReport) -> dict:
             {"axiom": a, "instance": inst, "residual": _coeffs(res)}
             for a, inst, res in rep.failed
         ],
-        "skipped": (
-            {"axiom": a, "instance": one, "reason": why}
-            for a, inst, why in rep.skipped_instances
-            for one in (inst if type(inst) is InstanceRun else (inst,))
-        ),
+        "skipped": _skip_texts(rep.skipped_instances),
     }
+
+
+def _skip_texts(items):
+    """The json text of each skip entry of ``items``, a run's instances in order.
+
+    ``items`` are a detail report's ``(axiom, instance, reason)`` skips.  Each
+    text is ``json.dumps({"axiom": axiom, "instance": one, "reason": reason})``
+    for one instance ``one``, built without that dict: a ``str`` is encoded
+    by json once per report and its text reused, an ``int`` is written as
+    json writes it, and the instances of an InstanceRun share every text but
+    p's.  An entry holding any other value, a bool or a Fraction say, is
+    encoded by json whole, so no cache ever hands out the text of a value of
+    another type.
+    """
+    import json
+
+    dumps = json.dumps
+    strings: dict[str, str] = {}
+    reasons: dict[int, tuple] = {}    # id(reason): (reason, its text or None)
+
+    def text(x):
+        """x's json text when x is exactly a str or an int, else None."""
+        if type(x) is str:
+            t = strings.get(x)
+            if t is None:
+                t = strings[x] = dumps(x)
+            return t
+        return int.__repr__(x) if type(x) is int else None
+
+    def seq(values):
+        """The json text of a list of exact strs and ints, else None."""
+        parts = [text(x) for x in values]
+        return None if None in parts else "[" + ", ".join(parts) + "]"
+
+    for axiom, inst, why in items:
+        held = reasons.get(id(why))
+        if held is None:
+            # keeping the reason alive keeps its id from naming another object
+            held = reasons[id(why)] = (why, seq(why) if type(why) is tuple else None)
+        head, reason = text(axiom), held[1]
+        run = type(inst) is InstanceRun
+        if head is not None and reason is not None:
+            if run:
+                labels, rest = seq((inst.lu, inst.lv, inst.lw)), seq((inst.q, inst.r))
+                if labels and rest and type(inst.ps) is range:
+                    prefix = f'{{"axiom": {head}, "instance": {labels[:-1]}, '
+                    suffix = f', {rest[1:]}, "reason": {reason}}}'
+                    for p in inst.ps:
+                        yield prefix + int.__repr__(p) + suffix
+                    continue
+            elif type(inst) is tuple:
+                instance = seq(inst)
+                if instance is not None:
+                    yield f'{{"axiom": {head}, "instance": {instance}, "reason": {reason}}}'
+                    continue
+        for one in inst if run else (inst,):
+            yield dumps({"axiom": axiom, "instance": one, "reason": why})
 
 
 def _map_data(g: GradedMap) -> dict:
@@ -275,8 +328,8 @@ def _emit(args, command: str, sources: list[dict], status: str, code: int,
     return code
 
 
-# skipped entries encoded per json.dumps call
-_SKIP_BATCH = 4096
+# skipped entry texts joined per write: about 40 KB
+_SKIP_BATCH = 256
 # holds data["skipped"]'s place while the rest of a report is encoded; no
 # label, path, reason or coefficient holds a NUL, so no input encodes to it
 _SKIPPED_MARK = "\0skipped\0"
@@ -287,9 +340,10 @@ def _write_json(report: dict) -> None:
 
     The report is one line: CPython's json uses its C encoder only when
     ``indent`` is None.  json writes tuples as lists and int keys as their
-    decimal text.  ``data["skipped"]``, if present, may be any iterable: its
-    entries are encoded ``_SKIP_BATCH`` at a time and each batch is written
-    at once, so neither the list of entries nor the report text is held.
+    decimal text.  ``data["skipped"]``, if present, may be any iterable of
+    entry texts, each the ``json.dumps`` of one entry (see ``_skip_texts``):
+    they are joined ``_SKIP_BATCH`` at a time and each batch is written at
+    once, so neither the list of entries nor the report text is held.
     """
     import json
 
@@ -304,7 +358,7 @@ def _write_json(report: dict) -> None:
         write("[")
         batch = list(islice(entries, _SKIP_BATCH))
         while batch:
-            write(json.dumps(batch)[1:-1])
+            write(", ".join(batch))
             batch = list(islice(entries, _SKIP_BATCH))
             if batch:
                 write(", ")

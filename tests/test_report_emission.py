@@ -3,9 +3,9 @@
 The reports used to be written by a deep copy (tuples to lists, keys to
 strings) followed by ``json.dumps(..., indent=2)``, which runs json's pure
 Python encoder.  ``legacy_encoding`` keeps that slow path as the oracle: the
-report the CLI hands to its writer, with the skipped instances it yields
-materialised, must decode to the same object.  The writer streams those
-instances in batches, and its text must equal the one-shot
+report the CLI hands to its writer, with the skip entries it yields as text
+materialised and decoded, must decode to the same object.  The writer
+streams those entries in batches, and its text must equal the one-shot
 ``json.dumps(report) + "\\n"`` byte for byte, whatever the batch size.
 """
 
@@ -92,8 +92,10 @@ def _without_elapsed(report: dict) -> dict:
 def _run_capturing_the_report(argv, monkeypatch) -> tuple[int, list[dict]]:
     """Run ``main``: its exit code and the reports it wrote, skips materialised.
 
-    The spy hands the materialised report on to the real writer, so stdout is
-    the writer's text for exactly the object returned.
+    The CLI hands its writer each skip entry as text; the spy hands those
+    texts on to the real writer and returns the report with each entry
+    decoded, so stdout is the writer's text for exactly the object returned
+    (json writes the decoded lists as it writes the tuples they were).
     """
     captured = []
     write = cli._write_json
@@ -101,8 +103,12 @@ def _run_capturing_the_report(argv, monkeypatch) -> tuple[int, list[dict]]:
     def spy(report):
         data = report["data"]
         if "skipped" in data:
-            report = {**report, "data": {**data, "skipped": list(data["skipped"])}}
-        captured.append(report)
+            texts = list(data["skipped"])
+            report = {**report, "data": {**data, "skipped": texts}}
+            captured.append({**report, "data": {**data, "skipped": [
+                json.loads(text) for text in texts]}})
+        else:
+            captured.append(report)
         write(report)
 
     monkeypatch.setattr(cli, "_write_json", spy)
@@ -191,26 +197,27 @@ linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
 
 
 @linux_only
-def test_streamed_cutoff_4_report_stays_below_40_mb():
+def test_streamed_cutoff_4_report_stays_below_32_mb():
     # the 14.8 MB report used to be held twice, as a list of dicts and as
     # one string (117.8 MB peak).  Streamed, with every fringe skip listed
     # in the detail report, it peaked at about 45 MB; with each run of
-    # fringe skips kept whole until the writer encodes it, about 34 MB
+    # fringe skips kept whole until the writer encodes it, about 34 MB; with
+    # each entry written as text, no dict per entry, about 29 MB
     assert _peak_rss_mb(["check", "--preset", "free-boson", "--cutoff", "4",
-                         "--json"]) < 40
+                         "--json"]) < 32
 
 
 @linux_only
-def test_streamed_cutoff_3_extension_report_stays_below_48_mb(tmp_path):
+def test_streamed_cutoff_3_extension_report_stays_below_40_mb(tmp_path):
     # with every fringe skip of the total listed, about 55 MB; with the runs
-    # kept whole, about 42 MB
+    # kept whole, about 42 MB; with each entry written as text, about 37 MB
     V = build_preset("free-boson", 3)
     W = adjoint_module(V)
     psi = seeded_cochains(V, W, "report-emission:boson-3")["cob"]
     (tmp_path / "cob.txt").write_text(
         dump_spec(SpecFile(psi=spec_from_objects(V, psi=psi).psi)))
     assert _peak_rss_mb(["extend", "--preset", "free-boson", "--cutoff", "3",
-                         "--psi", "cob.txt", "--json"], cwd=tmp_path) < 48
+                         "--psi", "cob.txt", "--json"], cwd=tmp_path) < 40
 
 
 @pytest.mark.parametrize("argv, code", [c[1:] for c in JSON_CASES],
