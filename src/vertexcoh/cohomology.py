@@ -23,9 +23,11 @@ module) and vanishes exactly when the extension passes the checker.  So the
 cocycles come from one run of the checker over the jet ring
 Q[t_1..t_k]/(t_i t_j), with every cochain slot set to its own unknown t_i:
 the slopes of each fiber coordinate are one row of the cocycle matrix, and
-Z2 is its kernel (``compute_z2``).  The quotient by B2 is the cohomology.
-No cocycle equation is ever written down separately from the checker that
-justifies it.
+Z2 is its kernel (``compute_z2``).  Those rows stream from the checker
+(``residual_items``) into Echelon.extend, the elimination compute_der feeds
+delta_rows to, so the residual is never held whole.  The quotient by B2 is
+the cohomology.  No cocycle equation is ever written down separately from
+the checker that justifies it.
 
 Slot order is (wt u, u, n, v, target), flat indices weight-major, so every
 result is deterministic.
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import Echelon, LinearSystem, SubspaceNotContained, kernel_basis, solve_affine
+from .linalg import Echelon, LinearSystem, SubspaceNotContained, solve_affine
 from .linalg import quotient_dim  # unused; perfbench/tracer.py wraps cohomology.quotient_dim
 from .scalars import JetScalar, value_part
 from .spaces import (
@@ -375,37 +377,27 @@ def vacuum_killing_basis(V: VertexAlgebra, W: VAModule) -> list[GradedMap]:
     return basis
 
 
-def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
+def residual_items(V: VertexAlgebra, W: VAModule, psi: TwoCochain):
     """Fiber projection of every axiom residual of the extension along psi.
 
-    Returns {(axiom, instance, fiber label): coefficient} over the checker's
-    deterministic instance enumeration; empty means the extension passes
-    within its window.  Instances the truncation makes unverifiable are
-    breaches, i.e. skipped — they contribute no coordinates.  So the pass
-    covers the window only: skew-symmetry and Jacobi are enumerated with
-    fringe 0 on either tier, so a truncated total omits check_all's depth-1
-    fringe, whose instances all need a state of weight cutoff + 1 and always
-    breach.  The instances evaluated, and their order, are those of
-    check_all.  Linearity in psi holds because the fiber squares to zero.
+    Yields ((axiom, instance, fiber label), coefficient), nonzero
+    coefficients only, in check_all's instance order; nothing is yielded
+    when the extension passes within its window.  Breaches (instances the
+    truncation makes unverifiable) are skipped, so the pass covers the
+    window only: skew-symmetry and Jacobi run with fringe 0 on either tier,
+    omitting check_all's depth-1 fringe, whose instances all need a state
+    of weight cutoff + 1 and always breach.  Linearity in psi holds because
+    the fiber squares to zero.
     """
-    from .axioms import (
-        _gen_creation,
-        _gen_identity,
-        _gen_jacobi,
-        _gen_skew,
-        _gen_translation,
-        translation_map,
-    )
+    from .axioms import (_gen_creation, _gen_identity, _gen_jacobi, _gen_skew,
+                         _gen_translation, translation_map)
     from .extensions import build_extension
 
     ext = build_extension(V, W, psi)
     total = ext.total
     tmap = translation_map(total)
-    fiber_of_total = {
-        ti: wi for wi, ti in enumerate(ext.fiber_to_total)
-    }
+    fiber_of_total = {ti: wi for wi, ti in enumerate(ext.fiber_to_total)}
     wlab = W.space.label_of
-    out: dict = {}
     generators = (
         _gen_identity(total.Y, total.vacuum),
         _gen_creation(total),
@@ -420,8 +412,13 @@ def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
             for t, c in result.items():
                 wi = fiber_of_total.get(t)
                 if wi is not None and c:
-                    out[(axiom, inst, wlab(wi))] = c
-    return out
+                    yield (axiom, inst, wlab(wi)), c
+
+
+def cocycle_residual(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> dict:
+    """{(axiom, instance, fiber label): coefficient}: residual_items as a dict;
+    empty means the extension passes within its window."""
+    return dict(residual_items(V, W, psi))
 
 
 def compute_z2(V: VertexAlgebra, W: VAModule,
@@ -429,10 +426,12 @@ def compute_z2(V: VertexAlgebra, W: VAModule,
     """Z2, the kernel of the cocycle residual, from one run of the checker.
 
     Slot i of one symbolic cochain holds the jet unknown t_i (a JetScalar),
-    and cocycle_residual runs once over it.  Each fiber coordinate it returns
+    and residual_items runs once over it.  Each fiber coordinate it yields
     is a + sum_i b_i t_i: the slopes b_i are that coordinate's row of the
-    cocycle matrix over the slots, and the value a is the residual of the
-    split extension, psi = 0.
+    cocycle matrix over the slots, tagged with the coordinate, and the value
+    a is the residual of the split extension, psi = 0.  As in compute_der,
+    the rows feed Echelon.extend as they are yielded and Z2 is read off the
+    echelon, so the residual is never held whole.
 
     This is exact, not a first-order approximation:
 
@@ -447,34 +446,38 @@ def compute_z2(V: VertexAlgebra, W: VAModule,
       weights of u and w.  So the skipped set is the same for every psi,
       symbolic or rational, and each row holds for all of them.
 
-    ``rank_bound`` is an expected rank of the cocycle matrix (compute_h2
-    passes slots - dim B2, which bounds it from above because B2 lies in Z2).
-    Once the elimination reaches it, the candidate kernel K is read off the
-    echelon, and every remaining row is checked exactly against K instead of
-    being reduced; a row that fails is inserted and elimination goes on
-    (Echelon.extend).  This is exact too: K comes from a subset of the rows,
-    so it contains Z2, and once every row annihilates K the two are equal.
-    The rref is canonical for the row space, so the basis is the one full
-    elimination gives, whatever the bound.
+    ``rank_bound`` is an expected rank of the cocycle matrix, passed to
+    Echelon.extend (compute_h2 passes slots - dim B2, which bounds it from
+    above because B2 lies in Z2).  Past it, rows are checked exactly against
+    the kernel instead of reduced; the basis is the one full elimination
+    gives, whatever the bound.
 
-    Raises ModuleAxiomsFail when a value part is nonzero: then W breaks its
-    own module axioms and no cochain is a cocycle.
+    Raises ModuleAxiomsFail, naming every coordinate with a nonzero value
+    part: then W breaks its own module axioms and no cochain is a cocycle.
+    From the first such coordinate on no row reaches the echelon, and the
+    stream is drained once extend returns, since extend stops drawing rows
+    at full rank.
     """
     slots = cochain_slots(V, W)
-    psi = TwoCochain.from_slots(
-        V, W, {slot: JetScalar(0, {i: 1}) for i, slot in enumerate(slots)}
-    )
-    residual = cocycle_residual(V, W, psi)
-    broken = sorted(coord for coord, c in residual.items() if value_part(c))
+    psi = TwoCochain.from_slots(V, W, {slot: JetScalar(0, {i: 1})
+                                       for i, slot in enumerate(slots)})
+    broken = []
+
+    def rows():
+        for coord, c in residual_items(V, W, psi):
+            if value_part(c):
+                broken.append(coord)
+            elif not broken:
+                yield {slots[i]: b for i, b in c.slopes.items()}, coord
+
+    stream = rows()
+    ech = Echelon(slots)
+    ech.extend(stream, rank_bound)
+    for _row in stream:         # drain: the module check needs every coordinate
+        pass
     if broken:
-        raise ModuleAxiomsFail(broken)
-    system = LinearSystem()
-    system.add_unknowns(slots)
-    for (axiom, inst, fiber), c in residual.items():
-        system.add_row(
-            {slots[i]: b for i, b in c.slopes.items()}, tag=f"{axiom} {inst} @ {fiber}"
-        )
-    return [TwoCochain.from_slots(V, W, vec) for vec in kernel_basis(system, rank_bound)]
+        raise ModuleAxiomsFail(sorted(broken))
+    return [TwoCochain.from_slots(V, W, vec) for vec in ech.kernel()]
 
 
 def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:

@@ -92,7 +92,7 @@ class Echelon:
         for uid in ids:
             self.pos.setdefault(uid, len(self.pos))
         self.ids: list[Hashable] = list(self.pos)
-        self.pivots: dict[int, tuple[dict[int, Fraction], str]] = {}
+        self.pivots: dict[int, tuple[dict[int, Fraction], Hashable]] = {}
 
     def reduce(self, vec: Mapping[Hashable, Fraction]) -> dict[int, Fraction]:
         """The remainder of ``vec`` modulo the rows, keyed by position."""
@@ -106,7 +106,7 @@ class Echelon:
             _scaled_sub(work, work[p], pivots[p][0])
         return work
 
-    def insert(self, vec: Mapping[Hashable, Fraction], tag: str = "") -> Optional[int]:
+    def insert(self, vec: Mapping[Hashable, Fraction], tag: Hashable = "") -> Optional[int]:
         """Add ``vec`` as a row; returns its pivot position, or None if dependent."""
         work = self.reduce(vec)
         if not work:
@@ -122,14 +122,22 @@ class Echelon:
         return lead
 
     def kernel(self) -> list[Row]:
-        """The vectors every row annihilates, read off the rows by id."""
-        ids = self.ids
-        return _kernel(ids, {
-            ids[lead]: {ids[p]: c for p, c in self.pivots[lead][0].items()}
-            for lead in sorted(self.pivots)
-        })
+        """The vectors every row annihilates, one per free id in order, by id.
 
-    def extend(self, rows: Iterable[tuple[Row, str]], bound: int | None = None) -> None:
+        The vector for free id u has a 1 at u and -coefficient at each pivot
+        id, so the basis is canonical for the row space.  Entries are put in
+        exact form here: back-substitution can leave integral Fractions in
+        the rows.
+        """
+        ids, pivots = self.ids, self.pivots
+        basis = {p: {ids[p]: 1} for p in range(len(ids)) if p not in pivots}
+        for lead in sorted(pivots):
+            for p, c in pivots[lead][0].items():
+                if p != lead:
+                    basis[p][ids[lead]] = exact(-c)
+        return list(basis.values())
+
+    def extend(self, rows: Iterable[tuple[Row, Hashable]], bound: int | None = None) -> None:
         """Eliminate (row, tag) pairs, drawing rows only while they can matter.
 
         Below ``bound`` (default: the number of ids) each row is inserted.
@@ -163,21 +171,6 @@ class Echelon:
             if columns is None or not _annihilates(row, columns):
                 if self.insert(row, tag) is not None:
                     columns = None
-
-
-def _kernel(order: list[Hashable], pivot_rows: Mapping[Hashable, Row]) -> list[Row]:
-    """Kernel of fully reduced unit-pivot rows, one vector per free id in order.
-
-    ``pivot_rows`` maps each pivot id to its row, in pivot order.  The vector
-    for free id u has a 1 at u and -coefficient at each pivot id, so the
-    basis is canonical for the row space.
-    """
-    basis: dict[Hashable, Row] = {u: {u: 1} for u in order if u not in pivot_rows}
-    for piv, row in pivot_rows.items():
-        for u, c in row.items():
-            if u != piv:
-                basis[u][piv] = -c
-    return list(basis.values())
 
 
 def _kernel_columns(kernel: list[Row]) -> Optional[tuple[int, dict]]:
@@ -227,16 +220,14 @@ def rref(system: LinearSystem, bound: int | None = None) -> LinearSystem:
 def kernel_basis(system: LinearSystem, bound: int | None = None) -> list[Row]:
     """Basis of the solution space, one vector per free unknown, in unknown order.
 
-    Read off the (unique) rref, so the basis is canonical.  ``bound`` is an
-    expected rank, passed to Echelon.extend: when the rank reaches it, the
-    remaining rows are checked against the kernel rather than reduced.  The
-    basis is the same for every bound.
+    Read off the echelon of the rows (Echelon.kernel), so the basis is
+    canonical.  ``bound`` is an expected rank, passed to Echelon.extend: when
+    the rank reaches it, the remaining rows are checked against the kernel
+    rather than reduced.  The basis is the same for every bound.
     """
-    reduced = rref(system, bound)
-    pos = system._pos
-    return _kernel(system.unknowns, {
-        min(row, key=pos.__getitem__): row for row in reduced.rows
-    })
+    ech = Echelon(system.unknowns)
+    ech.extend(zip(system.rows, system.tags), bound)
+    return ech.kernel()
 
 
 def solve_affine(system: LinearSystem, rhs: list[Fraction]) -> Optional[Row]:

@@ -5,7 +5,9 @@ is reached it checks each further row exactly against the kernel read off
 the echelon instead of reducing it.  Every answer here is compared with full
 elimination (one Echelon.insert per row) and with the dense oracle, planted
 rows check that the verification pass really decides, and row counts guard
-that compute_der builds only the delta rows it needs.
+that compute_der builds only the delta rows it needs.  compute_z2 streams its
+residual into the same elimination: a planted coordinate checks that the
+stream is drained past full rank, and a peak-RSS guard that it is never held.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import pytest
 
 import oracles as orc
 from test_cohomology import EXACT_PRESETS, _random_lawful_algebras
+from test_report_emission import _peak_rss_mb, linux_only
 from vertexcoh import cohomology
 from vertexcoh.axioms import translation_map
 from vertexcoh.cohomology import (
+    ModuleAxiomsFail,
     _right_lookup,
     cochain_slots,
     compute_der,
@@ -92,6 +96,13 @@ def _dense_kernel(rows, n):
             for vec in orc.kernel_dense(rows, n)]
 
 
+def _in_exact_form(kernel):
+    """Every value an int or a non-integral Fraction: back-substitution
+    leaves integral Fractions such as Fraction(3, 1) in older pivot rows."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for vec in kernel for c in vec.values())
+
+
 def test_kernel_equals_full_elimination_and_the_dense_oracle():
     for rows, n in _systems(20261019):
         system = _system(rows, n)
@@ -99,9 +110,11 @@ def test_kernel_equals_full_elimination_and_the_dense_oracle():
         rank = len(reference.pivots)
         want = reference.kernel()
         assert want == _dense_kernel(rows, n)
+        assert _in_exact_form(want), rows
         want_rref = rref(system, n + 1)        # a bound never reached
         for bound in (None, rank, max(rank - 1, 0), 0, n + 1):
-            assert kernel_basis(system, bound) == want, (rows, bound)
+            got_kernel = kernel_basis(system, bound)
+            assert got_kernel == want and _in_exact_form(got_kernel), (rows, bound)
             got = rref(system, bound)
             assert (got.rows, got.tags) == (want_rref.rows, want_rref.tags)
             ech = Echelon(system.unknowns)
@@ -204,18 +217,56 @@ def test_a_residual_row_after_the_bound_changes_z2(monkeypatch):
     bound = len(slots) - len(compute_h2(V, W).coboundary_basis)
     z_basis = compute_z2(V, W, bound)
     i = slots.index(min(z_basis[0].slots()))
-    real = cohomology.cocycle_residual
+    real = cohomology.residual_items
 
     def doctored(V, W, psi):
-        out = real(V, W, psi)
-        out[("planted", (), "x")] = JetScalar(0, {i: 1})
-        return out
+        yield from real(V, W, psi)
+        yield ("planted", (), "x"), JetScalar(0, {i: 1})
 
-    monkeypatch.setattr(cohomology, "cocycle_residual", doctored)
+    monkeypatch.setattr(cohomology, "residual_items", doctored)
     planted = compute_z2(V, W, bound)
     assert len(planted) == len(z_basis) - 1
     assert [z.slots() for z in planted] == [z.slots() for z in compute_z2(V, W)]
     assert all(slots[i] not in z.slots() for z in planted)
+
+
+# ---------------------------------------------------------------------------
+# the residual streamed into the echelon
+# ---------------------------------------------------------------------------
+
+def test_a_broken_coordinate_after_full_rank_is_still_named(monkeypatch):
+    # graded-nilpotent has Z2 = 0, so extend reaches full rank early and
+    # stops drawing; only the drain after it reaches the planted coordinate
+    V, W = _adjoint("graded-nilpotent", 3)
+    assert compute_z2(V, W) == []
+    real = cohomology.residual_items
+    drawn, at_return = [], []
+    planted = ("planted", (), "x")
+
+    def doctored(V, W, psi):
+        for item in real(V, W, psi):
+            drawn.append(item)
+            yield item
+        yield planted, JetScalar(1, {0: 1})
+
+    class Recording(Echelon):
+        def extend(self, rows, bound=None):
+            super().extend(rows, bound)
+            at_return.append(len(drawn))
+
+    monkeypatch.setattr(cohomology, "residual_items", doctored)
+    monkeypatch.setattr(cohomology, "Echelon", Recording)
+    with pytest.raises(ModuleAxiomsFail, match="planted") as failed:
+        compute_z2(V, W)
+    assert failed.value.coords == [planted]
+    assert at_return == [15] and len(drawn) == 402
+
+
+@linux_only
+def test_boson_cutoff_3_h2_stays_below_24_mb():
+    # the residual held as a dict of 19,317 jets, then copied into a
+    # LinearSystem, peaked at about 34 MB; streamed into the echelon, 18 MB
+    assert _peak_rss_mb(["h2", "--preset", "free-boson", "--cutoff", "3"]) < 24
 
 
 # ---------------------------------------------------------------------------
