@@ -28,9 +28,7 @@ from .scalars import (
     parse_rational,
 )
 from .linalg import (
-    LinearSystem,
     SubspaceNotContained,
-    kernel_basis,
     quotient_dim,
     rref,
     solve_affine,

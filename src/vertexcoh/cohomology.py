@@ -6,13 +6,14 @@ coboundary on degree-zero maps f: V -> W,
     (delta f)(u, n, v) = -f(u_n v) + f(u)_n v + u_n f(v),
 
 where f(u)_n v is a module element acting back on the algebra through
-skew-symmetry (``right_action``).  ``delta_rows`` builds its rows on
-demand, one per cochain slot.  Its kernel is H1, the derivations
-(``compute_der``, which draws rows only until delta has full column rank).
-``derivation_system`` draws every row for the three full readers: its
-columns at vacuum-killing unknowns span B2 (``compute_h2``); ``coboundary``
-applies it to one vacuum-killing map; and ``is_coboundary`` solves
-psi = delta g against it.
+skew-symmetry (``right_action``).  ``derivation_system`` is its one form: a
+stream of tagged rows, one per cochain slot, each built as it is drawn.
+Four readers draw it once each.  Its kernel is H1, the derivations
+(``compute_der``, which draws rows only until delta has full column rank);
+its columns at vacuum-killing unknowns span B2 (``compute_h2``);
+``coboundary`` applies it to one vacuum-killing map; and ``is_coboundary``
+solves psi = delta g against it, drawing rows only until one is
+inconsistent.
 
 Degree two is deliberately operational.  A candidate 2-cochain psi is a
 degree-zero mode family (V, V) -> W obeying the weight rule; its *residual*
@@ -25,9 +26,9 @@ Q[t_1..t_k]/(t_i t_j), with every cochain slot set to its own unknown t_i:
 the slopes of each fiber coordinate are one row of the cocycle matrix, and
 Z2 is its kernel (``compute_z2``).  Those rows stream from the checker
 (``residual_items``) into Echelon.extend, the elimination compute_der feeds
-delta_rows to, so the residual is never held whole.  The quotient by B2 is
-the cohomology.  No cocycle equation is ever written down separately from
-the checker that justifies it.
+derivation_system to, so the residual is never held whole.  The quotient by
+B2 is the cohomology.  No cocycle equation is ever written down separately
+from the checker that justifies it.
 
 Slot order is (wt u, u, n, v, target), flat indices weight-major, so every
 result is deterministic.
@@ -40,9 +41,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import Echelon, LinearSystem, SubspaceNotContained, solve_affine
+from .linalg import Echelon, SubspaceNotContained, solve_affine
 from .linalg import quotient_dim  # unused; perfbench/tracer.py wraps cohomology.quotient_dim
-from .scalars import JetScalar, value_part
+from .scalars import JetScalar, exact, value_part
 from .spaces import (
     GradedMap,
     ModeFamily,
@@ -264,16 +265,18 @@ def _delta_unknowns(V: VertexAlgebra, W: VAModule) -> list[tuple[str, int, int]]
     return [("f", v, t) for v in range(len(V.space)) for t in by_weight.get(wt(v), ())]
 
 
-def delta_rows(V: VertexAlgebra, W: VAModule):
-    """The rows of delta as (coefficients, tag) pairs, built as they are drawn.
+def derivation_system(V: VertexAlgebra, W: VAModule):
+    """The matrix of the coboundary delta on degree-zero maps f: V -> W, as
+    a stream of (coefficients, tag) rows built as they are drawn.
 
     One row per cochain slot, in cochain_slots order, over _delta_unknowns:
     the coefficients of
 
         (delta f)(u, n, v)_t = -f(u_n v) + f(u)_n v + u_n f(v)
 
-    tagged with the instance it came from.  The rows of one (u, n, v) are
-    built together, and the right action f(u)_n v is looked up on demand.
+    tagged with the instance it came from, nonzero coefficients only, in
+    exact form.  The rows of one (u, n, v) are built together, and the
+    right action f(u)_n v is looked up on demand.
     """
     vsp, wsp = V.space, W.space
     wt, lab = vsp.weight_of, vsp.label_of
@@ -299,31 +302,18 @@ def delta_rows(V: VertexAlgebra, W: VAModule):
             put(("f", v, t), W.Y_W.entry(u, n, t) or {})
 
         for tt, row in per_target.items():
-            yield row, f"derivation {lab(u)}[{n}]{lab(v)} @ {wsp.label_of(tt)}"
-
-
-def derivation_system(V: VertexAlgebra, W: VAModule) -> LinearSystem:
-    """The matrix of the coboundary delta on degree-zero maps f: V -> W.
-
-    delta_rows, drawn in full into a LinearSystem.  Its kernel is the space
-    of derivations; compute_h2 reads B2 off its columns, coboundary applies
-    it, and is_coboundary solves against it.
-    """
-    system = LinearSystem()
-    system.add_unknowns(_delta_unknowns(V, W))
-    for row, tag in delta_rows(V, W):
-        system.add_row(row, tag)
-    return system
+            yield ({uid: exact(c) for uid, c in row.items() if c},
+                   f"derivation {lab(u)}[{n}]{lab(v)} @ {wsp.label_of(tt)}")
 
 
 def compute_der(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     """All derivations V -> W, as graded maps, with the kernel as class basis.
 
-    delta_rows feeds Echelon.extend directly: once delta has full column
-    rank the kernel is {0}, and no further row is built.
+    derivation_system feeds Echelon.extend directly: once delta has full
+    column rank the kernel is {0}, and no further row is built.
     """
     ech = Echelon(_delta_unknowns(V, W))
-    ech.extend(delta_rows(V, W))
+    ech.extend(derivation_system(V, W))
     maps = []
     for vec in ech.kernel():
         gmap = GradedMap(V.space, W.space, 0)
@@ -357,10 +347,9 @@ def coboundary(V: VertexAlgebra, W: VAModule, g: GradedMap) -> TwoCochain:
             f"g({V.space.label_of(V.vacuum)}) must be zero, got a nonzero image"
         )
     gvec = {("f", v, t): c for v, col in g.columns.items() for t, c in col.items()}
-    rows = derivation_system(V, W).rows
     return TwoCochain.from_slots(V, W, {
         slot: sum(c * gvec.get(uid, 0) for uid, c in row.items())
-        for slot, row in zip(cochain_slots(V, W), rows)
+        for slot, (row, _tag) in zip(cochain_slots(V, W), derivation_system(V, W))
     })
 
 
@@ -495,16 +484,15 @@ def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     otherwise.
     """
     slots = cochain_slots(V, W)
-    system = derivation_system(V, W)
-    columns: dict = {uid: {} for uid in system.unknowns}
-    for slot, row in zip(slots, system.rows):
+    columns: dict = {uid: {} for uid in _delta_unknowns(V, W)}
+    for slot, (row, _tag) in zip(slots, derivation_system(V, W)):
         for uid, c in row.items():
             columns[uid][slot] = c
     picked = Echelon(slots)
     b_basis = [
-        TwoCochain.from_slots(V, W, columns[uid])
-        for uid in system.unknowns
-        if uid[1] != V.vacuum and picked.insert(columns[uid]) is not None
+        TwoCochain.from_slots(V, W, col)
+        for uid, col in columns.items()
+        if uid[1] != V.vacuum and picked.insert(col) is not None
     ]
     z_basis = compute_z2(V, W, len(slots) - len(b_basis))
     reps = [z for z in z_basis if picked.insert(z.slots()) is not None]
@@ -535,6 +523,7 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
     category error, not a "no".
 
     The solve comes first, and the cocycle pass runs only to explain a "no".
+    It draws delta's rows only up to the first one inconsistent with psi.
     A vacuum-killing g with delta g = psi on every cochain slot makes
     h(v, w) = (v, w + g(v)) an exact degree-0 isomorphism, fixing the
     vacuum, from the split extension onto the one along psi.  When V and W
@@ -545,8 +534,9 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
     verified them runs the cocycle pass itself where the difference matters.
     """
     psi_slots = psi.slots()
-    rhs = [psi_slots.get(slot, 0) for slot in cochain_slots(V, W)]
-    solution = solve_affine(derivation_system(V, W), rhs)
+    rows = ((row, psi_slots.get(slot, 0), tag)
+            for slot, (row, tag) in zip(cochain_slots(V, W), derivation_system(V, W)))
+    solution = solve_affine(_delta_unknowns(V, W), rows)
     if solution is not None:
         gmap = GradedMap(V.space, W.space, 0)
         for (_f, src, tgt), c in solution.items():

@@ -1,11 +1,11 @@
 """Sparse exact linear algebra over the rationals.
 
-Systems are built around *unknown ids* — arbitrary hashable tags, usually
-tuples like ("f", target, source) — registered in a fixed order that
-determines pivoting.  Rows are sparse dicts id -> rational, an ``int`` or a
-``Fraction`` (``scalars.exact``), each carrying a provenance tag naming the
-constraint it came from, so a failed solve can say which identity ruled the
-candidate out.
+The one matrix type is ``Echelon``, built over *unknown ids* — arbitrary
+hashable tags, usually tuples like ("f", source, target) — registered in a
+fixed order that determines pivoting.  Rows are sparse dicts id -> rational,
+an ``int`` or a ``Fraction`` (``scalars.exact``), drawn from a stream of
+(row, tag) pairs; the tag names the constraint a row came from, so a failed
+solve can say which identity ruled the candidate out.
 
 All routines are deterministic: the pivot of a row is its first nonzero
 coefficient in registration order, and reduced row echelon form is unique for
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import takewhile
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .scalars import exact
@@ -27,43 +26,6 @@ Row = dict[Hashable, int | Fraction]
 
 class SubspaceNotContained(Exception):
     """A claimed subspace vector does not lie in the ambient span."""
-
-
-class LinearSystem:
-    """Sparse homogeneous system: ordered unknowns, tagged rows."""
-
-    def __init__(self) -> None:
-        self.unknowns: list[Hashable] = []
-        self._pos: dict[Hashable, int] = {}
-        self.rows: list[Row] = []
-        self.tags: list[str] = []
-
-    def add_unknown(self, uid: Hashable) -> None:
-        """Register an unknown; re-registering is a no-op (order is kept)."""
-        if uid not in self._pos:
-            self._pos[uid] = len(self.unknowns)
-            self.unknowns.append(uid)
-
-    def add_unknowns(self, uids: Iterable[Hashable]) -> None:
-        for uid in uids:
-            self.add_unknown(uid)
-
-    def position(self, uid: Hashable) -> int:
-        return self._pos[uid]
-
-    def add_row(self, coeffs: Row, tag: str = "") -> None:
-        """Add a constraint sum(coeffs[u] * u) = 0; zero coefficients are dropped."""
-        clean: Row = {}
-        for uid, c in coeffs.items():
-            if uid not in self._pos:
-                raise KeyError(f"unknown id not registered: {uid!r}")
-            if c:
-                clean[uid] = exact(c)
-        self.rows.append(clean)
-        self.tags.append(tag)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def _scaled_sub(target: dict[int, Fraction], factor: Fraction,
@@ -161,7 +123,7 @@ class Echelon:
         columns = None          # K transposed once the rank reaches the bound
         while True:
             if columns is None and len(self.pivots) >= bound:
-                columns = _kernel_columns(self.kernel())
+                columns = _kernel_columns(self.ids, self.kernel())
                 if columns is None:
                     return      # full rank: every further row is dependent
             item = next(rows, None)
@@ -173,19 +135,21 @@ class Echelon:
                     columns = None
 
 
-def _kernel_columns(kernel: list[Row]) -> Optional[tuple[int, dict]]:
+def _kernel_columns(ids: list[Hashable], kernel: list[Row]) -> Optional[tuple[int, dict]]:
     """K transposed as id -> [(j, entry)], each vector scaled to integers.
 
-    None when K = {0}.  Scaling by the denominators' lcm keeps the check in
-    integer arithmetic and does not change which rows annihilate K.
+    None when K = {0}.  Every id has a column, so a row holding one that
+    was never registered raises KeyError here, as it does in insert.
+    Scaling by the denominators' lcm keeps the check in integer arithmetic
+    and does not change which rows annihilate K.
     """
     if not kernel:
         return None
-    columns: dict[Hashable, list] = {}
+    columns: dict[Hashable, list] = {u: [] for u in ids}
     for j, vec in enumerate(kernel):
         scale = math.lcm(*(c.denominator for c in vec.values()))
         for u, c in vec.items():
-            columns.setdefault(u, []).append((j, int(c * scale)))
+            columns[u].append((j, int(c * scale)))
     return len(kernel), columns
 
 
@@ -194,70 +158,53 @@ def _annihilates(row: Row, kernel_columns: tuple[int, dict]) -> bool:
     dim, columns = kernel_columns
     acc = [0] * dim
     for u, c in row.items():
-        for j, k in columns.get(u, ()):
+        for j, k in columns[u]:
             acc[j] += c * k
     return not any(acc)
 
 
-def rref(system: LinearSystem, bound: int | None = None) -> LinearSystem:
-    """Reduced row echelon form: unit pivots, pivot-sorted rows, tags preserved.
+def rref(ids: Iterable[Hashable], rows: Iterable[tuple[Row, Hashable]],
+         bound: int | None = None) -> list[tuple[Row, Hashable]]:
+    """Reduced row echelon form of (row, tag) pairs over ``ids``.
 
-    The tag of each output row is the tag of the input row that contributed
-    its pivot.  rref is idempotent and canonical for the registered unknown
-    order.  ``bound`` is Echelon.extend's: the result does not depend on it.
+    The unit pivot rows, by id and in pivot order, each with the tag of the
+    input row that contributed its pivot.  rref is idempotent and canonical
+    for the order of ``ids``.  ``bound`` is Echelon.extend's: the result
+    does not depend on it.
     """
-    ech = Echelon(system.unknowns)
-    ech.extend(zip(system.rows, system.tags), bound)
-
-    out = LinearSystem()
-    out.add_unknowns(system.unknowns)
-    for lead in sorted(ech.pivots):
-        prow, tag = ech.pivots[lead]
-        out.add_row({system.unknowns[p]: c for p, c in prow.items()}, tag)
-    return out
+    ech = Echelon(ids)
+    ech.extend(rows, bound)
+    return [({ech.ids[p]: c for p, c in prow.items()}, tag)
+            for _lead, (prow, tag) in sorted(ech.pivots.items())]
 
 
-def kernel_basis(system: LinearSystem, bound: int | None = None) -> list[Row]:
-    """Basis of the solution space, one vector per free unknown, in unknown order.
+def solve_affine(ids: Iterable[Hashable],
+                 rows: Iterable[tuple[Row, int | Fraction, Hashable]]) -> Optional[Row]:
+    """One solution x of row . x = b for every (row, b, tag), or None.
 
-    Read off the echelon of the rows (Echelon.kernel), so the basis is
-    canonical.  ``bound`` is an expected rank, passed to Echelon.extend: when
-    the rank reaches it, the remaining rows are checked against the kernel
-    rather than reduced.  The basis is the same for every bound.
+    None when the rows are inconsistent; no row is drawn after the first
+    one that shows it.  Free ids are set to zero, so the returned solution
+    is the canonical (pivot-supported) one, in exact form.  Once the ids
+    all have pivots the solution is fixed, and each remaining row is only
+    checked, exactly, for row . x = b (Echelon.extend).
     """
-    ech = Echelon(system.unknowns)
-    ech.extend(zip(system.rows, system.tags), bound)
-    return ech.kernel()
-
-
-def solve_affine(system: LinearSystem, rhs: list[Fraction]) -> Optional[Row]:
-    """One solution of system * x = rhs, or None when inconsistent.
-
-    ``rhs`` aligns with ``system.rows``.  Free unknowns are set to zero, so
-    the returned solution is the canonical (pivot-supported) one.  Once the
-    unknowns all have pivots the solution x is fixed, and each remaining row
-    is only checked, exactly, for row . x = b (Echelon.extend).
-    """
-    if len(rhs) != len(system.rows):
-        raise ValueError("right-hand side length does not match row count")
-
     # the right-hand side is the last column: a pivot there reads 0 = b != 0,
     # and no row drawn after it can change that
     b_id = object()
-    ech = Echelon([*system.unknowns, b_id])
+    ech = Echelon([*ids, b_id])
     b_pos = ech.pos[b_id]
-    augmented = (({**row, b_id: b}, tag)
-                 for row, b, tag in zip(system.rows, rhs, system.tags))
-    ech.extend(takewhile(lambda _item: b_pos not in ech.pivots, augmented),
-               bound=len(system.unknowns))
+
+    def augmented():
+        for row, b, tag in rows:
+            yield {**row, b_id: b}, tag
+            if b_pos in ech.pivots:
+                return
+
+    ech.extend(augmented(), bound=b_pos)
     if b_pos in ech.pivots:
         return None
-
-    solution: Row = {}
-    for lead, (prow, _tag) in ech.pivots.items():
-        if b_pos in prow:
-            solution[system.unknowns[lead]] = prow[b_pos]
-    return solution
+    return {ech.ids[lead]: exact(prow[b_pos])
+            for lead, (prow, _tag) in ech.pivots.items() if b_pos in prow}
 
 
 def quotient_dim(space: list[Row], subspace: list[Row]) -> int:

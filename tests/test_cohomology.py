@@ -24,6 +24,7 @@ from vertexcoh.cohomology import (
     NotACocycle,
     TwoCochain,
     VacuumNotKilled,
+    _delta_unknowns,
     _mode_index_triples,
     coboundary,
     cochain_slots,
@@ -39,9 +40,7 @@ from vertexcoh.cohomology import (
 from vertexcoh.extensions import build_extension
 from vertexcoh.linalg import (
     Echelon,
-    LinearSystem,
     SubspaceNotContained,
-    kernel_basis,
     quotient_dim,
 )
 from vertexcoh.presets import (
@@ -127,15 +126,20 @@ def test_dual_numbers_derivation_is_the_eps_scaling():
 
 def test_derivation_system_covers_every_checked_slot():
     V, W = _setting("split-pair")
-    system = derivation_system(V, W)
-    assert set(system.unknowns) == {
+    unknowns = _delta_unknowns(V, W)
+    assert set(unknowns) == {
         ("f", v, t)
         for v in range(len(V.space))
         for t in range(len(V.space))
         if V.space.weight_of(v) == V.space.weight_of(t)
     }
-    assert len(system) > 0 and all(system.tags)
-    assert len(system) == len(cochain_slots(V, W))    # one row per slot
+    rows = list(derivation_system(V, W))
+    assert len(rows) > 0 and all(tag for _row, tag in rows)
+    assert len(rows) == len(cochain_slots(V, W))    # one tagged row per slot
+    assert all(set(row) <= set(unknowns) for row, _tag in rows)
+    # sparse rows in exact form: no zero, no integral Fraction
+    assert all(c and (type(c) is int or c.denominator != 1)
+               for row, _tag in rows for c in row.values())
 
 
 @pytest.mark.parametrize("name, cutoff",
@@ -452,14 +456,14 @@ def _h2_by_quotient_dim(V, W, z_basis):
     """compute_h2's former sequence, the reference: B2 picks, then quotient_dim
     for h_dim, then the representatives, each elimination on its own."""
     slots = cochain_slots(V, W)
-    system = derivation_system(V, W)
-    columns: dict = {uid: {} for uid in system.unknowns}
-    for slot, row in zip(slots, system.rows):
+    unknowns = _delta_unknowns(V, W)
+    columns: dict = {uid: {} for uid in unknowns}
+    for slot, (row, _tag) in zip(slots, derivation_system(V, W)):
         for uid, c in row.items():
             columns[uid][slot] = c
     b_candidates = [
         TwoCochain.from_slots(V, W, columns[uid])
-        for uid in system.unknowns if uid[1] != V.vacuum
+        for uid in unknowns if uid[1] != V.vacuum
     ]
     picked = Echelon(slots)
     b_basis = [b for b in b_candidates if b and picked.insert(b.slots()) is not None]
@@ -533,16 +537,15 @@ def test_is_coboundary_round_trip_and_rejection():
 def _probe_z2(V, W):
     """Z2 the slow way: one residual per elementary cochain, one column each."""
     slots = cochain_slots(V, W)
-    system = LinearSystem()
-    system.add_unknowns(slots)
     rows: dict = {}
     for slot in slots:
         probe = TwoCochain.from_slots(V, W, {slot: F(1)})
         for coord, value in cocycle_residual(V, W, probe).items():
             rows.setdefault(coord, {})[slot] = value
-    for (axiom, inst, fiber), row in rows.items():
-        system.add_row(row, tag=f"{axiom} {inst} @ {fiber}")
-    return [TwoCochain.from_slots(V, W, vec) for vec in kernel_basis(system)]
+    ech = Echelon(slots)
+    ech.extend((row, f"{axiom} {inst} @ {fiber}")
+               for (axiom, inst, fiber), row in rows.items())
+    return [TwoCochain.from_slots(V, W, vec) for vec in ech.kernel()]
 
 
 def _random_lawful_algebra(rng, w):

@@ -222,11 +222,11 @@ def _plant_doubled_solve(monkeypatch, vacuum) -> list:
     calls = []
     original = cohomology.solve_affine
 
-    def planted(system, rhs):
-        calls.append(rhs)
-        solution = original(system, rhs)
+    def planted(ids, rows):
+        calls.append(ids)
+        solution = original(ids, rows)
         if solution is None:
-            return {next(u for u in system.unknowns if u[1] != vacuum): 1}
+            return {next(u for u in ids if u[1] != vacuum): 1}
         return {uid: 2 * c for uid, c in solution.items()}
     monkeypatch.setattr(cohomology, "solve_affine", planted)
     return calls

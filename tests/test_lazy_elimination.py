@@ -5,9 +5,10 @@ is reached it checks each further row exactly against the kernel read off
 the echelon instead of reducing it.  Every answer here is compared with full
 elimination (one Echelon.insert per row) and with the dense oracle, planted
 rows check that the verification pass really decides, and row counts guard
-that compute_der builds only the delta rows it needs.  compute_z2 streams its
-residual into the same elimination: a planted coordinate checks that the
-stream is drained past full rank, and a peak-RSS guard that it is never held.
+that compute_der and is_coboundary build only the delta rows they need.
+compute_z2 streams its residual into the same elimination: a planted
+coordinate checks that the stream is drained past full rank, and a peak-RSS
+guard that it is never held.
 """
 
 from __future__ import annotations
@@ -25,18 +26,25 @@ from vertexcoh import cohomology
 from vertexcoh.axioms import translation_map
 from vertexcoh.cohomology import (
     ModuleAxiomsFail,
+    NotACocycle,
+    TwoCochain,
+    _delta_unknowns,
     _right_lookup,
+    coboundary,
     cochain_slots,
+    cocycle_residual,
     compute_der,
     compute_h2,
     compute_z2,
     derivation_system,
+    is_coboundary,
     right_action,
+    vacuum_killing_basis,
 )
-from vertexcoh.linalg import Echelon, LinearSystem, kernel_basis, rref, solve_affine
+from vertexcoh.linalg import Echelon, rref, solve_affine
 from vertexcoh.presets import PRESETS, adjoint_module, build_preset, truncated_free_boson
 from vertexcoh.scalars import JetScalar
-from vertexcoh.spaces import VAModule, skew_mode
+from vertexcoh.spaces import GradedMap, VAModule, skew_mode
 
 F = Fraction
 
@@ -46,11 +54,21 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 def _system(rows, n):
-    sys_ = LinearSystem()
-    sys_.add_unknowns([("x", i) for i in range(n)])
-    for r, row in enumerate(rows):
-        sys_.add_row({("x", i): c for i, c in enumerate(row) if c}, tag=f"row{r}")
-    return sys_
+    """(ids, tagged rows) of the dense ``rows`` over n unknowns."""
+    return [("x", i) for i in range(n)], [
+        ({("x", i): c for i, c in enumerate(row) if c}, f"row{r}")
+        for r, row in enumerate(rows)]
+
+
+def _kernel(ids, rows, bound=None):
+    ech = Echelon(ids)
+    ech.extend(rows, bound)
+    return ech.kernel()
+
+
+def _affine(rows, rhs):
+    """(row, b, tag) triples of tagged rows and their right-hand sides."""
+    return [(row, b, tag) for (row, tag), b in zip(rows, rhs)]
 
 
 def _combinations(rng, base, count):
@@ -83,10 +101,10 @@ def _systems(seed):
     return out
 
 
-def _full_elimination(system):
+def _full_elimination(ids, rows):
     """The reference: every row inserted, none skipped."""
-    ech = Echelon(system.unknowns)
-    for row, tag in zip(system.rows, system.tags):
+    ech = Echelon(ids)
+    for row, tag in rows:
         ech.insert(row, tag)
     return ech
 
@@ -96,29 +114,28 @@ def _dense_kernel(rows, n):
             for vec in orc.kernel_dense(rows, n)]
 
 
-def _in_exact_form(kernel):
+def _in_exact_form(vectors):
     """Every value an int or a non-integral Fraction: back-substitution
     leaves integral Fractions such as Fraction(3, 1) in older pivot rows."""
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for vec in kernel for c in vec.values())
+               for vec in vectors for c in vec.values())
 
 
 def test_kernel_equals_full_elimination_and_the_dense_oracle():
     for rows, n in _systems(20261019):
-        system = _system(rows, n)
-        reference = _full_elimination(system)
+        ids, tagged = _system(rows, n)
+        reference = _full_elimination(ids, tagged)
         rank = len(reference.pivots)
         want = reference.kernel()
         assert want == _dense_kernel(rows, n)
         assert _in_exact_form(want), rows
-        want_rref = rref(system, n + 1)        # a bound never reached
+        want_rref = rref(ids, tagged, n + 1)        # a bound never reached
         for bound in (None, rank, max(rank - 1, 0), 0, n + 1):
-            got_kernel = kernel_basis(system, bound)
+            got_kernel = _kernel(ids, tagged, bound)
             assert got_kernel == want and _in_exact_form(got_kernel), (rows, bound)
-            got = rref(system, bound)
-            assert (got.rows, got.tags) == (want_rref.rows, want_rref.tags)
-            ech = Echelon(system.unknowns)
-            ech.extend(zip(system.rows, system.tags), bound)
+            assert rref(ids, tagged, bound) == want_rref
+            ech = Echelon(ids)
+            ech.extend(tagged, bound)
             assert ech.pivots == reference.pivots
 
 
@@ -126,16 +143,16 @@ def test_full_rank_stops_drawing_rows():
     rng = random.Random(7)
     for n in (1, 3, 6):
         rows = _combinations(rng, _random_dense(rng, n + 2, n), 10 * n)
-        system = _system(rows, n)
+        ids, tagged = _system(rows, n)
         assert orc.rank_dense(rows) == n
         drawn = []
 
         def source():
-            for item in zip(system.rows, system.tags):
+            for item in tagged:
                 drawn.append(item)
                 yield item
 
-        ech = Echelon(system.unknowns)
+        ech = Echelon(ids)
         ech.extend(source())
         # the last row drawn is the one that completed the rank
         assert len(ech.pivots) == n
@@ -147,19 +164,23 @@ def test_full_rank_stops_drawing_rows():
 def test_solve_affine_equals_the_dense_oracle():
     rng = random.Random(17)
     for rows, n in _systems(20261020):
-        system = _system(rows, n)
-        names = system.unknowns
+        names, tagged = _system(rows, n)
         x0 = {u: F(rng.randint(-5, 5), rng.randint(1, 3)) for u in names}
-        rhs = [sum(row.get(u, 0) * x0[u] for u in names) for row in system.rows]
-        sol = solve_affine(system, rhs)
+        rhs = [sum(row.get(u, 0) * x0[u] for u in names) for row, _tag in tagged]
+        sol = solve_affine(names, _affine(tagged, rhs))
         red, pivots = orc.rref_dense([r + [b] for r, b in zip(rows, rhs)])
         assert sol == {names[pc]: r[-1] for r, pc in zip(red, pivots) if r[-1]}
+        assert _in_exact_form([sol]), rows
         if orc.rank_dense(rows) == n:               # full rank: the solution is x0
             assert sol == {u: c for u, c in x0.items() if c}
-        # a row inconsistent with x0, drawn after everything else
+        # a row inconsistent with x0, after everything else: no row after it
+        # is drawn, whether or not the kernel is {0} by then
         if rows:
-            bad = _system(rows + [rows[-1]], n)
-            assert solve_affine(bad, rhs + [rhs[-1] + 1]) is None
+            _names, bad = _system(rows + [rows[-1]] + rows, n)
+            drawn = []
+            triples = _affine(bad, rhs + [rhs[-1] + 1] + rhs)
+            assert solve_affine(names, (drawn.append(t) or t for t in triples)) is None
+            assert len(drawn) == len(rows) + 1
 
 
 def test_an_inconsistent_row_after_full_rank_gives_none():
@@ -167,14 +188,18 @@ def test_an_inconsistent_row_after_full_rank_gives_none():
     n = 5
     rows = _combinations(rng, _random_dense(rng, n + 1, n), 30)
     assert orc.rank_dense(rows[:10]) == n
-    system = _system(rows, n)
+    ids, tagged = _system(rows, n)
     x0 = [F(rng.randint(-5, 5)) for _ in range(n)]
     rhs = [sum(c * x for c, x in zip(row, x0)) for row in rows]
-    assert solve_affine(system, rhs) == {("x", i): x for i, x in enumerate(x0) if x}
+    assert solve_affine(ids, _affine(tagged, rhs)) == {
+        ("x", i): x for i, x in enumerate(x0) if x}
     for where in (15, len(rows) - 1):
         doctored = list(rhs)
         doctored[where] += F(1, 7)
-        assert solve_affine(system, doctored) is None
+        drawn = []
+        triples = _affine(tagged, doctored)
+        assert solve_affine(ids, (drawn.append(t) or t for t in triples)) is None
+        assert len(drawn) == where + 1          # none after the inconsistent row
 
 
 def test_a_row_after_the_bound_that_only_verification_sees_changes_the_kernel():
@@ -188,7 +213,8 @@ def test_a_row_after_the_bound_that_only_verification_sees_changes_the_kernel():
         planted = _random_dense(rng, 1, n)[0]
         while orc.rank_dense(rows + [planted]) == rank:
             planted = _random_dense(rng, 1, n)[0]
-        plain, doctored = _system(rows, n), _system(rows + [planted], n)
+        ids, plain = _system(rows, n)
+        _ids, doctored = _system(rows + [planted], n)
         inserted = []
 
         class Counting(Echelon):
@@ -196,17 +222,17 @@ def test_a_row_after_the_bound_that_only_verification_sees_changes_the_kernel():
                 inserted.append(tag)
                 return super().insert(vec, tag)
 
-        ech = Counting(doctored.unknowns)
-        ech.extend(zip(doctored.rows, doctored.tags), rank)
+        ech = Counting(ids)
+        ech.extend(doctored, rank)
         # past the bound, only the planted row was reduced, and it was kept
         assert inserted[-1] == f"row{len(rows)}"
         assert len(inserted) < len(rows)
         assert len(ech.pivots) == rank + 1
-        got = kernel_basis(doctored, rank)
-        assert got == _full_elimination(doctored).kernel() == _dense_kernel(
+        got = _kernel(ids, doctored, rank)
+        assert got == _full_elimination(ids, doctored).kernel() == _dense_kernel(
             rows + [planted], n)
         assert len(got) == n - rank - 1
-        assert got != kernel_basis(plain, rank)
+        assert got != _kernel(ids, plain, rank)
 
 
 def test_a_residual_row_after_the_bound_changes_z2(monkeypatch):
@@ -332,14 +358,14 @@ def test_bases_equal_full_elimination(name, cutoff):
 
 def _count_delta_rows(monkeypatch):
     drawn = []
-    real = cohomology.delta_rows
+    real = cohomology.derivation_system
 
     def counted(V, W):
         for item in real(V, W):
             drawn.append(item)
             yield item
 
-    monkeypatch.setattr(cohomology, "delta_rows", counted)
+    monkeypatch.setattr(cohomology, "derivation_system", counted)
     return drawn
 
 
@@ -355,7 +381,7 @@ def test_full_rank_h1_builds_fewer_rows_than_there_are_slots(monkeypatch):
 @pytest.mark.parametrize("name", EXACT_PRESETS)
 def test_h1_draws_every_row_when_the_kernel_is_nonzero(name, monkeypatch):
     V, W = _adjoint(name)
-    want = kernel_basis(derivation_system(V, W))
+    want = _kernel(_delta_unknowns(V, W), derivation_system(V, W))
     drawn = _count_delta_rows(monkeypatch)
     res = compute_der(V, W)
     assert res.h_dim == len(want) == orc.derivation_dim(orc.TABLES[name])
@@ -363,6 +389,58 @@ def test_h1_draws_every_row_when_the_kernel_is_nonzero(name, monkeypatch):
         assert len(drawn) == len(cochain_slots(V, W))
     assert [{("f", v, t): c for v, col in g.columns.items() for t, c in col.items()}
             for g in res.representative_classes] == want
+
+
+# ---------------------------------------------------------------------------
+# laziness of is_coboundary
+# ---------------------------------------------------------------------------
+
+def _first_inconsistent_row(ids, rows, rhs):
+    """The least k such that rows[:k + 1] . x = rhs[:k + 1] has no solution,
+    by the dense oracle (inconsistency only grows with k, so bisect)."""
+    dense = [[row.get(u, 0) for u in ids] for row, _tag in rows]
+
+    def consistent(k):
+        return orc.rank_dense(dense[:k]) == orc.rank_dense(
+            [r + [b] for r, b in zip(dense[:k], rhs[:k])])
+
+    lo, hi = 1, len(rows)           # consistent(lo - 1) holds, consistent(hi) does not
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if consistent(mid) else (lo, mid)
+    return lo - 1
+
+
+@pytest.mark.parametrize("cutoff", (2, 3))
+def test_a_noncocycle_stops_the_solve_at_its_first_inconsistent_row(cutoff, monkeypatch):
+    # psi nonzero on a vacuum slot is never a cocycle (the identity axiom
+    # reads it): the solve stops early, and NotACocycle names the residual
+    V, W = _adjoint("free-boson", cutoff)
+    slots = cochain_slots(V, W)
+    vacuum_slots = [s for s in slots if s[0] == V.vacuum]
+    ids, rows = _delta_unknowns(V, W), list(derivation_system(V, W))
+    rng = random.Random(20261020)
+    drawn = _count_delta_rows(monkeypatch)
+    for _ in range(8):
+        chosen = {rng.choice(vacuum_slots)} | set(rng.sample(slots, 2))
+        psi = TwoCochain.from_slots(V, W, {s: F(rng.choice((-2, -1, 1, 2)))
+                                           for s in sorted(chosen)})
+        rhs = [psi.slots().get(slot, 0) for slot in slots]
+        drawn.clear()
+        with pytest.raises(NotACocycle) as failed:
+            is_coboundary(V, W, psi)
+        assert len(drawn) == _first_inconsistent_row(ids, rows, rhs) + 1 < len(slots)
+        assert failed.value.coords == sorted(cocycle_residual(V, W, psi)) != []
+    # a coboundary is consistent with every row, so every row is drawn
+    g = GradedMap(V.space, W.space, 0)
+    for b in vacuum_killing_basis(V, W):
+        (src, col), = b.columns.items()
+        (tgt, _one), = col.items()
+        g.set_entry(tgt, src, F(rng.choice((-3, -2, -1, 1, 2, 3))))
+    psi = coboundary(V, W, g)
+    drawn.clear()
+    assert is_coboundary(V, W, psi) == g
+    assert len(drawn) == len(slots)
 
 
 def _right_action_by_loop(W):

@@ -15,9 +15,8 @@ import pytest
 
 import oracles as orc
 from vertexcoh.linalg import (
-    LinearSystem,
+    Echelon,
     SubspaceNotContained,
-    kernel_basis,
     quotient_dim,
     rref,
     solve_affine,
@@ -220,44 +219,51 @@ def test_jet_zero_detection_in_sparse_vectors():
 # ---------------------------------------------------------------------------
 
 def _random_system(rng: random.Random, n_unknowns: int, n_rows: int):
-    """Sparse LinearSystem plus the same matrix densely, for the oracle."""
-    sys_ = LinearSystem()
+    """Sparse (ids, tagged rows) plus the same matrix densely, for the oracle."""
     names = [("x", i) for i in range(n_unknowns)]
-    sys_.add_unknowns(names)
-    dense = []
+    rows, dense = [], []
     for r in range(n_rows):
         row = {}
         for i in range(n_unknowns):
             if rng.random() < 0.5:
                 row[names[i]] = F(rng.randint(-4, 4))
-        sys_.add_row(row, tag=f"row{r}")
+        rows.append((row, f"row{r}"))
         dense.append([row.get(names[i], F(0)) for i in range(n_unknowns)])
-    return sys_, dense, names
+    return names, rows, dense
 
 
-def test_add_row_rejects_unregistered_unknowns():
-    sys_ = LinearSystem()
-    sys_.add_unknown("a")
+def _kernel(ids, rows):
+    ech = Echelon(ids)
+    ech.extend(rows)
+    return ech.kernel()
+
+
+@pytest.mark.parametrize("bound", [None, 1])
+def test_unregistered_unknowns_are_rejected_below_and_above_the_bound(bound):
+    # once the bound is reached, rows are checked against the kernel, not
+    # inserted: the check rejects an unregistered id as insert does
     with pytest.raises(KeyError):
-        sys_.add_row({"b": F(1)})
+        Echelon(["a", "b"]).insert({"zz": F(1)})
+    with pytest.raises(KeyError):
+        Echelon(["a", "b"]).extend([({"a": 1}, 0), ({"zz": 1}, 1)], bound)
+    with pytest.raises(KeyError):
+        solve_affine(["a", "b"], [({"a": 1}, 0, "r0"), ({"zz": 1}, 1, "r1")])
 
 
 def test_rref_is_canonical_and_idempotent():
     rng = random.Random(15)
     for _ in range(40):
-        sys_, dense, _names = _random_system(rng, rng.randint(1, 7), rng.randint(0, 9))
-        red = rref(sys_)
-        again = rref(red)
-        assert red.rows == again.rows
-        # unit pivots, and no pivot position appears in another row
-        pivot_ids = set()
-        for row in red.rows:
-            piv = min(row, key=sys_.position)
+        names, rows, dense = _random_system(rng, rng.randint(1, 7), rng.randint(0, 9))
+        position = names.index
+        red = rref(names, rows)
+        again = rref(names, red)
+        assert red == again
+        # unit pivots, in pivot order, and no pivot id appears in another row
+        leads = [min(row, key=position) for row, _tag in red]
+        assert leads == sorted(leads, key=position)
+        for (row, _tag), piv in zip(red, leads):
             assert row[piv] == 1
-            pivot_ids.add(piv)
-        for row in red.rows:
-            piv = min(row, key=sys_.position)
-            for other in pivot_ids - {piv}:
+            for other in set(leads) - {piv}:
                 assert other not in row
         # each output row carries the tag of the input row that added its pivot
         # column to the row space
@@ -265,21 +271,20 @@ def test_rref_is_canonical_and_idempotent():
         for i in range(len(dense)):
             before = set(orc.rref_dense(dense[:i])[1])
             for col in set(orc.rref_dense(dense[: i + 1])[1]) - before:
-                contributor[col] = sys_.tags[i]
-        assert {sys_.position(min(row, key=sys_.position)): tag
-                for row, tag in zip(red.rows, red.tags)} == contributor
+                contributor[col] = rows[i][1]
+        assert {position(piv): tag for piv, (_row, tag) in zip(leads, red)} == contributor
 
 
 def test_rank_and_kernel_against_dense_oracle():
     rng = random.Random(16)
     for _ in range(40):
         n = rng.randint(1, 7)
-        sys_, dense, names = _random_system(rng, n, rng.randint(0, 9))
-        kern = kernel_basis(sys_)
+        names, rows, dense = _random_system(rng, n, rng.randint(0, 9))
+        kern = _kernel(names, rows)
         assert len(kern) == n - orc.rank_dense([row[:] for row in dense])
         # every kernel vector annihilates every original row
         for vec in kern:
-            for row in sys_.rows:
+            for row, _tag in rows:
                 s = sum(row.get(u, F(0)) * c for u, c in vec.items())
                 assert s == 0
         # and the package kernel spans the oracle kernel (same dim + containment)
@@ -288,35 +293,27 @@ def test_rank_and_kernel_against_dense_oracle():
             as_dict = {names[i]: c for i, c in enumerate(ovec) if c}
             quotient_dim(ambient + [as_dict], ambient)  # raises if not contained
     # degenerate: zero rows keep full kernel
-    sys_ = LinearSystem()
-    sys_.add_unknowns(["a", "b"])
-    sys_.add_row({})
-    assert len(kernel_basis(sys_)) == 2
+    assert len(_kernel(["a", "b"], [({}, "")])) == 2
 
 
 def test_solve_affine_consistent_and_inconsistent():
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(1, 6)
-        sys_, dense, names = _random_system(rng, n, rng.randint(1, 8))
+        names, rows, dense = _random_system(rng, n, rng.randint(1, 8))
         x0 = {names[i]: F(rng.randint(-5, 5)) for i in range(n)}
-        rhs = [sum(row.get(u, F(0)) * x0[u] for u in names) for row in sys_.rows]
-        sol = solve_affine(sys_, rhs)
+        rhs = [sum(row.get(u, F(0)) * x0[u] for u in names) for row, _tag in rows]
+        sol = solve_affine(names, [(row, b, tag) for (row, tag), b in zip(rows, rhs)])
         assert sol is not None
-        for row, b in zip(sys_.rows, rhs):
+        for (row, _tag), b in zip(rows, rhs):
             assert sum(row.get(u, F(0)) * sol.get(u, F(0)) for u in names) == b
         # the canonical solution: zero on free unknowns, and on each pivot
         # unknown the last column of the augmented matrix's rref
         red, pivots = orc.rref_dense([r + [b] for r, b in zip(dense, rhs)])
         assert sol == {names[pc]: r[-1] for r, pc in zip(red, pivots) if r[-1]}
     # inconsistent: x + y = 0 and x + y = 1
-    sys_ = LinearSystem()
-    sys_.add_unknowns(["x", "y"])
-    sys_.add_row({"x": F(1), "y": F(1)})
-    sys_.add_row({"x": F(1), "y": F(1)})
-    assert solve_affine(sys_, [F(0), F(1)]) is None
-    with pytest.raises(ValueError):
-        solve_affine(sys_, [F(0)])
+    row = {"x": F(1), "y": F(1)}
+    assert solve_affine(["x", "y"], [(row, F(0), "a"), (row, F(1), "b")]) is None
 
 
 def test_quotient_dim_and_containment():
