@@ -98,11 +98,7 @@ from .presets import (
     WeightMismatch,
     adjoint_module,
     build_preset,
-    dual_numbers_algebra,
     from_commutative_algebra,
-    graded_nilpotent_algebra,
-    split_pair_algebra,
-    trivial_algebra,
     truncated_free_boson,
 )
 from .specfile import (

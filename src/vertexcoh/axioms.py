@@ -274,6 +274,14 @@ def _gen_skew(V: VertexAlgebra, tmap: GradedMap, fringe: int):
             yield "skew-symmetry", inst, breach
 
 
+def _modes_by_pair(Y: ModeFamily) -> dict[tuple[int, int], dict[int, dict]]:
+    """Y's entries as (u, v) -> {n: vector}, each n in the table's order."""
+    out: dict = {}
+    for (u, n, v), vec in Y.entries.items():
+        out.setdefault((u, v), {})[n] = vec
+    return out
+
+
 def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, fringe: int, axiom: str = "jacobi"):
     """The component identity
 
@@ -293,7 +301,10 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, fringe: int, axiom: str = "ja
 
     which depend on (m, s) alone.  They are built once per (u, v, w) and s,
     on first use, and each instance combines them with its binomial signs;
-    binomials are cached too.  The loops over (r, q, p) are unchanged, so
+    binomials are cached too.  The modes m of u_m v, v_m w and u_m w come
+    from a (u, v) -> {n: vector} lookup that ``_modes_by_pair`` builds from the
+    tables' entries once per call, one lookup serving both tables when they
+    are the same.  The loops over (r, q, p) are unchanged, so
     instances come in the same order with the same residuals: the sums are
     exact ring arithmetic, regrouped.  A breach depends on r, q and p
     separately, so its weight is found without a per-instance list, and the
@@ -312,8 +323,8 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, fringe: int, axiom: str = "ja
     wsp = Y_act.right
     NV, NW = vsp.cutoff, wsp.cutoff
     act = Y_act.entries.get
-    act_pairs = Y_act.pair_modes
-    v_pairs = YV.pair_modes
+    act_pairs = _modes_by_pair(Y_act)
+    v_pairs = act_pairs if YV is Y_act else _modes_by_pair(YV)
     # below every cap: an intermediate weight above its cap is above this
     floor = min(NV, NW)
     breach_at = functools.cache(TruncationBreach)

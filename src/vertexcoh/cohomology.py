@@ -114,13 +114,7 @@ class TwoCochain:
     @classmethod
     def from_entries(cls, V: VertexAlgebra, W: VAModule, entries: Mapping) -> "TwoCochain":
         """Entries keyed by (u label, n, v label) -> {target label: coeff}."""
-        out = cls(V, W)
-        vidx, widx = V.space.index, W.space.index
-        for (u, n, v), vec in entries.items():
-            out.psi.set_entry(
-                vidx[u], n, vidx[v], {widx[t]: c for t, c in vec.items()}
-            )
-        return out
+        return cls(V, W, ModeFamily.from_labels(V.space, V.space, W.space, entries.items()))
 
     @classmethod
     def from_slots(cls, V: VertexAlgebra, W: VAModule, vec: Mapping) -> "TwoCochain":
@@ -145,11 +139,7 @@ class TwoCochain:
         }
 
     def entries_by_labels(self) -> dict:
-        lab, wlab = self.V.space.label_of, self.W.space.label_of
-        return {
-            (lab(u), n, lab(v)): {wlab(t): c for t, c in sorted(vec.items())}
-            for u, n, v, vec in self.psi.iter_entries()
-        }
+        return self.psi.by_labels()
 
     def _combine(self, other: "TwoCochain", sign: int) -> "TwoCochain":
         if other.V is not self.V and not self.V.same_content(other.V):

@@ -57,8 +57,12 @@ class Echelon:
         self.pivots: dict[int, tuple[dict[int, Fraction], Hashable]] = {}
 
     def reduce(self, vec: Mapping[Hashable, Fraction]) -> dict[int, Fraction]:
-        """The remainder of ``vec`` modulo the rows, keyed by position."""
-        work = {self.pos[u]: c for u, c in vec.items() if c}
+        """The remainder of ``vec`` modulo the rows, keyed by position.
+
+        Every id is looked up before zero coefficients are dropped, so an id
+        that was never registered raises KeyError whatever its coefficient.
+        """
+        work = {p: c for p, c in zip(map(self.pos.__getitem__, vec), vec.values()) if c}
         pivots = self.pivots
         while work:
             hits = work.keys() & pivots.keys()

@@ -1,7 +1,8 @@
 """Built-in example algebras and modules.
 
-Four exact-tier presets come from commutative differential algebras: a
-commutative unital algebra with a weight-raising derivation D induces modes
+Four exact-tier presets, one table of labels, weights and products, come
+from commutative differential algebras: a commutative unital algebra with a
+weight-raising derivation D induces modes
 
     a_n b = 0                    for n >= 0,
     a_{-j-1} b = (1/j!) (D^j a) * b   for j >= 0,
@@ -166,58 +167,6 @@ def from_commutative_algebra(spec: CommDiffAlgebraSpec) -> VertexAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# the exact-tier presets
-# ---------------------------------------------------------------------------
-
-def trivial_algebra() -> VertexAlgebra:
-    """The one-dimensional algebra: just the vacuum."""
-    spec = CommDiffAlgebraSpec(
-        labels=("one",), weights=(0,), unit="one",
-        products={("one", "one"): {"one": 1}},
-    )
-    return from_commutative_algebra(spec)
-
-
-def dual_numbers_algebra() -> VertexAlgebra:
-    """Two-dimensional: one, eps with eps*eps = 0, everything in weight zero."""
-    spec = CommDiffAlgebraSpec(
-        labels=("one", "eps"), weights=(0, 0), unit="one",
-        products={
-            ("one", "one"): {"one": 1},
-            ("one", "eps"): {"eps": 1},
-            ("eps", "eps"): {},
-        },
-    )
-    return from_commutative_algebra(spec)
-
-
-def split_pair_algebra() -> VertexAlgebra:
-    """Two-dimensional split semisimple: one, u with u*u = one (so Q x Q)."""
-    spec = CommDiffAlgebraSpec(
-        labels=("one", "u"), weights=(0, 0), unit="one",
-        products={
-            ("one", "one"): {"one": 1},
-            ("one", "u"): {"u": 1},
-            ("u", "u"): {"one": 1},
-        },
-    )
-    return from_commutative_algebra(spec)
-
-
-def graded_nilpotent_algebra() -> VertexAlgebra:
-    """Two-dimensional with a genuinely graded line: eps in weight one, eps*eps = 0."""
-    spec = CommDiffAlgebraSpec(
-        labels=("one", "eps"), weights=(0, 1), unit="one",
-        products={
-            ("one", "one"): {"one": 1},
-            ("one", "eps"): {"eps": 1},
-            ("eps", "eps"): {},
-        },
-    )
-    return from_commutative_algebra(spec)
-
-
-# ---------------------------------------------------------------------------
 # the truncated free boson
 # ---------------------------------------------------------------------------
 
@@ -332,13 +281,15 @@ def adjoint_module(V: VertexAlgebra) -> VAModule:
     return VAModule(V.space, V.Y, translation_map(V))
 
 
-PRESETS: dict[str, object] = {
-    "trivial": trivial_algebra,
-    "dual-numbers": dual_numbers_algebra,
-    "split-pair": split_pair_algebra,
-    "graded-nilpotent": graded_nilpotent_algebra,
-    "free-boson": truncated_free_boson,
+# name: (labels, the unit first; weights; products beyond the unit's, each
+# unordered pair once).  None has a derivation.
+_EXACT_PRESETS: dict[str, tuple] = {
+    "trivial": (("one",), (0,), {}),                          # just the vacuum
+    "dual-numbers": (("one", "eps"), (0, 0), {}),             # eps*eps = 0
+    "split-pair": (("one", "u"), (0, 0), {("u", "u"): {"one": 1}}),  # Q x Q
+    "graded-nilpotent": (("one", "eps"), (0, 1), {}),         # the same, eps in weight 1
 }
+PRESETS: tuple[str, ...] = (*_EXACT_PRESETS, "free-boson")
 
 
 def build_preset(name: str, cutoff: int | None = None) -> VertexAlgebra:
@@ -352,7 +303,10 @@ def build_preset(name: str, cutoff: int | None = None) -> VertexAlgebra:
         raise KeyError(f"unknown preset {name!r}")
     if name == "free-boson":
         return truncated_free_boson(4 if cutoff is None else cutoff)
-    algebra: VertexAlgebra = PRESETS[name]()
+    labels, weights, products = _EXACT_PRESETS[name]
+    unit = labels[0]
+    algebra = from_commutative_algebra(CommDiffAlgebraSpec(
+        labels, weights, unit, {**{(unit, a): {a: 1} for a in labels}, **products}))
     if cutoff is None:
         return algebra
     top = max(algebra.space.weights)

@@ -284,8 +284,9 @@ class ModeFamily:
     """Sparse structure constants (u, n, v) -> target vector, weight-rule checked.
 
     ``left`` and ``right`` are the argument spaces, ``target`` the value
-    space; the adjoint action has all three equal.  ``pair_modes`` indexes the
-    same entries as (u, v) -> {n: vector} for the solvers' inner loops.
+    space; the adjoint action has all three equal.  ``from_labels`` and
+    ``by_labels`` are the one place a table's labels turn into flat indices
+    and back.
     """
 
     def __init__(self, left: GradedSpace, right: GradedSpace, target: GradedSpace):
@@ -293,7 +294,23 @@ class ModeFamily:
         self.right = right
         self.target = target
         self.entries: dict[tuple[int, int, int], dict] = {}
-        self.pair_modes: dict[tuple[int, int], dict[int, dict]] = {}
+
+    @classmethod
+    def from_labels(cls, left: GradedSpace, right: GradedSpace, target: GradedSpace,
+                    items: Iterable[tuple[tuple[str, int, str], Mapping]]) -> "ModeFamily":
+        """A family from ((u label, n, v label), {target label: coeff}) pairs,
+        set in the order given."""
+        family = cls(left, right, target)
+        li, ri, ti = left.index, right.index, target.index
+        for (u, n, v), vec in items:
+            family.set_entry(li[u], n, ri[v], {ti[t]: c for t, c in vec.items()})
+        return family
+
+    def by_labels(self) -> dict:
+        """The table keyed by labels, sorted by (u, n, v), targets in flat order."""
+        ll, rl, tl = self.left.labels, self.right.labels, self.target.labels
+        return {(ll[u], n, rl[v]): {tl[t]: vec[t] for t in sorted(vec)}
+                for u, n, v, vec in self.iter_entries()}
 
     def set_entry(self, u: int, n: int, v: int, vec: Mapping) -> None:
         expected = self.left.weight_of(u) + self.right.weight_of(v) - n - 1
@@ -306,22 +323,13 @@ class ModeFamily:
                     f"{self.target.weight_of(t)}, weight rule demands {expected}",
                     entry=(u, n, v, t),
                 )
-        key = (u, n, v)
         if clean:
-            self.entries[key] = clean
-            self.pair_modes.setdefault((u, v), {})[n] = clean
-        elif key in self.entries:
-            del self.entries[key]
-            pm = self.pair_modes[(u, v)]
-            del pm[n]
-            if not pm:
-                del self.pair_modes[(u, v)]
+            self.entries[(u, n, v)] = clean
+        else:
+            self.entries.pop((u, n, v), None)
 
     def entry(self, u: int, n: int, v: int) -> dict | None:
         return self.entries.get((u, n, v))
-
-    def modes(self, u: int, v: int) -> dict[int, dict]:
-        return self.pair_modes.get((u, v), {})
 
     def iter_entries(self):
         """Yields (u, n, v, vector) sorted by (u, n, v)."""
@@ -379,31 +387,12 @@ class VertexAlgebra:
             isinstance(c, JetScalar) for vec in self.Y.entries.values() for c in vec.values()
         ) else "rational"
 
-    @property
-    def tier(self) -> str:
-        return self.space.tier
-
-    @property
-    def cutoff(self) -> int:
-        return self.space.cutoff
-
-    @property
-    def min_weight(self) -> int:
-        return self.space.min_weight
-
-    def basis_vec(self, key) -> dict:
-        return self.space.basis_vec(key)
-
     def vacuum_vec(self) -> dict:
         return {self.vacuum: 1}
 
     def entries_by_labels(self) -> dict:
         """Mode table keyed by labels, for dumps and table surgery in tests."""
-        lab = self.space.label_of
-        return {
-            (lab(u), n, lab(v)): {lab(t): c for t, c in sorted(vec.items())}
-            for u, n, v, vec in self.Y.iter_entries()
-        }
+        return self.Y.by_labels()
 
     def same_content(self, other: "VertexAlgebra") -> bool:
         """Same labeled basis, weights, vacuum and mode table (not object identity)."""
@@ -462,13 +451,7 @@ def build_vertex_algebra(space: GradedSpace, vacuum: str, entries: Mapping) -> V
         raise VacuumWrongWeight(
             f"vacuum {vacuum!r} has weight {space.weight_of(vac)}, expected 0"
         )
-    Y = ModeFamily(space, space, space)
-    for (u, n, v), vec in entries.items():
-        Y.set_entry(
-            space.index[u], n, space.index[v],
-            {space.index[t]: c for t, c in vec.items()},
-        )
-    return VertexAlgebra(space, vac, Y)
+    return VertexAlgebra(space, vac, ModeFamily.from_labels(space, space, space, entries.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -374,17 +374,35 @@ def _assemble(raw: dict, linenos: dict, header_line: dict) -> SpecFile:
 # ---------------------------------------------------------------------------
 
 def _terms_to_vec(terms: Terms, index: Mapping[str, int], what: str) -> dict:
-    vec: dict[int, int | Fraction] = {}
+    """The terms summed by label, zero sums dropped; a label missing from
+    ``index`` raises ValueError naming ``what``."""
+    vec: dict[str, int | Fraction] = {}
     for coeff, lab in terms:
         if lab not in index:
             raise ValueError(f"{what}: unknown label {lab!r}")
-        i = index[lab]
-        c = vec.get(i, 0) + coeff
+        c = vec.get(lab, 0) + coeff
         if c:
-            vec[i] = c
+            vec[lab] = c
         else:
-            vec.pop(i, None)
+            vec.pop(lab, None)
     return vec
+
+
+def _labeled(rows, left: GradedSpace, right: GradedSpace, target: GradedSpace,
+             what: str):
+    """Each file row (u, n, v, terms) whose terms do not sum to zero, as the
+    pair ``ModeFamily.from_labels`` takes, row by row; an unknown label
+    raises ValueError naming ``what``."""
+    li, ri, ti = left.index, right.index, target.index
+    for u, n, v, terms in rows:
+        if u not in li:
+            raise ValueError(f"{what} row: unknown algebra label {u!r}")
+        if v not in ri:
+            kind = "algebra" if right is left else "module"
+            raise ValueError(f"{what} row: unknown {kind} label {v!r}")
+        vec = _terms_to_vec(terms, ti, f"{what} {u}[{n}]{v}")
+        if vec:
+            yield (u, n, v), vec
 
 
 def to_algebra(spec: SpecFile) -> VertexAlgebra:
@@ -395,12 +413,7 @@ def to_algebra(spec: SpecFile) -> VertexAlgebra:
         list(spec.basis), tier=spec.tier, cutoff=spec.cutoff,
         min_weight=min(w for w, _ in spec.weight_dims) if spec.weight_dims else None,
     )
-    entries = {}
-    for u, n, v, terms in spec.modes:
-        vec = {space.labels[i]: c
-               for i, c in _terms_to_vec(terms, space.index, f"mode {u}[{n}]{v}").items()}
-        if vec:
-            entries[(u, n, v)] = vec
+    entries = dict(_labeled(spec.modes, space, space, space, "mode"))
     return build_vertex_algebra(space, spec.vacuum, entries)
 
 
@@ -413,16 +426,12 @@ def to_module(spec: SpecFile, V: VertexAlgebra) -> VAModule:
         list(spec.module_basis), tier=vsp.tier,
         cutoff=vsp.cutoff if vsp.tier == "truncated" else None,
     )
-    Y_W = ModeFamily(vsp, wsp, wsp)
-    for u, n, w, terms in spec.module_modes:
-        if u not in vsp.index:
-            raise ValueError(f"module mode row: unknown algebra label {u!r}")
-        vec = _terms_to_vec(terms, wsp.index, f"module mode {u}[{n}]{w}")
-        if vec:
-            Y_W.set_entry(vsp.index[u], n, wsp.index[w], vec)
+    Y_W = ModeFamily.from_labels(
+        vsp, wsp, wsp, _labeled(spec.module_modes, vsp, wsp, wsp, "module mode"))
     T_W = GradedMap(wsp, wsp, 1)
     for lab, terms in spec.tw:
-        T_W.set_column(wsp.index[lab], _terms_to_vec(terms, wsp.index, f"T {lab}"))
+        vec = _terms_to_vec(terms, wsp.index, f"T {lab}")
+        T_W.set_column(wsp.index[lab], {wsp.index[t]: c for t, c in vec.items()})
     return VAModule(wsp, Y_W, T_W)
 
 
@@ -430,14 +439,7 @@ def to_cochain(spec: SpecFile, V: VertexAlgebra, W: VAModule):
     """Build the 2-cochain in the PSI section, valued in W."""
     from .cohomology import TwoCochain
 
-    entries = {}
-    for u, n, v, terms in spec.psi:
-        for lab in (u, v):
-            if lab not in V.space.index:
-                raise ValueError(f"psi row: unknown algebra label {lab!r}")
-        vec = _terms_to_vec(terms, W.space.index, f"psi {u}[{n}]{v}")
-        if vec:
-            entries[(u, n, v)] = {W.space.labels[i]: c for i, c in vec.items()}
+    entries = dict(_labeled(spec.psi, V.space, V.space, W.space, "psi"))
     return TwoCochain.from_entries(V, W, entries)
 
 
@@ -445,14 +447,11 @@ def to_cochain(spec: SpecFile, V: VertexAlgebra, W: VAModule):
 # dumping: live objects -> SpecFile -> canonical text
 # ---------------------------------------------------------------------------
 
-def _as_terms(vec: Mapping[int, int | Fraction], labels: Sequence[str]) -> Terms:
-    out = []
-    for i in sorted(vec):
-        c = vec[i]
-        if not isinstance(c, (int, Fraction)):
-            raise ValueError("only exact rational coefficients can be serialized")
-        out.append((c, labels[i]))
-    return tuple(out)
+def _rows(table: Mapping[tuple, Mapping[str, int | Fraction]]) -> tuple:
+    """Label-keyed vectors as file rows (*key, terms), in the table's order."""
+    if not all(isinstance(c, (int, Fraction)) for vec in table.values() for c in vec.values()):
+        raise ValueError("only exact rational coefficients can be serialized")
+    return tuple((*key, tuple(zip(vec.values(), vec))) for key, vec in table.items())
 
 
 def spec_from_objects(V: VertexAlgebra, W: VAModule | None = None,
@@ -465,28 +464,17 @@ def spec_from_objects(V: VertexAlgebra, W: VAModule | None = None,
         weight_dims=tuple((w, sp.dim(w)) for w in range(sp.min_weight, sp.cutoff + 1)),
         basis=tuple(zip(sp.labels, sp.weights)),
         vacuum=sp.label_of(V.vacuum),
-        modes=tuple(
-            (sp.label_of(u), n, sp.label_of(v), _as_terms(vec, sp.labels))
-            for u, n, v, vec in V.Y.iter_entries()
-        ),
+        modes=_rows(V.Y.by_labels()),
     )
     if W is not None:
         wsp = W.space
         spec.module_basis = tuple(zip(wsp.labels, wsp.weights))
-        spec.module_modes = tuple(
-            (sp.label_of(u), n, wsp.label_of(w), _as_terms(vec, wsp.labels))
-            for u, n, w, vec in W.Y_W.iter_entries()
-        )
-        spec.tw = tuple(
-            (wsp.label_of(s), _as_terms(W.T_W.column(s), wsp.labels))
-            for s in sorted(W.T_W.columns)
-        )
+        # the adjoint module's action is V's own table: its rows are [MODES]
+        spec.module_modes = spec.modes if W.Y_W is V.Y else _rows(W.Y_W.by_labels())
+        spec.tw = _rows({(wsp.labels[s],): wsp.describe(col)    # rows (w, terms)
+                         for s, col in sorted(W.T_W.columns.items())})
     if psi is not None:
-        wsp = psi.W.space
-        spec.psi = tuple(
-            (sp.label_of(u), n, sp.label_of(v), _as_terms(vec, wsp.labels))
-            for u, n, v, vec in psi.psi.iter_entries()
-        )
+        spec.psi = _rows(psi.psi.by_labels())
     return spec
 
 

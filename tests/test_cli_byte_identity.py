@@ -270,6 +270,37 @@ def test_module_check_on_a_truncated_algebra_is_byte_identical(inputs, monkeypat
     assert run_digest(MODULE_CHECK) == MODULE_CHECK_DIGEST
 
 
+# dump-preset of every exact preset at its own cutoff and at cutoff 3, and of
+# the free boson at cutoffs 0-8: (preset, cutoff) -> digest, recorded when
+# the exact presets were four functions and every mode table kept a second,
+# per-pair index
+DUMP_DIGESTS = {
+    ('trivial', None): 'a68c2dc21bc28d24',
+    ('dual-numbers', None): 'edffdd7ea38d84f2',
+    ('split-pair', None): '2872b96d5b6b8db1',
+    ('graded-nilpotent', None): '5d8361c8f8af78cc',
+    ('trivial', 3): 'f6e57c70d40c4c00',
+    ('dual-numbers', 3): 'af011040456e50d4',
+    ('split-pair', 3): '4edd11977acbc8bd',
+    ('graded-nilpotent', 3): '0c2fc59f58a37a2e',
+    ('free-boson', 0): '4651e38ba50a1a59',
+    ('free-boson', 1): '364d68aa6dd38a47',
+    ('free-boson', 2): '68af1bd9e4d9d8f5',
+    ('free-boson', 3): '2fcab95c09491917',
+    ('free-boson', 4): '1bbaa6f19af8862c',
+    ('free-boson', 5): '8914ba37b44f7f22',
+    ('free-boson', 6): '769da59e07f48204',
+    ('free-boson', 7): 'adb996deef31d2b0',
+    ('free-boson', 8): 'e43ce6eab95b731d',
+}
+
+
+@pytest.mark.parametrize("name, cutoff", list(DUMP_DIGESTS))
+def test_dump_preset_is_byte_identical(name, cutoff):
+    argv = ("dump-preset", name) + (("--cutoff", str(cutoff)) if cutoff is not None else ())
+    assert run_digest(argv) == DUMP_DIGESTS[name, cutoff]
+
+
 # ---------------------------------------------------------------------------
 # streamed reports against the one-shot encoding
 # ---------------------------------------------------------------------------

@@ -120,9 +120,7 @@ def _fraction_only(V: VertexAlgebra) -> VertexAlgebra:
 
     Y = ModeFamily(V.space, V.space, V.space)
     for (u, n, v), vec in V.Y.entries.items():
-        col = {t: slow(c) for t, c in vec.items()}
-        Y.entries[(u, n, v)] = col
-        Y.pair_modes.setdefault((u, v), {})[n] = col
+        Y.entries[(u, n, v)] = {t: slow(c) for t, c in vec.items()}
     out = VertexAlgebra(V.space, V.vacuum, Y)
     assert all(type(x) is Fraction for x in _coefficients(out))
     return out

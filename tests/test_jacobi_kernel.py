@@ -46,8 +46,11 @@ def reference_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = 
     NV, NW, mwW = vsp.cutoff, wsp.cutoff, wsp.min_weight
     fringe = 1 if tier == "truncated" else 0
     act_entries = Y_act.entries
-    act_pairs = Y_act.pair_modes
-    v_pairs = YV.pair_modes
+    act_pairs: dict = {}
+    v_pairs: dict = {}
+    for pairs, Y in ((act_pairs, Y_act), (v_pairs, YV)):
+        for (u, n, v), vec in Y.entries.items():
+            pairs.setdefault((u, v), {})[n] = vec
     for u in range(len(vsp)):
         wu = vsp.weight_of(u)
         lu = vsp.label_of(u)

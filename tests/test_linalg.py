@@ -241,13 +241,17 @@ def _kernel(ids, rows):
 @pytest.mark.parametrize("bound", [None, 1])
 def test_unregistered_unknowns_are_rejected_below_and_above_the_bound(bound):
     # once the bound is reached, rows are checked against the kernel, not
-    # inserted: the check rejects an unregistered id as insert does
+    # inserted: the check rejects an unregistered id as insert does, and both
+    # look every id up before dropping zero coefficients
+    for c in (1, 0):
+        with pytest.raises(KeyError):
+            Echelon(["a", "b"]).insert({"zz": F(c)})
+        with pytest.raises(KeyError):
+            Echelon(["a", "b"]).extend([({"a": 1}, 0), ({"zz": c}, 1)], bound)
+        with pytest.raises(KeyError):
+            solve_affine(["a", "b"], [({"a": 1}, 0, "r0"), ({"zz": c}, 1, "r1")])
     with pytest.raises(KeyError):
-        Echelon(["a", "b"]).insert({"zz": F(1)})
-    with pytest.raises(KeyError):
-        Echelon(["a", "b"]).extend([({"a": 1}, 0), ({"zz": 1}, 1)], bound)
-    with pytest.raises(KeyError):
-        solve_affine(["a", "b"], [({"a": 1}, 0, "r0"), ({"zz": 1}, 1, "r1")])
+        solve_affine(["a"], [({"a": 1, "zz": 0}, 1, "t")])
 
 
 def test_rref_is_canonical_and_idempotent():

@@ -182,6 +182,23 @@ def test_converters_reject_incomplete_files():
         to_module(parse_spec("[BASIS]\none 0\n"), V)
 
 
+# a [PSI] file, or a module file without [BASIS], names algebra labels that
+# only the converter can resolve
+@pytest.mark.parametrize("flag, text, message", [
+    ("--psi", "[PSI]\nzz -1 eps -> 1*one\n", "psi row: unknown algebra label 'zz'"),
+    ("--psi", "[PSI]\neps -1 zz -> 1*one\n", "psi row: unknown algebra label 'zz'"),
+    ("--psi", "[PSI]\neps -1 eps -> 1*zz\n", "psi eps[-1]eps: unknown label 'zz'"),
+    ("--module", "[MODULE_BASIS]\nm 0\n[MODULE_MODES]\nzz -1 m -> 1*m\n",
+     "module mode row: unknown algebra label 'zz'"),
+], ids=["psi-u", "psi-v", "psi-target", "module-u"])
+def test_cli_converter_errors_name_the_unknown_label(flag, text, message, tmp_path, capsys):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    command = "extend" if flag == "--psi" else "check"
+    assert main([command, "--preset", "dual-numbers", flag, str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # command line: exit codes and report shapes
 # ---------------------------------------------------------------------------
