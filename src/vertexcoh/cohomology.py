@@ -7,8 +7,9 @@ coboundary on degree-zero maps f: V -> W,
 
 where f(u)_n v is a module element acting back on the algebra through
 skew-symmetry (``right_action``).  ``derivation_system`` is its one form: a
-stream of tagged rows, one per cochain slot, each built as it is drawn.
-Four readers draw it once each.  Its kernel is H1, the derivations
+stream of rows, one per cochain slot and tagged with that slot, each built as
+it is drawn.  Four readers draw it once each, and each reads a row's slot off
+its tag.  Its kernel is H1, the derivations
 (``compute_der``, which draws rows only until delta has full column rank);
 its columns at vacuum-killing unknowns span B2 (``compute_h2``);
 ``coboundary`` applies it to one vacuum-killing map; and ``is_coboundary``
@@ -41,6 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
+from .axioms import (_gen_creation, _gen_identity, _gen_jacobi, _gen_skew,
+                     _gen_translation, translation_map)
 from .linalg import Echelon, SubspaceNotContained, solve_affine
 from .linalg import quotient_dim  # unused; perfbench/tracer.py wraps cohomology.quotient_dim
 from .scalars import JetScalar, exact, value_part
@@ -255,21 +258,28 @@ def _delta_unknowns(V: VertexAlgebra, W: VAModule) -> list[tuple[str, int, int]]
     return [("f", v, t) for v in range(len(V.space)) for t in by_weight.get(wt(v), ())]
 
 
+def _as_map(V: VertexAlgebra, W: VAModule, vec: Mapping) -> GradedMap:
+    """The degree-zero map V -> W whose entries are ``vec`` over _delta_unknowns."""
+    gmap = GradedMap(V.space, W.space, 0)
+    for (_f, v, t), c in vec.items():
+        gmap.set_entry(t, v, c)
+    return gmap
+
+
 def derivation_system(V: VertexAlgebra, W: VAModule):
     """The matrix of the coboundary delta on degree-zero maps f: V -> W, as
-    a stream of (coefficients, tag) rows built as they are drawn.
+    a stream of (coefficients, slot) rows built as they are drawn.
 
-    One row per cochain slot, in cochain_slots order, over _delta_unknowns:
-    the coefficients of
+    One row per cochain slot (u, n, v, t), in cochain_slots order, over
+    _delta_unknowns: the coefficients of
 
         (delta f)(u, n, v)_t = -f(u_n v) + f(u)_n v + u_n f(v)
 
-    tagged with the instance it came from, nonzero coefficients only, in
-    exact form.  The rows of one (u, n, v) are built together, and the
-    right action f(u)_n v is looked up on demand.
+    tagged with that slot, nonzero coefficients only, in exact form.  The
+    readers take each row's slot from its tag.  The rows of one (u, n, v)
+    are built together, and the right action f(u)_n v is looked up on demand.
     """
-    vsp, wsp = V.space, W.space
-    wt, lab = vsp.weight_of, vsp.label_of
+    wsp, wt = W.space, V.space.weight_of
     right = _right_lookup(W)
 
     for u, n, v in _mode_index_triples(V, W):
@@ -292,8 +302,7 @@ def derivation_system(V: VertexAlgebra, W: VAModule):
             put(("f", v, t), W.Y_W.entry(u, n, t) or {})
 
         for tt, row in per_target.items():
-            yield ({uid: exact(c) for uid, c in row.items() if c},
-                   f"derivation {lab(u)}[{n}]{lab(v)} @ {wsp.label_of(tt)}")
+            yield {uid: exact(c) for uid, c in row.items() if c}, (u, n, v, tt)
 
 
 def compute_der(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
@@ -304,12 +313,7 @@ def compute_der(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     """
     ech = Echelon(_delta_unknowns(V, W))
     ech.extend(derivation_system(V, W))
-    maps = []
-    for vec in ech.kernel():
-        gmap = GradedMap(V.space, W.space, 0)
-        for (_f, v, t), c in vec.items():
-            gmap.set_entry(t, v, c)
-        maps.append(gmap)
+    maps = [_as_map(V, W, vec) for vec in ech.kernel()]
     return CohomologyResult(
         degree=1,
         h_dim=len(maps),
@@ -339,21 +343,14 @@ def coboundary(V: VertexAlgebra, W: VAModule, g: GradedMap) -> TwoCochain:
     gvec = {("f", v, t): c for v, col in g.columns.items() for t, c in col.items()}
     return TwoCochain.from_slots(V, W, {
         slot: sum(c * gvec.get(uid, 0) for uid, c in row.items())
-        for slot, (row, _tag) in zip(cochain_slots(V, W), derivation_system(V, W))
+        for row, slot in derivation_system(V, W)
     })
 
 
 def vacuum_killing_basis(V: VertexAlgebra, W: VAModule) -> list[GradedMap]:
-    """Elementary degree-zero maps V -> W vanishing on the vacuum, flat order."""
-    basis = []
-    for v in range(len(V.space)):
-        if v == V.vacuum:
-            continue
-        for t in W.space.by_weight.get(V.space.weight_of(v), ()):
-            gmap = GradedMap(V.space, W.space, 0)
-            gmap.set_entry(t, v, 1)
-            basis.append(gmap)
-    return basis
+    """Elementary degree-zero maps V -> W vanishing on the vacuum: one per
+    unknown of delta off the vacuum, in _delta_unknowns order."""
+    return [_as_map(V, W, {uid: 1}) for uid in _delta_unknowns(V, W) if uid[1] != V.vacuum]
 
 
 def residual_items(V: VertexAlgebra, W: VAModule, psi: TwoCochain):
@@ -368,9 +365,7 @@ def residual_items(V: VertexAlgebra, W: VAModule, psi: TwoCochain):
     of weight cutoff + 1 and always breach.  Linearity in psi holds because
     the fiber squares to zero.
     """
-    from .axioms import (_gen_creation, _gen_identity, _gen_jacobi, _gen_skew,
-                         _gen_translation, translation_map)
-    from .extensions import build_extension
+    from .extensions import build_extension     # extensions imports this module
 
     ext = build_extension(V, W, psi)
     total = ext.total
@@ -475,7 +470,7 @@ def compute_h2(V: VertexAlgebra, W: VAModule) -> CohomologyResult:
     """
     slots = cochain_slots(V, W)
     columns: dict = {uid: {} for uid in _delta_unknowns(V, W)}
-    for slot, (row, _tag) in zip(slots, derivation_system(V, W)):
+    for row, slot in derivation_system(V, W):
         for uid, c in row.items():
             columns[uid][slot] = c
     picked = Echelon(slots)
@@ -524,13 +519,10 @@ def is_coboundary(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> GradedMap |
     verified them runs the cocycle pass itself where the difference matters.
     """
     psi_slots = psi.slots()
-    rows = ((row, psi_slots.get(slot, 0), tag)
-            for slot, (row, tag) in zip(cochain_slots(V, W), derivation_system(V, W)))
+    rows = ((row, psi_slots.get(slot, 0), slot) for row, slot in derivation_system(V, W))
     solution = solve_affine(_delta_unknowns(V, W), rows)
     if solution is not None:
-        gmap = GradedMap(V.space, W.space, 0)
-        for (_f, src, tgt), c in solution.items():
-            gmap.set_entry(tgt, src, c)
+        gmap = _as_map(V, W, solution)
         if not gmap.column(V.vacuum):
             return gmap
     _require_cocycle(V, W, psi)

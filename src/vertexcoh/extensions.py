@@ -37,6 +37,7 @@ from .cohomology import (
     is_coboundary,
     right_action,
 )
+from .presets import adjoint_module
 from .scalars import JetScalar
 from .spaces import (
     GradedMap,
@@ -259,8 +260,6 @@ def build_deformation(V: VertexAlgebra, psi: TwoCochain) -> Deformation:
 
 def deformation_to_extension(defm: Deformation) -> SquareZeroExtension:
     """The same first-order data repackaged as an extension by the adjoint module."""
-    from .presets import adjoint_module
-
     return build_extension(defm.base, adjoint_module(defm.base), defm.psi)
 
 

@@ -19,6 +19,7 @@ entries above it, which is what the "truncated" tier expresses.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from .axioms import check_all, translation_map
 from .scalars import binom, exact, inv_factorial
 from .spaces import (
     GradedSpace,
+    ModeFamily,
     VAModule,
     VertexAlgebra,
     build_vertex_algebra,
@@ -170,13 +172,7 @@ def from_commutative_algebra(spec: CommDiffAlgebraSpec) -> VertexAlgebra:
 # the truncated free boson
 # ---------------------------------------------------------------------------
 
-_BOSON_CACHE: dict[tuple, dict[tuple, int]] = {}
-
-
-def _add_part(part: tuple[int, ...], m: int) -> tuple[int, ...]:
-    return tuple(sorted(part + (m,), reverse=True))
-
-
+@functools.cache
 def _boson_mode(u: tuple[int, ...], n: int, w: tuple[int, ...]) -> dict[tuple, int]:
     """u_n w in the full rank-one Fock space, partitions as oscillator monomials.
 
@@ -187,38 +183,28 @@ def _boson_mode(u: tuple[int, ...], n: int, w: tuple[int, ...]) -> dict[tuple, i
 
     with the level-one commutation rules: a_i removes one part i with factor
     i * multiplicity, a_{-k-i} adds a part, and vacuum_n w = delta_{n,-1} w.
+    Results are cached; callers only read them.
     """
-    key = (u, n, w)
-    cached = _BOSON_CACHE.get(key)
-    if cached is not None:
-        return cached
     if not u:
-        result = {w: 1} if n == -1 else {}
-    else:
-        k = u[0]
-        v = u[1:]
-        acc: dict[tuple, int] = {}
-        imax = sum(v) + sum(w) - n - 1          # below this, v_{n+i} w dies
-        for i in range(0, imax + 1):
-            c = binom(-k, i) * (1 if i % 2 == 0 else -1)
-            inner = _boson_mode(v, n + i, w)
-            if not inner:
-                continue
-            for part, coeff in inner.items():
-                newpart = _add_part(part, k + i)
-                acc[newpart] = acc.get(newpart, 0) + c * coeff
-        outer_sign = 1 if k % 2 else -1         # the -(-1)^k prefactor
-        for i in sorted(set(w)):
-            idx = w.index(i)
-            down = w[:idx] + w[idx + 1:]
-            factor = i * w.count(i)
-            c = outer_sign * binom(-k, i) * (1 if i % 2 == 0 else -1) * factor
-            inner = _boson_mode(v, n - k - i, down)
-            for part, coeff in inner.items():
-                acc[part] = acc.get(part, 0) + c * coeff
-        result = {p: c for p, c in acc.items() if c}
-    _BOSON_CACHE[key] = result
-    return result
+        return {w: 1} if n == -1 else {}
+    k = u[0]
+    v = u[1:]
+    acc: dict[tuple, int] = {}
+    imax = sum(v) + sum(w) - n - 1          # below this, v_{n+i} w dies
+    for i in range(0, imax + 1):
+        c = binom(-k, i) * (1 if i % 2 == 0 else -1)
+        for part, coeff in _boson_mode(v, n + i, w).items():
+            newpart = tuple(sorted(part + (k + i,), reverse=True))
+            acc[newpart] = acc.get(newpart, 0) + c * coeff
+    outer_sign = 1 if k % 2 else -1         # the -(-1)^k prefactor
+    for i in sorted(set(w)):
+        idx = w.index(i)
+        down = w[:idx] + w[idx + 1:]
+        factor = i * w.count(i)
+        c = outer_sign * binom(-k, i) * (1 if i % 2 == 0 else -1) * factor
+        for part, coeff in _boson_mode(v, n - k - i, down).items():
+            acc[part] = acc.get(part, 0) + c * coeff
+    return {p: c for p, c in acc.items() if c}
 
 
 def boson_label(part: tuple[int, ...]) -> str:
@@ -251,14 +237,12 @@ def truncated_free_boson(cutoff: int = 4) -> VertexAlgebra:
         [(boson_label(p), sum(p)) for p in parts],
         tier="truncated", cutoff=cutoff, min_weight=0,
     )
-    entries: dict[tuple[str, int, str], dict[str, int]] = {}
-    for a, n, b in mode_triples(space, space, space):   # space index i is parts[i]
+    index = {p: i for i, p in enumerate(parts)}          # space index i is parts[i]
+    Y = ModeFamily(space, space, space)
+    for a, n, b in mode_triples(space, space, space):
         vec = _boson_mode(parts[a], n, parts[b])
-        if vec:
-            entries[(space.label_of(a), n, space.label_of(b))] = {
-                boson_label(p): c for p, c in vec.items()
-            }
-    return build_vertex_algebra(space, "one", entries)
+        Y.set_entry(a, n, b, {index[p]: c for p, c in vec.items()})
+    return VertexAlgebra(space, index[()], Y)
 
 
 # ---------------------------------------------------------------------------

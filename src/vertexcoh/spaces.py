@@ -122,11 +122,10 @@ class GradedSpace:
         self.min_weight: int = lo if min_weight is None else min_weight
         self.cutoff: int = hi if cutoff is None else cutoff
         self.tier = tier
-        if self.weights and not (self.min_weight <= lo and hi <= self.cutoff):
-            raise ValueError(
-                f"weights range over [{lo}, {hi}], outside "
-                f"[{self.min_weight}, {self.cutoff}]"
-            )
+        if self.weights and hi > self.cutoff:
+            raise ValueError(f"weight {hi} is above the cutoff {self.cutoff}")
+        if self.weights and lo < self.min_weight:
+            raise ValueError(f"weight {lo} is below the bottom weight {self.min_weight}")
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .cohomology import TwoCochain
 from .scalars import format_rational, parse_rational
 from .spaces import (
     GradedMap,
@@ -435,10 +436,8 @@ def to_module(spec: SpecFile, V: VertexAlgebra) -> VAModule:
     return VAModule(wsp, Y_W, T_W)
 
 
-def to_cochain(spec: SpecFile, V: VertexAlgebra, W: VAModule):
+def to_cochain(spec: SpecFile, V: VertexAlgebra, W: VAModule) -> TwoCochain:
     """Build the 2-cochain in the PSI section, valued in W."""
-    from .cohomology import TwoCochain
-
     entries = dict(_labeled(spec.psi, V.space, V.space, W.space, "psi"))
     return TwoCochain.from_entries(V, W, entries)
 

@@ -142,6 +142,40 @@ def test_derivation_system_covers_every_checked_slot():
                for row, _tag in rows for c in row.values())
 
 
+# every exact preset at its own cutoff and at 3, and small boson windows
+SLOT_SETTINGS = ([(p, c) for p in EXACT_PRESETS for c in (None, 3)]
+                 + [("free-boson", c) for c in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("name, cutoff", SLOT_SETTINGS)
+def test_derivation_rows_are_tagged_with_their_slots(name, cutoff):
+    # the readers take each row's slot from its tag, so the tags must list
+    # the cochain slots in order
+    V, W = _setting(name, cutoff)
+    assert [slot for _row, slot in derivation_system(V, W)] == cochain_slots(V, W)
+
+
+def _reference_vacuum_killing_basis(V, W):
+    """vacuum_killing_basis's former loop, the reference."""
+    basis = []
+    for v in range(len(V.space)):
+        if v == V.vacuum:
+            continue
+        for t in W.space.by_weight.get(V.space.weight_of(v), ()):
+            gmap = GradedMap(V.space, W.space, 0)
+            gmap.set_entry(t, v, 1)
+            basis.append(gmap)
+    return basis
+
+
+@pytest.mark.parametrize("name, cutoff", SLOT_SETTINGS)
+def test_vacuum_killing_basis_equals_the_reference_loop(name, cutoff):
+    V, W = _setting(name, cutoff)
+    got = vacuum_killing_basis(V, W)
+    assert got == _reference_vacuum_killing_basis(V, W)      # same maps, same order
+    assert all(type(c) is int for g in got for _s, _t, c in g.items_sorted())
+
+
 @pytest.mark.parametrize("name, cutoff",
                          [(p, None) for p in EXACT_PRESETS] + [("free-boson", 3)])
 def test_right_action_of_the_adjoint_module_is_the_mode_table(name, cutoff):
@@ -310,9 +344,7 @@ def test_coboundary_hand_value_and_vacuum_guard():
         coboundary(V, W, GradedMap(sp, sp, 1))        # wrong degree
 
 
-@pytest.mark.parametrize("name, cutoff",
-                         [(p, None) for p in EXACT_PRESETS]
-                         + [("free-boson", c) for c in (1, 2, 3)])
+@pytest.mark.parametrize("name, cutoff", SLOT_SETTINGS)
 def test_coboundary_is_the_defining_formula(name, cutoff):
     # delta g (u, n, v) = -g(u_n v) + g(u)_n v + u_n g(v), term by term
     V, W = _setting(name, cutoff)

@@ -53,10 +53,15 @@ def test_graded_space_sorts_by_weight_and_keeps_input_order_within_weight():
 def test_graded_space_rejects_duplicates_and_bad_bounds():
     with pytest.raises(ValueError):
         GradedSpace([("a", 0), ("a", 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight 3 is above the cutoff 2$"):
         GradedSpace([("a", 0), ("b", 3)], cutoff=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight 0 is below the bottom weight 1$"):
         GradedSpace([("a", 0)], min_weight=1)
+    # an inferred bottom weight above the cutoff names the weight, not an empty range
+    with pytest.raises(ValueError, match=r"^weight 5 is above the cutoff 2$"):
+        GradedSpace([("m", 5)], tier="truncated", cutoff=2)
+    # an empty space has no weight to break either bound
+    assert len(GradedSpace([], cutoff=2, min_weight=3)) == 0
     with pytest.raises(ValueError):
         GradedSpace([("a", 0)], tier="approximate")
 

@@ -346,6 +346,18 @@ def test_cli_cutoff_rules(tmp_path, capsys):
     assert main(["check", "--preset", "free-boson", "--cutoff", "-1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "h1", "h2"])
+def test_cli_module_above_the_cutoff_names_its_weight(command, tmp_path, capsys):
+    # the module's bottom weight, read off its basis, lies above the cutoff
+    mod = tmp_path / "mod.txt"
+    mod.write_text("[MODULE_BASIS]\nm 5\n[TW]\n")
+    assert main([command, "--preset", "free-boson", "--cutoff", "2",
+                 "--module", str(mod)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weight 5 is above the cutoff 2\n"
+
+
 def test_cli_dump_preset_round_trips(capsys, tmp_path):
     assert main(["dump-preset", "graded-nilpotent"]) == 0
     text = capsys.readouterr().out
