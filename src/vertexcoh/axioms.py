@@ -135,8 +135,9 @@ class AxiomReport:
         )
 
 
-def _record(report: AxiomReport, space, generator) -> None:
-    """Drain an instance generator into a report, labeling residuals.
+def _record(report: AxiomReport | None, space, generator) -> AxiomReport:
+    """Drain an instance generator into a report, a new one if ``report`` is
+    None, labeling residuals; returns the report.
 
     The generator yields (axiom, instance, result) where result is a residual
     vector (empty = passed) or a TruncationBreach (skipped); a breach's
@@ -147,6 +148,7 @@ def _record(report: AxiomReport, space, generator) -> None:
     skips of one offending weight share one immutable reason tuple, so the
     list does not hold a copy per skip.
     """
+    report = report if report is not None else AxiomReport()
     failed = report.failed.append
     passes, skips = report.passed.counts, report.skipped.counts
     listed = report.skipped_instances
@@ -165,6 +167,7 @@ def _record(report: AxiomReport, space, generator) -> None:
             failed((axiom, inst, space.describe(result)))
         else:
             passes[axiom] = passes.get(axiom, 0) + 1
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -432,29 +435,22 @@ def _gen_grading(V: VertexAlgebra):
 
 def check_identity(V: VertexAlgebra, report: AxiomReport | None = None) -> AxiomReport:
     """vacuum_n v = v when n = -1 and 0 otherwise, across the window."""
-    report = report if report is not None else AxiomReport()
-    _record(report, V.space, _gen_identity(V.Y, V.vacuum))
-    return report
+    return _record(report, V.space, _gen_identity(V.Y, V.vacuum))
 
 
 def check_creation(V: VertexAlgebra, report: AxiomReport | None = None) -> AxiomReport:
     """v_n vacuum = 0 for n >= 0 and v_{-1} vacuum = v."""
-    report = report if report is not None else AxiomReport()
-    _record(report, V.space, _gen_creation(V))
-    return report
+    return _record(report, V.space, _gen_creation(V))
 
 
-def check_translation(V: VertexAlgebra, report: AxiomReport | None = None,
-                      tmap: GradedMap | None = None) -> AxiomReport:
+def check_translation(V: VertexAlgebra, report: AxiomReport | None = None) -> AxiomReport:
     """Both translation compatibilities against the mode-derived T.
 
     Instances needing T on top-weight states of a truncated algebra are
     skipped — those are the natural in-window truncation skips.
     """
-    report = report if report is not None else AxiomReport()
-    tmap = tmap if tmap is not None else translation_map(V)
-    _record(report, V.space, _gen_translation(V.Y, tmap, tmap))
-    return report
+    tmap = translation_map(V)
+    return _record(report, V.space, _gen_translation(V.Y, tmap, tmap))
 
 
 def _fringe(space) -> int:
@@ -462,20 +458,14 @@ def _fringe(space) -> int:
     return 1 if space.tier == "truncated" else 0
 
 
-def check_skew_symmetry(V: VertexAlgebra, report: AxiomReport | None = None,
-                        tmap: GradedMap | None = None) -> AxiomReport:
+def check_skew_symmetry(V: VertexAlgebra, report: AxiomReport | None = None) -> AxiomReport:
     """u_n v agrees with the skew expansion of v acting back on u."""
-    report = report if report is not None else AxiomReport()
-    tmap = tmap if tmap is not None else translation_map(V)
-    _record(report, V.space, _gen_skew(V, tmap, _fringe(V.space)))
-    return report
+    return _record(report, V.space, _gen_skew(V, translation_map(V), _fringe(V.space)))
 
 
 def check_jacobi(V: VertexAlgebra, report: AxiomReport | None = None) -> AxiomReport:
     """The component identity over its finite window (plus fringe when truncated)."""
-    report = report if report is not None else AxiomReport()
-    _record(report, V.space, _gen_jacobi(V.Y, V.Y, _fringe(V.space)))
-    return report
+    return _record(report, V.space, _gen_jacobi(V.Y, V.Y, _fringe(V.space)))
 
 
 def check_all(V: VertexAlgebra, detail: bool = False) -> AxiomReport:
@@ -486,15 +476,12 @@ def check_all(V: VertexAlgebra, detail: bool = False) -> AxiomReport:
     creation instances rather than an exception.  The report counts passes
     and skips; ``detail`` also lists the skips.
     """
-    report = AxiomReport(detail)
-    _record(report, V.space, _gen_grading(V))
+    report = _record(AxiomReport(detail), V.space, _gen_grading(V))
     check_identity(V, report)
     check_creation(V, report)
-    tmap = translation_map(V)
-    check_translation(V, report, tmap)
-    check_skew_symmetry(V, report, tmap)
-    check_jacobi(V, report)
-    return report
+    check_translation(V, report)
+    check_skew_symmetry(V, report)
+    return check_jacobi(V, report)
 
 
 def check_module(V: VertexAlgebra, W: VAModule,
@@ -506,10 +493,9 @@ def check_module(V: VertexAlgebra, W: VAModule,
     result weights, the algebra's cutoff for algebra-side intermediates.  The
     skips are listed if the report lists them.
     """
-    report = report if report is not None else AxiomReport()
     wsp = W.space
-    _record(report, wsp, _gen_identity(W.Y_W, V.vacuum, "module-identity"))
+    report = _record(report, wsp, _gen_identity(W.Y_W, V.vacuum, "module-identity"))
     _record(report, wsp, _gen_translation(W.Y_W, translation_map(V), W.T_W,
                                           "module-translation"))
-    _record(report, wsp, _gen_jacobi(V.Y, W.Y_W, _fringe(wsp), axiom="module-jacobi"))
-    return report
+    return _record(report, wsp,
+                   _gen_jacobi(V.Y, W.Y_W, _fringe(wsp), axiom="module-jacobi"))

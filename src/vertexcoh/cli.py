@@ -174,17 +174,17 @@ def _skip_texts(items):
 
 
 def _map_data(g: GradedMap) -> dict:
-    src, tgt = g.source, g.target
-    out: dict = {}
-    for s in sorted(g.columns):
-        col = g.columns[s]
-        out[src.label_of(s)] = _coeffs({tgt.label_of(t): col[t] for t in sorted(col)})
-    return out
+    return {g.source.label_of(s): _coeffs(g.target.describe(g.columns[s]))
+            for s in sorted(g.columns)}
 
 
 def _cochain_data(psi: TwoCochain) -> dict:
     return {f"{u} {n} {v}": _coeffs(vec)
             for (u, n, v), vec in psi.entries_by_labels().items()}
+
+
+def _window_suffix(window: str | None) -> str:
+    return f" (window {window})" if window else ""
 
 
 def _write_file(path: str, text: str) -> None:
@@ -385,44 +385,34 @@ def _cmd_h1(args, started: float) -> int:
     V, sources = _load_algebra(args)
     W = _load_module(args, V, sources)
     res = compute_der(V, W)
-
-    def data():
-        return {
-            "h1_dim": res.h_dim,
-            "window": res.window,
-            "basis": [_map_data(g) for g in res.representative_classes],
-        }
-
-    lines = [f"h1 dimension: {res.h_dim}"
-             + (f" (window {res.window})" if res.window else "")]
-    for i, g in enumerate(res.representative_classes):
-        lines.append(f"derivation {i}: {_map_data(g)}")
-    return _emit(args, "h1", sources, "computed", 0, data, lines, started)
+    data = {
+        "h1_dim": res.h_dim,
+        "window": res.window,
+        "basis": [_map_data(g) for g in res.representative_classes],
+    }
+    lines = [f"h1 dimension: {data['h1_dim']}{_window_suffix(data['window'])}"]
+    lines += [f"derivation {i}: {g}" for i, g in enumerate(data["basis"])]
+    return _emit(args, "h1", sources, "computed", 0, lambda: data, lines, started)
 
 
 def _cmd_h2(args, started: float) -> int:
     V, sources = _load_algebra(args)
     W = _load_module(args, V, sources)
     res = compute_h2(V, W)
-
-    def data():
-        return {
-            "z2_dim": len(res.cocycle_basis),
-            "b2_dim": len(res.coboundary_basis),
-            "h2_dim": res.h_dim,
-            "window": res.window,
-            "representatives": [_cochain_data(p) for p in res.representative_classes],
-        }
-
+    data = {
+        "z2_dim": len(res.cocycle_basis),
+        "b2_dim": len(res.coboundary_basis),
+        "h2_dim": res.h_dim,
+        "window": res.window,
+        "representatives": [_cochain_data(p) for p in res.representative_classes],
+    }
     lines = [
-        f"z2 dimension: {len(res.cocycle_basis)}",
-        f"b2 dimension: {len(res.coboundary_basis)}",
-        f"h2 dimension: {res.h_dim}"
-        + (f" (window {res.window})" if res.window else ""),
+        f"z2 dimension: {data['z2_dim']}",
+        f"b2 dimension: {data['b2_dim']}",
+        f"h2 dimension: {data['h2_dim']}{_window_suffix(data['window'])}",
     ]
-    for i, p in enumerate(res.representative_classes):
-        lines.append(f"class {i}: {_cochain_data(p)}")
-    return _emit(args, "h2", sources, "computed", 0, data, lines, started)
+    lines += [f"class {i}: {p}" for i, p in enumerate(data["representatives"])]
+    return _emit(args, "h2", sources, "computed", 0, lambda: data, lines, started)
 
 
 def _cmd_extend(args, started: float) -> int:
@@ -483,14 +473,10 @@ def _cmd_equiv(args, started: float) -> int:
                  "but not a coboundary"]
         return _emit(args, "equiv", sources, "inequivalent", 1,
                      lambda: {"equivalent": False}, lines, started)
-
-    def data():
-        return {"equivalent": True, "kind": res.kind, "note": res.note,
-                "shear": _map_data(res.g)}
-
-    lines = [f"equivalent ({res.kind}): {res.note}",
-             f"shear: {_map_data(res.g)}"]
-    return _emit(args, "equiv", sources, "equivalent", 0, data, lines, started)
+    data = {"equivalent": True, "kind": res.kind, "note": res.note,
+            "shear": _map_data(res.g)}
+    lines = [f"equivalent ({data['kind']}): {data['note']}", f"shear: {data['shear']}"]
+    return _emit(args, "equiv", sources, "equivalent", 0, lambda: data, lines, started)
 
 
 def _cmd_dump_preset(args, started: float) -> int:

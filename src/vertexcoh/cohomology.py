@@ -6,7 +6,7 @@ coboundary on degree-zero maps f: V -> W,
     (delta f)(u, n, v) = -f(u_n v) + f(u)_n v + u_n f(v),
 
 where f(u)_n v is a module element acting back on the algebra through
-skew-symmetry (``right_action``).  ``derivation_system`` is its one form: a
+skew-symmetry (``_right_lookup``).  ``derivation_system`` is its one form: a
 stream of rows, one per cochain slot and tagged with that slot, each built as
 it is drawn.  Four readers draw it once each, and each reads a row's slot off
 its tag.  Its kernel is H1, the derivations
@@ -234,22 +234,6 @@ def _right_lookup(W: VAModule):
     lifetime; callers only read the returned vectors.
     """
     return functools.cache(lambda w, n, v: skew_mode(W, {w: 1}, n, {v: 1}))
-
-
-def right_action(W: VAModule) -> dict[tuple[int, int, int], dict]:
-    """{(w, n, v): w_n v} by skew-symmetry, nonzero values only.
-
-    Covers every module basis w, algebra basis v and mode n in W's window,
-    so it is all the right action any window needs.
-    """
-    wsp = W.space
-    right = _right_lookup(W)
-    table = {}
-    for w, n, v in mode_triples(wsp, W.algebra_space, wsp):
-        vec = right(w, n, v)
-        if vec:
-            table[(w, n, v)] = vec
-    return table
 
 
 def _delta_unknowns(V: VertexAlgebra, W: VAModule) -> list[tuple[str, int, int]]:

@@ -35,7 +35,6 @@ from .cohomology import (
     TwoCochain,
     _require_cocycle,
     is_coboundary,
-    right_action,
 )
 from .presets import adjoint_module
 from .scalars import JetScalar
@@ -47,7 +46,7 @@ from .spaces import (
     VertexAlgebra,
     mode_apply,
     mode_triples,
-    skew_mode,  # unused; perfbench/tracer.py wraps extensions.skew_mode
+    skew_mode,
     viadd,
     vsub,
 )
@@ -131,8 +130,10 @@ def build_extension(V: VertexAlgebra, W: VAModule, psi: TwoCochain) -> SquareZer
     for u, n, w, vec in W.Y_W.iter_entries():
         Y_total.set_entry(v_to_total[u], n, w_to_total[w], lift_w(vec))
     # fiber x base: forced by skew-symmetry from the module action
-    for (w, n, v), vec in right_action(W).items():
-        Y_total.set_entry(w_to_total[w], n, v_to_total[v], lift_w(vec))
+    for w, n, v in mode_triples(wsp, vsp, wsp):
+        vec = skew_mode(W, {w: 1}, n, {v: 1})
+        if vec:
+            Y_total.set_entry(w_to_total[w], n, v_to_total[v], lift_w(vec))
     # fiber x fiber: nothing — that is what square-zero means
 
     total = VertexAlgebra(total_space, v_to_total[V.vacuum], Y_total)
@@ -202,9 +203,7 @@ def verify_extension(ext: SquareZeroExtension, detail: bool = False) -> AxiomRep
     build_extension refuses a module reaching above a truncated base's
     cutoff.  ``detail`` lists the skips, as in check_all.
     """
-    report = check_all(ext.total, detail)
-    _record(report, ext.total.space, _gen_structure(ext))
-    return report
+    return _record(check_all(ext.total, detail), ext.total.space, _gen_structure(ext))
 
 
 def extension_to_cocycle(ext: SquareZeroExtension) -> TwoCochain:

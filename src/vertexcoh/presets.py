@@ -214,7 +214,7 @@ def boson_label(part: tuple[int, ...]) -> str:
     return "a" + ".".join(str(p) for p in part)
 
 
-def truncated_free_boson(cutoff: int = 4) -> VertexAlgebra:
+def truncated_free_boson(cutoff: int) -> VertexAlgebra:
     """The rank-one free boson with states of weight <= cutoff (truncated tier).
 
     Basis: all partitions of total size <= cutoff; modes from the

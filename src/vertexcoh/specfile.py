@@ -84,7 +84,11 @@ class ParseError(Exception):
 
 @dataclass
 class SpecFile:
-    """Parsed file contents; converters below turn these into live objects."""
+    """Parsed file contents; converters below turn these into live objects.
+
+    ``sections`` names the section headers a parsed file held, empty ones
+    included; a SpecFile built in code leaves it empty.
+    """
 
     tier: str = "exact"
     cutoff: int | None = None
@@ -96,6 +100,7 @@ class SpecFile:
     module_modes: tuple[tuple[str, int, str, Terms], ...] = ()
     tw: tuple[tuple[str, Terms], ...] = ()
     psi: tuple[tuple[str, int, str, Terms], ...] = ()
+    sections: frozenset[str] = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,7 @@ def _check_slots(rows: Sequence, linenos: Sequence[int], sec: _RowSection,
 
 
 def _assemble(raw: dict, linenos: dict, header_line: dict) -> SpecFile:
-    spec = SpecFile()
+    spec = SpecFile(sections=frozenset(raw))
     if "WEIGHTS" in raw:
         dims = []
         tier = cutoff = None
@@ -419,8 +424,9 @@ def to_algebra(spec: SpecFile) -> VertexAlgebra:
 
 
 def to_module(spec: SpecFile, V: VertexAlgebra) -> VAModule:
-    """Build the module over V described by the MODULE_* and TW sections."""
-    if not spec.module_basis:
+    """Build the module over V described by the MODULE_* and TW sections;
+    an empty [MODULE_BASIS] describes the zero module."""
+    if not spec.module_basis and "MODULE_BASIS" not in spec.sections:
         raise ValueError("file does not describe a module (missing MODULE_BASIS)")
     vsp = V.space
     wsp = GradedSpace(

@@ -37,6 +37,7 @@ def install(monkeypatch):
     record = axioms._record
 
     def listing_record(report, space, generator):
+        report = report if report is not None else AxiomReport()
         passed, skipped = drained.setdefault(report, ([], []))
 
         def listed():
@@ -49,7 +50,7 @@ def install(monkeypatch):
                     passed.append((axiom, inst))
                 yield axiom, inst, result
 
-        record(report, space, listed())
+        return record(report, space, listed())
 
     monkeypatch.setattr(axioms, "_record", listing_record)
     monkeypatch.setattr(extensions, "_record", listing_record)

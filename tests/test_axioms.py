@@ -356,6 +356,42 @@ def test_check_module_on_adjoint_counts_match_check_all(name, cutoff):
             assert mod.get((f"module-{axiom}", kind), 0) == alg.get((axiom, kind), 0)
 
 
+# the axioms each public fragment enumerates, in check_all's order
+FRAGMENT_AXIOMS = {
+    check_identity: ("identity",),
+    check_creation: ("creation",),
+    check_translation: ("translation-shift", "translation-bracket"),
+    check_skew_symmetry: ("skew-symmetry",),
+    check_jacobi: ("jacobi",),
+}
+
+
+def _lawful_or_broken(name, cutoff):
+    if name != "broken-dual-numbers":
+        return build_preset(name, cutoff)
+    V = build_preset("dual-numbers")
+    table = V.entries_by_labels()
+    table[("eps", -1, "one")] = {"eps": F(2)}    # should be 1*eps
+    return _rebuild_with(V, table)
+
+
+@pytest.mark.parametrize("name, cutoff",
+                         [(p, None) for p in EXACT_PRESETS]
+                         + [("free-boson", c) for c in (2, 3)]
+                         + [("broken-dual-numbers", None)])
+def test_each_fragment_alone_counts_its_share_of_check_all(name, cutoff):
+    # handed no report, a fragment makes its own and derives T itself
+    V = _lawful_or_broken(name, cutoff)
+    full = _tally(check_all(V))
+    for check, axioms in FRAGMENT_AXIOMS.items():
+        share = Counter({key: n for key, n in full.items() if key[0] in axioms})
+        assert _tally(check(V)) == share, (name, check.__name__)
+    if name == "broken-dual-numbers":
+        assert sum(n for (_a, kind), n in full.items() if kind == "failed") == 5
+    if name == "free-boson":
+        assert any(kind == "skipped" for _a, kind in full)
+
+
 def test_check_module_catches_broken_action():
     from vertexcoh.spaces import GradedMap, ModeFamily, VAModule
 

@@ -21,10 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vertexcoh"
 # Imports that only the benchmark reads: perfbench/tracer.py wraps these names
 # on the importing module.  The next change to the benchmark wraps them at
 # their home module and drops them here and in the source.
-READ_ONLY_BY_BENCHMARK = {
-    ("extensions", "skew_mode"),
-    ("cohomology", "quotient_dim"),
-}
+READ_ONLY_BY_BENCHMARK = {("cohomology", "quotient_dim")}
 
 
 # (module, function, imported module) of each function-level package import,

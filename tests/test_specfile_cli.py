@@ -14,8 +14,9 @@ import pytest
 import oracles as orc
 import vertexcoh
 from vertexcoh.cli import main
-from vertexcoh.cohomology import TwoCochain
-from vertexcoh.axioms import translation_map
+from vertexcoh.cohomology import TwoCochain, compute_der, compute_h2
+from vertexcoh.axioms import check_module, translation_map
+from vertexcoh.extensions import build_extension, verify_extension
 from vertexcoh.presets import PRESETS, adjoint_module, build_preset
 from vertexcoh.spaces import VAModule
 from vertexcoh.specfile import (
@@ -643,3 +644,84 @@ def test_cli_exits_quietly_when_stdout_closes_amid_the_skipped_instances():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# ---------------------------------------------------------------------------
+# the zero module: a file whose [MODULE_BASIS] is empty
+# ---------------------------------------------------------------------------
+
+ZERO_MODULE = "[MODULE_BASIS]\n[TW]\n"
+
+
+@pytest.mark.parametrize("name, cutoff", [("dual-numbers", None),
+                                          ("graded-nilpotent", None),
+                                          ("free-boson", 2)])
+def test_an_empty_module_basis_is_the_zero_module(name, cutoff):
+    V = build_preset(name, cutoff)
+    spec = parse_spec(ZERO_MODULE)
+    assert spec.sections == {"MODULE_BASIS", "TW"} and spec.module_basis == ()
+    W = to_module(spec, V)
+    assert len(W.space) == 0
+    assert check_module(V, W).verdict == "pass"
+    assert compute_der(V, W).h_dim == 0
+    h2 = compute_h2(V, W)
+    assert (len(h2.cocycle_basis), len(h2.coboundary_basis), h2.h_dim) == (0, 0, 0)
+    ext = build_extension(V, W, TwoCochain.zero(V, W))
+    assert verify_extension(ext).verdict != "fail"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["check", "--preset", "dual-numbers"], "verdict: pass"),
+    (["h1", "--preset", "dual-numbers"], "h1 dimension: 0"),
+    (["h2", "--preset", "dual-numbers"], "h2 dimension: 0"),
+    (["h2", "--preset", "free-boson", "--cutoff", "2"], "h2 dimension: 0 (window level-2)"),
+    (["extend", "--preset", "dual-numbers"], "verdict: pass"),
+], ids=["check", "h1", "h2", "h2-boson-2", "extend"])
+def test_cli_reads_an_empty_module_basis_as_the_zero_module(argv, line, tmp_path, capsys):
+    mod = tmp_path / "zero.txt"
+    mod.write_text(ZERO_MODULE)
+    assert main([*argv, "--module", str(mod)]) == 0
+    captured = capsys.readouterr()
+    assert line in captured.out.splitlines() and captured.err == ""
+
+
+def test_cli_a_module_file_without_a_module_basis_header_exits_two(tmp_path, capsys):
+    mod = tmp_path / "no-module.txt"
+    mod.write_text("[TW]\n")
+    assert main(["check", "--preset", "dual-numbers", "--module", str(mod)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: file does not describe a module (missing MODULE_BASIS)\n")
+
+
+# ---------------------------------------------------------------------------
+# command line: refusals before any computation
+# ---------------------------------------------------------------------------
+
+# the dual numbers with eps_{-1} one = 2 eps: creation, skew-symmetry and
+# Jacobi fail, so the algebra has no adjoint module
+BROKEN_DUAL = ("[BASIS]\none 0\neps 0\n[VACUUM]\none\n[MODES]\n"
+               "one -1 one -> 1*one\none -1 eps -> 1*eps\neps -1 one -> 2*eps\n")
+NO_ADJOINT = ("failure: cannot take the adjoint module: 5 axiom instance(s) "
+              "fail on the algebra itself\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["h1", "{alg}"], 1, NO_ADJOINT),
+    (["h2", "{alg}"], 1, NO_ADJOINT),
+    (["extend", "{alg}"], 1, NO_ADJOINT),
+    (["equiv", "{alg}", "--psi", "{psi}", "--psi2", "{psi}"], 1, NO_ADJOINT),
+    (["check", "{alg}", "--preset", "trivial"], 2,
+     "error: give an input file or --preset, not both\n"),
+    (["check"], 2, "error: an input file or --preset is required\n"),
+    (["equiv", "--preset", "dual-numbers", "--kind", "deformation", "--module", "{psi}",
+      "--psi", "{psi}", "--psi2", "{psi}"], 2,
+     "error: --kind deformation compares deformations of the algebra itself "
+     "and takes no --module\n"),
+], ids=["h1-broken", "h2-broken", "extend-broken", "equiv-broken", "file-and-preset",
+        "no-input", "deformation-with-module"])
+def test_cli_refusals_print_one_line_and_exit(argv, code, err, tmp_path, capsys):
+    alg, psi = tmp_path / "broken-dual.txt", tmp_path / "zero-psi.txt"
+    alg.write_text(BROKEN_DUAL)
+    psi.write_text("[PSI]\n")
+    assert main([a.format(alg=alg, psi=psi) for a in argv]) == code
+    assert capsys.readouterr() == ("", err)
