@@ -68,31 +68,43 @@ class Tally:
                         "detail=True to list the skips as skipped_instances")
 
 
-class InstanceRun:
-    """The Jacobi instances (u, v, w, p, q, r) for p in ``ps``, as one item.
+class JacobiBlock:
+    """The Jacobi instances (u, v, w, p, q, r) of one (u, v, w) that
+    ``_gen_jacobi`` does not evaluate, as one item.
 
-    ``_gen_jacobi`` yields a run in place of an instance where every p of a
-    range breaches at one weight, and a detail report keeps it whole in
-    ``skipped_instances``.  len() is the number of instances; iterating
-    gives the instance tuples in enumeration order.  Runs compare by
-    identity: compare their instances instead.
+    ``window`` is the ``_JacobiWindow`` of (wt u, wt v, wt w), shared by every
+    triple of those weights; its skips are this triple's skips.  ``derived``
+    is the number of passes found by Pascal's rule: window.n_later when the
+    first row passed, else 0.  A detail report keeps a block with skips
+    whole in ``skipped_instances``.  Blocks compare by identity: compare
+    what ``skips`` and ``passes`` give instead.
     """
 
-    __slots__ = ("lu", "lv", "lw", "ps", "q", "r")
+    __slots__ = ("lu", "lv", "lw", "window", "derived")
 
-    def __init__(self, lu, lv, lw, ps: range, q: int, r: int) -> None:
-        self.lu, self.lv, self.lw, self.ps, self.q, self.r = lu, lv, lw, ps, q, r
+    def __init__(self, lu, lv, lw, window: _JacobiWindow, derived: int) -> None:
+        self.lu, self.lv, self.lw = lu, lv, lw
+        self.window, self.derived = window, derived
 
-    def __len__(self) -> int:
-        return len(self.ps)
+    def skips(self):
+        """((lu, lv, lw, p, q, r), ("TruncationBreach", weight)) per skip, in
+        enumeration order."""
+        lu, lv, lw = self.lu, self.lv, self.lw
+        for ps, q, r, weight in self.window.skips:
+            reason = ("TruncationBreach", weight)
+            for p in ps:
+                yield (lu, lv, lw, p, q, r), reason
 
-    def __iter__(self):
-        lu, lv, lw, q, r = self.lu, self.lv, self.lw, self.q, self.r
-        return ((lu, lv, lw, p, q, r) for p in self.ps)
+    def passes(self):
+        """The instances passed by Pascal's rule, in enumeration order."""
+        lu, lv, lw = self.lu, self.lv, self.lw
+        for ps, q, r in self.window.later if self.derived else ():
+            for p in ps:
+                yield lu, lv, lw, p, q, r
 
     def __repr__(self) -> str:
-        return (f"InstanceRun({self.lu!r}, {self.lv!r}, {self.lw!r}, {self.ps!r}, "
-                f"q={self.q!r}, r={self.r!r})")
+        return (f"JacobiBlock({self.lu!r}, {self.lv!r}, {self.lw!r}, "
+                f"skips={sum(self.window.skip_counts.values())}, derived={self.derived})")
 
 
 class AxiomReport:
@@ -102,9 +114,9 @@ class AxiomReport:
     passed:            Tally keyed by axiom
     skipped:           Tally keyed by (axiom, offending weight)
     skipped_instances: [(axiom, instance, ("TruncationBreach", offending
-                       weight))] under detail=True, else None; an instance
-                       may be an InstanceRun, which stands for each of its
-                       instances in order and is kept whole
+                       weight))] under detail=True, else None; an item may
+                       be (axiom, JacobiBlock, None), which stands for each
+                       of the block's skips in order and is kept whole
     """
 
     def __init__(self, detail: bool = False) -> None:
@@ -140,13 +152,13 @@ def _record(report: AxiomReport | None, space, generator) -> AxiomReport:
     None, labeling residuals; returns the report.
 
     The generator yields (axiom, instance, result) where result is a residual
-    vector (empty = passed) or a TruncationBreach (skipped); a breach's
-    instance may be an InstanceRun, which stands for each of its instances.
-    Every pass adds one to its axiom's count and every skip one, or a run's
-    length, to its (axiom, offending weight) count.  A detail report also
-    lists each skip as the generator yielded it, a run as one item, and the
-    skips of one offending weight share one immutable reason tuple, so the
-    list does not hold a copy per skip.
+    vector (empty = passed) or a TruncationBreach (skipped), or (axiom,
+    JacobiBlock, {}).  Every pass adds one to its axiom's count and every
+    skip one to its (axiom, offending weight) count; a block adds its
+    derived passes and its window's skip counts.  A detail report also lists
+    each skip as the generator yielded it, a block with skips as one item,
+    and the skips of one offending weight share one immutable reason tuple,
+    so the list does not hold a copy per skip.
     """
     report = report if report is not None else AxiomReport()
     failed = report.failed.append
@@ -154,10 +166,18 @@ def _record(report: AxiomReport | None, space, generator) -> AxiomReport:
     listed = report.skipped_instances
     reasons: dict[int, tuple[str, int]] = {}
     for axiom, inst, result in generator:
-        if isinstance(result, TruncationBreach):
-            weight, run = result.weight, type(inst) is InstanceRun
+        if type(inst) is JacobiBlock:
+            if inst.derived:
+                passes[axiom] = passes.get(axiom, 0) + inst.derived
+            for weight, n in inst.window.skip_counts.items():
+                key = (axiom, weight)
+                skips[key] = skips.get(key, 0) + n
+            if listed is not None and inst.window.skips:
+                listed.append((axiom, inst, None))
+        elif isinstance(result, TruncationBreach):
+            weight = result.weight
             key = (axiom, weight)
-            skips[key] = skips.get(key, 0) + (len(inst) if run else 1)
+            skips[key] = skips.get(key, 0) + 1
             if listed is not None:
                 reason = reasons.get(weight)
                 if reason is None:
@@ -285,6 +305,61 @@ def _modes_by_pair(Y: ModeFamily) -> dict[tuple[int, int], dict[int, dict]]:
     return out
 
 
+class _JacobiWindow:
+    """The Jacobi instances of one weight triple, as runs (ps, q, r): the
+    instances (p, q, r) for p in the range ps.
+
+    first:       the in-window runs of the first r that has any
+    later:       the in-window runs of every later r
+    n_later:     the number of instances in ``later``
+    skips:       (ps, q, r, offending weight) runs of breaches
+    skip_counts: {offending weight: skips}
+
+    The runs are in enumeration order: r, then q, then p ascending.
+    """
+
+    __slots__ = ("first", "later", "n_later", "skips", "skip_counts")
+
+    def __init__(self, wu: int, wv: int, ww: int, vsp, wsp, fringe: int) -> None:
+        NV, NW = vsp.cutoff, wsp.cutoff
+        r_lo = mode_window(vsp, wu + wv, fringe).start
+        q_lo = mode_window(wsp, wv + ww, fringe).start
+        p_lo = mode_window(wsp, wu + ww, fringe).start
+        s_window = mode_window(wsp, wu + wv + ww - 1)
+        s_lo, s_hi = s_window.start, s_window.stop - 1
+        first, later, skips = self.first, self.later, self.skips = [], [], []
+        counts = self.skip_counts = {}
+        self.n_later = 0
+
+        def skip(ps: range, q: int, r: int, weight: int) -> None:
+            skips.append((ps, q, r, weight))
+            counts[weight] = counts.get(weight, 0) + len(ps)
+
+        # An instance breaches at the largest of the weights of u_r v, v_q w
+        # and u_p w that is above its cap; a weight at or below ``floor`` is
+        # above none.  u_p w is above W's cap exactly for p below p_in.
+        floor = min(NV, NW)
+        p_in = p_lo + fringe
+        for r in range(r_lo, s_hi - q_lo - p_lo + 1):
+            Ar = wu + wv - 1 - r
+            for q in range(q_lo, s_hi - p_lo - r + 1):
+                Aq = wv + ww - 1 - q
+                over = max(Ar if Ar > NV else floor, Aq if Aq > NW else floor)
+                ps = range(max(p_lo, s_lo - q - r), s_hi - q - r + 1)
+                for p in range(ps.start, min(p_in, ps.stop)):
+                    skip(range(p, p + 1), q, r, max(over, wu + ww - 1 - p))
+                ps = range(max(p_in, ps.start), ps.stop)
+                if not ps:
+                    continue
+                if over > floor:
+                    skip(ps, q, r, over)
+                elif not first or first[0][2] == r:
+                    first.append((ps, q, r))
+                else:
+                    later.append((ps, q, r))
+                    self.n_later += len(ps)
+
+
 def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, fringe: int, axiom: str = "jacobi"):
     """The component identity
 
@@ -295,42 +370,52 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, fringe: int, axiom: str = "ja
     with u, v in the algebra and w in the acted-on space (the algebra itself
     for the adjoint case).  Enumerates the finite window where every
     intermediate fits under its cutoff and the result weight is admissible,
-    plus the ``fringe`` weights above the cutoff, yielded as breaches.
+    plus the ``fringe`` weights above the cutoff, whose instances breach.
 
-    For fixed (u, v, w) write s = p + q + r.  With m the inner mode index,
-    the three sums read only the vectors
+    Which (p, q, r) are in the window, and at which weight the others
+    breach, depends on (wt u, wt v, wt w) alone: r, q and p start where the
+    mode windows of u_r v, v_q w and u_p w do, s = p + q + r runs over the
+    mode window at weight wt u + wt v + wt w - 1, which bounds the result,
+    and an instance breaches at the largest of the weights of u_r v, v_q w
+    and u_p w above its cutoff.  So each weight triple's ``_JacobiWindow``
+    is built once per call, in a dict local to the call, which cannot go
+    stale.
+
+    Write J(p, q, r) for the residual of one (u, v, w).  Splitting
+    C(p+1, i) = C(p, i) + C(p, i-1) in each of the three sums gives
+
+        J(p, q, r) = J(p+1, q, r-1) - J(p, q+1, r-1)
+
+    for any mode table over any commutative ring.  Both right-hand instances
+    of an in-window instance with r above the first row r1 are in the window:
+    r - 1 >= r1 only raises the weight of u_{r-1} v, which stays under V's
+    cutoff since row r1 is in the window; p + 1 and q + 1 only lower the
+    weights of u_p w and v_q w; and s is unchanged.  So, by induction on r,
+    if every residual of row r1 is zero, every residual of the triple is.
+    Row r1 is evaluated and yielded instance by instance.  If it is all
+    zero, the later rows are counted as passes without being evaluated;
+    otherwise each later instance is evaluated and yielded, in order, so
+    every failure and its residual come from direct evaluation.  One
+    (axiom, JacobiBlock, {}) item then stands for the triple's derived
+    passes and its skips; its empty result carries no residual.
+
+    An instance is evaluated from the vectors
 
         A = (u_m v)_{s-m} w,   B = u_{s-m}(v_m w),   C = v_{s-m}(u_m w),
 
-    which depend on (m, s) alone.  They are built once per (u, v, w) and s,
-    on first use, and each instance combines them with its binomial signs;
-    binomials are cached too.  The modes m of u_m v, v_m w and u_m w come
-    from a (u, v) -> {n: vector} lookup that ``_modes_by_pair`` builds from the
-    tables' entries once per call, one lookup serving both tables when they
-    are the same.  The loops over (r, q, p) are unchanged, so
-    instances come in the same order with the same residuals: the sums are
-    exact ring arithmetic, regrouped.  A breach depends on r, q and p
-    separately, so its weight is found without a per-instance list, and the
-    fringe shares one TruncationBreach per offending weight.  r, q and p
-    start where the mode windows of u_r v, v_q w and u_p w do; s runs over
-    the mode window at weight wt u + wt v + wt w - 1, which bounds the result.
-
-    When r or q alone already breaches, every p of the (r, q) row breaches
-    too, at that weight, except that the fringe's lowest p, p_lo, may reach
-    weight NW + 1 above it.  Such a row is yielded as at most two items: p_lo on its own when it
-    breaches higher, then one InstanceRun over the remaining p in place of
-    an instance.  The drain counts a run by its length, and a detail report
-    keeps it whole, so the fringe is not walked p by p.
+    m the inner mode index, which depend on (m, s) alone.  They are built
+    once per (u, v, w) and s, on first use, and each instance combines them
+    with its binomial signs; binomials are cached too.  The modes m of
+    u_m v, v_m w and u_m w come from a (u, v) -> {n: vector} lookup that
+    ``_modes_by_pair`` builds from the tables' entries once per call, one
+    lookup serving both tables when they are the same.
     """
     vsp = YV.left
     wsp = Y_act.right
-    NV, NW = vsp.cutoff, wsp.cutoff
     act = Y_act.entries.get
     act_pairs = _modes_by_pair(Y_act)
     v_pairs = act_pairs if YV is Y_act else _modes_by_pair(YV)
-    # below every cap: an intermediate weight above its cap is above this
-    floor = min(NV, NW)
-    breach_at = functools.cache(TruncationBreach)
+    windows: dict[tuple[int, int, int], _JacobiWindow] = {}
     choose = functools.cache(binom)
 
     def products(modes: dict, s: int, entry) -> list:
@@ -353,67 +438,56 @@ def _gen_jacobi(YV: ModeFamily, Y_act: ModeFamily, fringe: int, axiom: str = "ja
             wv = vsp.weight_of(v)
             lv = vsp.label_of(v)
             pm_uv = v_pairs.get((u, v), {})
-            r_lo = mode_window(vsp, wu + wv, fringe).start
             for w in range(len(wsp)):
                 ww = wsp.weight_of(w)
                 lw = wsp.label_of(w)
+                window = windows.get((wu, wv, ww))
+                if window is None:
+                    window = windows[wu, wv, ww] = _JacobiWindow(wu, wv, ww, vsp, wsp, fringe)
                 pm_vw = act_pairs.get((v, w), {})
                 pm_uw = act_pairs.get((u, w), {})
-                q_lo = mode_window(wsp, wv + ww, fringe).start
-                p_lo = mode_window(wsp, wu + ww, fringe).start
-                s_window = mode_window(wsp, wu + wv + ww - 1)
-                s_lo, s_hi = s_window.start, s_window.stop - 1
                 memo: dict[int, tuple[list, list, list]] = {}
-                for r in range(r_lo, s_hi - q_lo - p_lo + 1):
-                    Ar = wu + wv - 1 - r
-                    over_r = Ar if Ar > NV else floor
-                    for q in range(q_lo, s_hi - p_lo - r + 1):
-                        Aq = wv + ww - 1 - q
-                        over_rq = Aq if NW < Aq > over_r else over_r
-                        p_start, p_stop = max(p_lo, s_lo - q - r), s_hi - q - r + 1
-                        if over_rq > floor:
-                            Ap = wu + ww - 1 - p_start
-                            if p_start < p_stop and NW < Ap > over_rq:
-                                yield axiom, (lu, lv, lw, p_start, q, r), breach_at(Ap)
-                                p_start += 1
-                            if p_start < p_stop:
-                                run = InstanceRun(lu, lv, lw, range(p_start, p_stop), q, r)
-                                yield axiom, run, breach_at(over_rq)
-                            continue
-                        for p in range(p_start, p_stop):
-                            inst = (lu, lv, lw, p, q, r)
-                            Ap = wu + ww - 1 - p
-                            if NW < Ap > floor:
-                                yield axiom, inst, breach_at(Ap)
-                                continue
-                            s = p + q + r
-                            terms = memo.get(s)
-                            if terms is None:
-                                terms = memo[s] = (
-                                    products(pm_uv, s, lambda x, n: act((x, n, w))),
-                                    products(pm_vw, s, lambda x, n: act((u, n, x))),
-                                    products(pm_uw, s, lambda x, n: act((v, n, x))),
-                                )
-                            A, B, C = terms
-                            residual: dict = {}
-                            for m, vec in A:
-                                i = m - r
-                                if i < 0:
-                                    continue
-                                viadd(residual, choose(p, i), vec)
-                            for m, vec in B:
-                                i = m - q
-                                if i < 0:
-                                    continue
-                                c = choose(r, i)
-                                viadd(residual, c if i % 2 else -c, vec)
-                            for m, vec in C:
-                                i = m - p
-                                if i < 0:
-                                    continue
-                                c = choose(r, i)
-                                viadd(residual, -c if (i + r) % 2 else c, vec)
-                            yield axiom, inst, residual
+
+                def residual(p: int, q: int, r: int) -> dict:
+                    s = p + q + r
+                    terms = memo.get(s)
+                    if terms is None:
+                        terms = memo[s] = (
+                            products(pm_uv, s, lambda x, n: act((x, n, w))),
+                            products(pm_vw, s, lambda x, n: act((u, n, x))),
+                            products(pm_uw, s, lambda x, n: act((v, n, x))),
+                        )
+                    A, B, C = terms
+                    out: dict = {}
+                    for m, vec in A:
+                        i = m - r
+                        if i >= 0:
+                            viadd(out, choose(p, i), vec)
+                    for m, vec in B:
+                        i = m - q
+                        if i >= 0:
+                            c = choose(r, i)
+                            viadd(out, c if i % 2 else -c, vec)
+                    for m, vec in C:
+                        i = m - p
+                        if i >= 0:
+                            c = choose(r, i)
+                            viadd(out, -c if (i + r) % 2 else c, vec)
+                    return out
+
+                zero = True
+                for ps, q, r in window.first:
+                    for p in ps:
+                        res = residual(p, q, r)
+                        zero = zero and not res
+                        yield axiom, (lu, lv, lw, p, q, r), res
+                if not zero:
+                    for ps, q, r in window.later:
+                        for p in ps:
+                            yield axiom, (lu, lv, lw, p, q, r), residual(p, q, r)
+                derived = window.n_later if zero else 0
+                if derived or window.skips:
+                    yield axiom, JacobiBlock(lu, lv, lw, window, derived), {}
 
 
 def _gen_grading(V: VertexAlgebra):

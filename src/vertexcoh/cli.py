@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .axioms import (
     AxiomReport,
-    InstanceRun,
+    JacobiBlock,
     check_all,
     check_module,
     translation_map,
@@ -101,7 +101,7 @@ def _coeffs(vec: dict) -> dict:
 def _report_data(rep: AxiomReport) -> dict:
     """The report's data; ``skipped`` yields its entries' texts as the writer asks.
 
-    A detail report keeps each run of fringe skips as one InstanceRun; the
+    A detail report keeps each Jacobi triple's skips as one JacobiBlock; the
     entries expand it here, one text per instance in order (see
     ``_skip_texts``), so no entry exists before the writer asks for it.
     """
@@ -117,16 +117,16 @@ def _report_data(rep: AxiomReport) -> dict:
 
 
 def _skip_texts(items):
-    """The json text of each skip entry of ``items``, a run's instances in order.
+    """The json text of each skip entry of ``items``, a block's skips in order.
 
     ``items`` are a detail report's ``(axiom, instance, reason)`` skips.  Each
     text is ``json.dumps({"axiom": axiom, "instance": one, "reason": reason})``
     for one instance ``one``, built without that dict: a ``str`` is encoded
     by json once per report and its text reused, an ``int`` is written as
-    json writes it, and the instances of an InstanceRun share every text but
-    p's.  An entry holding any other value, a bool or a Fraction say, is
-    encoded by json whole, so no cache ever hands out the text of a value of
-    another type.
+    json writes it, and the skips of a JacobiBlock share every text but p's
+    within each run of its window.  An entry holding any other value, a bool
+    or a Fraction say, is encoded by json whole, so no cache ever hands out
+    the text of a value of another type.
     """
     import json
 
@@ -149,28 +149,30 @@ def _skip_texts(items):
         return None if None in parts else "[" + ", ".join(parts) + "]"
 
     for axiom, inst, why in items:
+        head = text(axiom)
+        if type(inst) is JacobiBlock:
+            labels = seq((inst.lu, inst.lv, inst.lw))
+            if head is None or labels is None:
+                for one, reason in inst.skips():
+                    yield dumps({"axiom": axiom, "instance": one, "reason": reason})
+                continue
+            prefix = f'{{"axiom": {head}, "instance": {labels[:-1]}, '
+            for ps, q, r, weight in inst.window.skips:
+                tail = f', {q}, {r}], "reason": ["TruncationBreach", {weight}]}}'
+                for p in ps:
+                    yield prefix + int.__repr__(p) + tail
+            continue
         held = reasons.get(id(why))
         if held is None:
             # keeping the reason alive keeps its id from naming another object
             held = reasons[id(why)] = (why, seq(why) if type(why) is tuple else None)
-        head, reason = text(axiom), held[1]
-        run = type(inst) is InstanceRun
-        if head is not None and reason is not None:
-            if run:
-                labels, rest = seq((inst.lu, inst.lv, inst.lw)), seq((inst.q, inst.r))
-                if labels and rest and type(inst.ps) is range:
-                    prefix = f'{{"axiom": {head}, "instance": {labels[:-1]}, '
-                    suffix = f', {rest[1:]}, "reason": {reason}}}'
-                    for p in inst.ps:
-                        yield prefix + int.__repr__(p) + suffix
-                    continue
-            elif type(inst) is tuple:
-                instance = seq(inst)
-                if instance is not None:
-                    yield f'{{"axiom": {head}, "instance": {instance}, "reason": {reason}}}'
-                    continue
-        for one in inst if run else (inst,):
-            yield dumps({"axiom": axiom, "instance": one, "reason": why})
+        reason = held[1]
+        if head is not None and reason is not None and type(inst) is tuple:
+            instance = seq(inst)
+            if instance is not None:
+                yield f'{{"axiom": {head}, "instance": {instance}, "reason": {reason}}}'
+                continue
+        yield dumps({"axiom": axiom, "instance": inst, "reason": why})
 
 
 def _map_data(g: GradedMap) -> dict:

@@ -87,7 +87,9 @@ class SpecFile:
     """Parsed file contents; converters below turn these into live objects.
 
     ``sections`` names the section headers a parsed file held, empty ones
-    included; a SpecFile built in code leaves it empty.
+    included, and ``dump_spec`` writes a row section named there even when
+    it is empty; ``spec_from_objects`` names [MODULE_BASIS] when given a
+    module, so that a dump of the zero module still describes a module.
     """
 
     tier: str = "exact"
@@ -473,6 +475,7 @@ def spec_from_objects(V: VertexAlgebra, W: VAModule | None = None,
     )
     if W is not None:
         wsp = W.space
+        spec.sections = frozenset({"MODULE_BASIS"})
         spec.module_basis = tuple(zip(wsp.labels, wsp.weights))
         # the adjoint module's action is V's own table: its rows are [MODES]
         spec.module_modes = spec.modes if W.Y_W is V.Y else _rows(W.Y_W.by_labels())
@@ -500,14 +503,14 @@ def dump_spec(spec: SpecFile) -> str:
         blocks.append("[WEIGHTS]\n" + "\n".join(lines))
     for name, sec in _ROW_SECTIONS.items():
         rows = getattr(spec, sec.field)
-        if rows:
+        if rows or name in spec.sections:
             if sec.kind == "label weight":
                 lines = [f"{lab} {w}" for lab, w in rows]
             elif sec.kind == "w -> ...":
                 lines = [f"{lab} -> {_format_terms(t)}" for lab, t in rows]
             else:
                 lines = [f"{u} {n} {v} -> {_format_terms(t)}" for u, n, v, t in rows]
-            blocks.append(f"[{name}]\n" + "\n".join(lines))
+            blocks.append("\n".join([f"[{name}]", *lines]))
         if name == "BASIS" and spec.vacuum is not None:
             blocks.append(f"[VACUUM]\n{spec.vacuum}")
     return "\n\n".join(blocks) + "\n"

@@ -11,7 +11,8 @@ import listing
 from vertexcoh.axioms import (
     AxiomReport,
     CreationFailed,
-    InstanceRun,
+    JacobiBlock,
+    _JacobiWindow,
     _gen_creation,
     _gen_grading,
     _gen_identity,
@@ -208,7 +209,7 @@ def test_boson_level2_passes_within_window():
     assert rep.verdict == "pass-within-window"
     assert rep.failed == []
     assert rep.skipped, "fringe instances should be recorded"
-    for _axiom, _inst, (kind, weight) in rep.skipped_instances:
+    for _axiom, _inst, (kind, weight) in listing.expand(rep.skipped_instances):
         assert kind == "TruncationBreach"
         assert weight > V.space.cutoff
     skipped_axioms = {a for a, _i, _why in rep.skipped_instances}
@@ -267,14 +268,14 @@ def test_record_drains_like_the_reference():
     table[key] = {t: 3 * c for t, c in table[key].items()}
     for alg in (V, _rebuild_with(V, table)):
         new, counted, ref = AxiomReport(detail=True), AxiomReport(), _Listed()
-        runs = 0
+        blocks = 0
         for gen in _fragments(alg):
             items = list(gen)                # one enumeration feeds all three drains
-            runs += sum(type(inst) is InstanceRun for _a, inst, _r in items)
-            _reference_record(ref, alg.space, listing.expand(items))
+            blocks += sum(type(inst) is JacobiBlock for _a, inst, _r in items)
+            _reference_record(ref, alg.space, listing.instances(items))
             _record(new, alg.space, iter(items))
             _record(counted, alg.space, iter(items))
-        assert runs
+        assert blocks
         assert list(listing.expand(new.skipped_instances)) == ref.skipped
         assert new.skipped and (alg is V) == (not new.failed)
         for rep in (new, counted):
@@ -283,40 +284,59 @@ def test_record_drains_like_the_reference():
             assert rep.skip_counts() == ref.skip_counts()
             assert (len(rep.passed), len(rep.skipped)) == (len(ref.passed), len(ref.skipped))
     # every boson skip breaks at cutoff + 1, so mix offending weights here,
-    # and a run between single breaches
+    # and a block between single breaches: at cutoff 2 with fringe 2, the
+    # window of weights (2, 2, 2) breaches at weights 4 and 3
+    window = _JacobiWindow(2, 2, 2, *[truncated_free_boson(2).space] * 2, 2)
+    assert window.skip_counts == {4: 54, 3: 27} and window.n_later == 1
+    block = JacobiBlock("a", "b", "c", window, window.n_later)
     mixed = [("jacobi", (i,), TruncationBreach(w)) for i, w in enumerate((5, 6, 5, 7, 6))]
-    mixed.insert(2, ("jacobi", InstanceRun("a", "b", "c", range(-3, 0), 1, 2),
-                     TruncationBreach(6)))
+    mixed.insert(2, ("jacobi", block, {}))
     mixed += [("identity", ("x",), {0: F(1, 2)}), ("identity", ("y",), {})]
     new, counted, ref = AxiomReport(detail=True), AxiomReport(), _Listed()
     _record(new, V.space, iter(mixed))
     _record(counted, V.space, iter(mixed))
-    _reference_record(ref, V.space, listing.expand(mixed))
+    _reference_record(ref, V.space, listing.instances(mixed))
     assert (new.failed, list(listing.expand(new.skipped_instances))) == \
         (ref.failed, ref.skipped)
-    assert new.skipped_instances[2][1] is mixed[2][1]
+    assert new.skipped_instances[2] == ("jacobi", block, None)
     assert [inst for _a, inst, _why in ref.skipped[2:5]] == [
-        ("a", "b", "c", p, 1, 2) for p in (-3, -2, -1)]
+        ("a", "b", "c", p, -1, -1) for p in (4, 5, 6)]
     for rep in (new, counted):
-        assert rep.skip_counts() == {("jacobi", 5): 2, ("jacobi", 6): 5, ("jacobi", 7): 1}
-        assert (rep.passed_counts(), rep.failed) == ({"identity": 1}, ref.failed)
+        assert rep.skip_counts() == {("jacobi", 5): 2, ("jacobi", 6): 2, ("jacobi", 7): 1,
+                                     ("jacobi", 4): 54, ("jacobi", 3): 27}
+        assert rep.passed_counts() == {"identity": 1, "jacobi": 1}
+        assert rep.failed == ref.failed
 
 
-def test_instance_run_repr_names_its_instances():
-    run = InstanceRun("a1", "a1", "a2", range(2, 5), 0, 5)
-    assert repr(run) == "InstanceRun('a1', 'a1', 'a2', range(2, 5), q=0, r=5)"
-    assert list(run) == [("a1", "a1", "a2", p, 0, 5) for p in (2, 3, 4)]
-    assert run != InstanceRun("a1", "a1", "a2", range(2, 5), 0, 5)   # no __eq__
+def test_jacobi_block_expands_to_its_instances():
+    window = _JacobiWindow(2, 2, 2, *[truncated_free_boson(2).space] * 2, 1)
+    assert window.first and window.later and window.skips
+    block = JacobiBlock("a1", "a1", "a2", window, window.n_later)
+    assert repr(block) == f"JacobiBlock('a1', 'a1', 'a2', skips=27, derived={window.n_later})"
+    assert list(block.skips()) == [(("a1", "a1", "a2", p, q, r), ("TruncationBreach", w))
+                                   for ps, q, r, w in window.skips for p in ps]
+    assert len(list(block.skips())) == 27 == sum(window.skip_counts.values())
+    assert list(block.passes()) == [("a1", "a1", "a2", p, q, r)
+                                    for ps, q, r in window.later for p in ps]
+    assert len(list(block.passes())) == window.n_later
+    assert list(JacobiBlock("a1", "a1", "a2", window, 0).passes()) == []
+    assert block != JacobiBlock("a1", "a1", "a2", window, window.n_later)   # no __eq__
 
 
 def test_skips_of_one_weight_share_one_reason():
     # one reason tuple per offending weight and check fragment
+    # a Jacobi block holds its window's weights, not reason tuples
     rep = check_all(build_preset("free-boson", 3), detail=True)
     shared: dict = {}
-    for axiom, _inst, reason in rep.skipped_instances:
+    blocks = 0
+    for axiom, inst, reason in rep.skipped_instances:
+        if type(inst) is JacobiBlock:
+            assert reason is None and {w for *_pqr, w in inst.window.skips} == {4}
+            blocks += 1
+            continue
         fragment = axiom.split("-")[0]       # translation-shift, -bracket: one
         assert shared.setdefault((fragment, reason[1]), reason) is reason
-    assert set(shared) == {("jacobi", 4), ("skew", 4), ("translation", 4)}
+    assert blocks and set(shared) == {("skew", 4), ("translation", 4)}
     assert all(reason == ("TruncationBreach", 4) for reason in shared.values())
 
 

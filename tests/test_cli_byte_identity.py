@@ -258,7 +258,7 @@ def test_output_is_byte_identical(tag, mode, inputs, monkeypatch):
     assert got == DIGESTS[tag, mode]
 
 
-# check --module on a truncated algebra: the module-Jacobi fringe runs reach
+# check --module on a truncated algebra: the module-Jacobi fringe blocks reach
 # the writer, which no exact setting above exercises
 MODULE_CHECK = ("check", "--preset", "free-boson", "--cutoff", "3",
                 "--module", "boson-3-adjoint.txt", "--json")

@@ -411,7 +411,7 @@ def _residual_with_the_fringe(V, W, psi):
     for gen in (_gen_identity(total.Y, total.vacuum), _gen_creation(total),
                 _gen_translation(total.Y, tmap, tmap), _gen_skew(total, tmap, fringe),
                 _gen_jacobi(total.Y, total.Y, fringe)):
-        for axiom, inst, result in listing.expand(gen):
+        for axiom, inst, result in listing.instances(gen):
             if isinstance(result, TruncationBreach):
                 breaches += 1
                 continue

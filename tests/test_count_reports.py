@@ -3,11 +3,11 @@
 ``check_all``, ``check_module`` and ``verify_extension`` count passes per
 axiom and skips per (axiom, offending weight); ``detail=True`` adds only
 ``skipped_instances``, the skips ``--json`` prints, and ``_gen_jacobi``
-yields a run of fringe breaches as one item.  Every case below runs under
-the lister of tests/listing.py, which lists each passed and skipped
-instance as the drain sees it.  The report's counts must equal those lists
-counted, the detail report's ``skipped_instances``, which keeps each run
-whole, must expand to the listed skips, and a report made without
+yields each triple's skips and derived passes as one block.  Every case
+below runs under the lister of tests/listing.py, which lists each passed
+and skipped instance as the drain sees it.  The report's counts must equal
+those lists counted, the detail report's ``skipped_instances``, which keeps
+each block whole, must expand to the listed skips, and a report made without
 ``detail`` must agree with it on all else.
 The listed passes, the failures and the skips are pinned by sha256 digests
 (first 16 hex digits) recorded from the checker as it was before reports
@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import listing
-from vertexcoh.axioms import AxiomReport, InstanceRun, Tally, check_all, check_module
+from vertexcoh.axioms import AxiomReport, JacobiBlock, Tally, check_all, check_module
 from vertexcoh.cohomology import TwoCochain, coboundary, cochain_slots, vacuum_killing_basis
 from vertexcoh.extensions import build_deformation, build_extension, verify_extension
 from vertexcoh.presets import adjoint_module, build_preset
@@ -246,9 +246,9 @@ def test_count_report_equals_the_detail_report(case, monkeypatch):
 
 # case: (items in skipped_instances, skips) of the detail report
 STORED = {
-    "free-boson-4": (67397, 143429),
-    "module-free-boson-3": (11487, 22806),
-    "free-boson-3-extension-cob": (91420, 181972),
+    "free-boson-4": (2472, 143429),
+    "module-free-boson-3": (511, 22806),
+    "free-boson-3-extension-cob": (3612, 181972),
 }
 
 
@@ -260,7 +260,7 @@ def test_detail_report_keeps_fringe_runs_whole(case, monkeypatch):
     _passed, skipped = lists(rep)
     items = rep.skipped_instances
     assert (len(items), len(rep.skipped)) == STORED[case]
-    assert any(type(inst) is InstanceRun for _a, inst, _why in items)
+    assert any(type(inst) is JacobiBlock for _a, inst, _why in items)
     expanded = list(listing.expand(items))
     assert expanded == skipped
     assert Counter((a, weight) for a, _inst, (_kind, weight) in expanded) == \

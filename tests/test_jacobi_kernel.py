@@ -1,11 +1,15 @@
 """The Jacobi kernel against the per-instance evaluation it replaced.
 
 ``axioms._gen_jacobi`` builds the inner vectors (u_m v)_{s-m} w,
-u_{s-m}(v_m w) and v_{s-m}(u_m w) once per (u, v, w) and s = p + q + r, and
-combines them per instance.  ``reference_jacobi`` is the kernel as it was
-before, which re-ran the inner loop for every instance: the two must yield
-the same stream, instance by instance, over every scalar ring the checker
-meets.
+u_{s-m}(v_m w) and v_{s-m}(u_m w) once per (u, v, w) and s = p + q + r,
+evaluates the first in-window row r of each (u, v, w), and counts the later
+rows as passes by Pascal's rule when that row is all zero; a triple's skips
+and derived passes come as one JacobiBlock.  ``reference_jacobi`` is the
+kernel as it was before, which evaluated every instance on its own: per
+category, in enumeration order, the two must agree on every scalar ring the
+checker meets.  The passes are the kernel's evaluated ones and its derived
+ones together, the failures carry their residuals, and the skips their
+offending weights.
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ from fractions import Fraction
 
 import pytest
 
-import listing
 from test_cohomology import _random_lawful_algebras
 from test_integral_coefficients import _corrupted, _random_fractional_algebras
-from vertexcoh.axioms import _gen_jacobi
+from vertexcoh.axioms import JacobiBlock, _gen_jacobi, check_all
 from vertexcoh.cohomology import TwoCochain, cochain_slots
 from vertexcoh.extensions import build_deformation, build_extension
 from vertexcoh.presets import PRESETS, adjoint_module, build_preset
@@ -122,20 +125,31 @@ def reference_jacobi(YV: ModeFamily, Y_act: ModeFamily, tier: str, axiom: str = 
                             yield axiom, inst, residual
 
 
-def _stream(gen) -> list:
-    """(axiom, instance, breach weight or sorted residual) for every instance,
-    runs of breaches expanded."""
-    return [
-        (axiom, inst, ("breach", res.weight) if isinstance(res, TruncationBreach)
-         else sorted(res.items()))
-        for axiom, inst, res in listing.expand(gen)
-    ]
+def _categories(stream) -> tuple[list, list, list, list]:
+    """(passes, failures with their sorted residuals, skips with their
+    offending weights, derived passes) of a Jacobi stream, each in stream
+    order; the passes include the derived ones."""
+    passes, failures, skips, derived = [], [], [], []
+    for axiom, inst, res in stream:
+        if type(inst) is JacobiBlock:
+            ones = [(axiom, one) for one in inst.passes()]
+            derived += ones
+            passes += ones
+            skips += [(axiom, one, weight) for one, (_kind, weight) in inst.skips()]
+        elif isinstance(res, TruncationBreach):
+            skips.append((axiom, inst, res.weight))
+        elif res:
+            failures.append((axiom, inst, sorted(res.items())))
+        else:
+            passes.append((axiom, inst))
+    return passes, failures, skips, derived
 
 
 def _assert_same_jacobi(YV, Y_act, tier, axiom="jacobi"):
-    new = _stream(_gen_jacobi(YV, Y_act, 1 if tier == "truncated" else 0, axiom))
-    old = _stream(reference_jacobi(YV, Y_act, tier, axiom))
-    assert new == old
+    """The kernel's (passes, failures, skips, derived passes), the first three
+    having matched the reference's."""
+    new = _categories(_gen_jacobi(YV, Y_act, 1 if tier == "truncated" else 0, axiom))
+    assert new[:3] == _categories(reference_jacobi(YV, Y_act, tier, axiom))[:3]
     return new
 
 
@@ -149,15 +163,15 @@ def _assert_same_on(V):
                           for c in (None, 3)]
                          + [("free-boson", c) for c in (1, 2, 3, 4)])
 def test_presets(name, cutoff):
-    stream = _assert_same_on(build_preset(name, cutoff))
-    assert stream   # every preset has Jacobi instances
-    if name == "free-boson":
-        assert any(res[0] == "breach" for _a, _i, res in stream)
+    V = build_preset(name, cutoff)
+    passes, _failures, skips, derived = _assert_same_on(V)
+    assert passes   # every preset has Jacobi instances
+    assert bool(skips) == (name == "free-boson")
+    assert derived  # the later rows of some triple are counted, not evaluated
 
 
 def test_boson_with_one_structure_constant_changed():
-    stream = _assert_same_on(_corrupted(build_preset("free-boson", 3), 2))
-    assert any(res and res[0] != "breach" for _a, _i, res in stream)
+    assert _assert_same_on(_corrupted(build_preset("free-boson", 3), 2))[1]
 
 
 def test_deformed_boson_tables_over_dual_numbers():
@@ -168,9 +182,9 @@ def test_deformed_boson_tables_over_dual_numbers():
         slots = cochain_slots(V, W)
         psi = TwoCochain.from_slots(V, W, {s: F(rng.choice((-3, -1, 1, 3)), 2)
                                            for s in rng.sample(slots, size)})
-        stream = _assert_same_on(build_deformation(V, psi).deformed)
+        failures = _assert_same_on(build_deformation(V, psi).deformed)[1]
         assert any(isinstance(c, JetScalar) and c.slopes.get(0)
-                   for _a, _i, res in stream if res and res[0] != "breach" for _t, c in res)
+                   for _a, _i, res in failures for _t, c in res)
 
 
 def test_the_jet_total_of_compute_z2():
@@ -178,9 +192,9 @@ def test_the_jet_total_of_compute_z2():
     W = adjoint_module(V)
     slots = cochain_slots(V, W)
     psi = TwoCochain.from_slots(V, W, {s: JetScalar(0, {i: 1}) for i, s in enumerate(slots)})
-    stream = _assert_same_on(build_extension(V, W, psi).total)
+    failures = _assert_same_on(build_extension(V, W, psi).total)[1]
     assert any(isinstance(c, JetScalar) and c.slopes
-               for _a, _i, res in stream if res and res[0] != "breach" for _t, c in res)
+               for _a, _i, res in failures for _t, c in res)
 
 
 def _restricted_adjoint(V, cutoff):
@@ -222,8 +236,7 @@ def test_module_jacobi_with_other_windows(name, cutoff):
         modules.append(_restricted_adjoint(V, 2))
     for W in modules:
         assert (W.space.cutoff, W.space.min_weight) != (V.space.cutoff, V.space.min_weight)
-        stream = _assert_same_jacobi(V.Y, W.Y_W, W.space.tier, "module-jacobi")
-        assert stream
+        assert _assert_same_jacobi(V.Y, W.Y_W, W.space.tier, "module-jacobi")[0]
 
 
 def test_seeded_random_lawful_and_corrupted_tables():
@@ -231,3 +244,54 @@ def test_seeded_random_lawful_and_corrupted_tables():
     for V in tables:
         _assert_same_on(V)
         _assert_same_on(_corrupted(V, F(1, 2)))
+
+
+def _corruptions(Y: ModeFamily, seed) -> dict:
+    """{weight: Y with one seeded entry of that result weight changed}, for
+    every weight an entry of Y lands in: a seeded multiple of a basis vector
+    of that weight is added to the entry."""
+    rng = random.Random(seed)
+    usp, sp = Y.left, Y.right
+    by_weight: dict = {}
+    for u, n, v in sorted(Y.entries):
+        by_weight.setdefault(usp.weight_of(u) + sp.weight_of(v) - n - 1, []).append((u, n, v))
+    out = {}
+    for weight, keys in sorted(by_weight.items()):
+        key = rng.choice(keys)
+        vec = dict(Y.entries[key])
+        viadd(vec, F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))),
+              {rng.choice(sp.by_weight[weight]): 1})
+        out[weight] = Y.copy()
+        out[weight].set_entry(*key, vec)
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [3, 4])
+def test_single_entry_corruptions_of_every_weight(cutoff):
+    V = build_preset("free-boson", cutoff)
+    tables = _corruptions(V.Y, f"jacobi-kernel:{cutoff}")
+    assert sorted(tables) == list(range(cutoff + 1))
+    failing = sum(bool(_assert_same_jacobi(Y, Y, "truncated")[1]) for Y in tables.values())
+    assert failing >= cutoff
+
+
+def test_a_corrupted_module_table():
+    V = build_preset("free-boson", 3)
+    W = adjoint_module(V)
+    for weight, Y_W in _corruptions(W.Y_W, "jacobi-kernel:module").items():
+        failures = _assert_same_jacobi(V.Y, Y_W, W.space.tier, "module-jacobi")[1]
+        assert failures or not weight, weight
+
+
+def test_a_changed_entry_is_seen_by_the_next_check():
+    # windows are built per call: the second run must read the new entry
+    V = build_preset("free-boson", 3)
+    first = check_all(V)
+    assert first.verdict == "pass-within-window"
+    a1, a2 = V.space.index["a1"], V.space.index["a2"]
+    V.Y.set_entry(a1, 2, a2, {t: 3 * c for t, c in V.Y.entries[a1, 2, a2].items()})
+    second = check_all(V)
+    assert second.verdict == "fail"
+    assert any(axiom == "jacobi" for axiom, _inst, _res in second.failed)
+    assert check_all(V).failed == second.failed
+

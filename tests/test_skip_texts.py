@@ -5,7 +5,7 @@ Under ``--json`` each skipped instance is written as the text of
 cached encodings of its strings rather than from that dict.  Fed seeded
 items of every shape the checkers yield, plus labels json must escape and
 values it encodes whole, the texts must be the ``json.dumps`` of the dicts,
-one per instance, a run's instances in order.
+one per instance, a block's skips in order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import pytest
 
 import listing
 from vertexcoh import cli
-from vertexcoh.axioms import InstanceRun
+from vertexcoh.axioms import JacobiBlock, _JacobiWindow
+from vertexcoh.presets import truncated_free_boson
 
 # plain labels, total-space fiber labels, and labels json must escape
 LABELS = ["one", "a1", "a1a1", "a2", "w:one", "w:w:a1", "eps", "α", "ω_2", "é",
@@ -50,17 +51,18 @@ def seeded_items(rng: random.Random) -> list:
         # mostly the shared tuple, sometimes an equal one of its own
         return reasons[w] if rng.random() < 0.8 else ("TruncationBreach", w)
 
+    sp = truncated_free_boson(3).space
+    windows = [_JacobiWindow(rng.randrange(4), rng.randrange(4), rng.randrange(4),
+                             sp, sp, rng.randrange(3)) for _ in range(20)]
     items = []
     for _ in range(600):
         shape = rng.randrange(5)
         if shape == 0:      # a Jacobi single (u, v, w, p, q, r)
             inst = (label(), label(), label(), mode(), mode(), mode())
             items.append((rng.choice(AXIOMS[:2]), inst, reason()))
-        elif shape == 1:    # a run of Jacobi fringe skips
-            start = rng.randrange(-5, 5)
-            ps = range(start, start + rng.randrange(0, 6))
-            run = InstanceRun(label(), label(), label(), ps, mode(), mode())
-            items.append((rng.choice(AXIOMS[:2]), run, reason()))
+        elif shape == 1:    # the skips of one Jacobi (u, v, w)
+            block = JacobiBlock(label(), label(), label(), rng.choice(windows), 0)
+            items.append((rng.choice(AXIOMS[:2]), block, None))
         elif shape == 2:    # translation, skew-symmetry and module checks
             items.append((rng.choice(AXIOMS[2:]), (label(), mode(), label()), reason()))
         elif shape == 3:    # extension structure checks
@@ -83,15 +85,17 @@ def test_values_of_other_types_are_encoded_whole():
     # True == 1 == 1.0 and hash alike: a cache keyed by value would write
     # them all as the first one it met
     shared = ("TruncationBreach", 1)
+    window = _JacobiWindow(1, 1, 1, *[truncated_free_boson(1).space] * 2, 1)
     items = [
         ("jacobi", ("a", "b", "c", 1, 0, 1), shared),
         ("jacobi", ("a", "b", "c", True, 0, 1), shared),
         ("jacobi", ("a", "b", "c", 1.0, 0, 1), shared),
         ("jacobi", ("a", "b", "c", 1, 0, 1), ("TruncationBreach", True)),
         ("jacobi", ("a", "b", "c", 1, 0, 1), ("TruncationBreach", 1.0)),
-        ("jacobi", InstanceRun("a", "b", "c", range(0, 3), True, 1), shared),
-        ("jacobi", InstanceRun("a", "b", True, range(0, 2), 1, 1), shared),
-        ("jacobi", InstanceRun("a", "b", "c", [1, True], 1, 1), shared),
+        ("jacobi", JacobiBlock("a", "b", "c", window, 0), None),
+        ("jacobi", JacobiBlock("a", "b", True, window, 0), None),
+        ("jacobi", JacobiBlock("a", 1.0, "c", window, 0), None),
+        (True, JacobiBlock("a", "b", "c", window, 0), None),
         ("translation", ("a", None, "b"), shared),
         ("translation", ("a", (1, 2), "b"), shared),
         ("translation", ["a", 1, "b"], shared),
@@ -100,9 +104,11 @@ def test_values_of_other_types_are_encoded_whole():
         ("skew-symmetry", ("a", -1, "b"), ("TruncationBreach", (1,))),
         ("skew-symmetry", ("a", -1, "b"), shared),
     ]
+    assert window.skips
     texts = list(cli._skip_texts(items))
     assert texts == oracle(items)
     assert '"instance": ["a", "b", "c", true, 0, 1]' in texts[1]
+    assert any('"instance": ["a", "b", true, ' in t for t in texts)
     assert texts[3].endswith('"reason": ["TruncationBreach", true]}')
 
 

@@ -685,6 +685,20 @@ def test_cli_reads_an_empty_module_basis_as_the_zero_module(argv, line, tmp_path
     assert line in captured.out.splitlines() and captured.err == ""
 
 
+def test_the_zero_module_survives_a_dump(tmp_path, capsys):
+    V = build_preset("dual-numbers")
+    text = dump_spec(spec_from_objects(V, to_module(parse_spec(ZERO_MODULE), V)))
+    assert text.endswith("\n\n[MODULE_BASIS]\n")
+    W = to_module(parse_spec(text), V)
+    assert len(W.space) == 0
+    assert dump_spec(spec_from_objects(V, W)) == text
+    mod = tmp_path / "zero-dumped.txt"
+    mod.write_text(text)
+    assert main(["h2", "--preset", "dual-numbers", "--module", str(mod)]) == 0
+    captured = capsys.readouterr()
+    assert "h2 dimension: 0" in captured.out.splitlines() and captured.err == ""
+
+
 def test_cli_a_module_file_without_a_module_basis_header_exits_two(tmp_path, capsys):
     mod = tmp_path / "no-module.txt"
     mod.write_text("[TW]\n")
